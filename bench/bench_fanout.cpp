@@ -141,8 +141,8 @@ void broadcast(benchmark::State& state) {
     std::uint64_t datagrams = 0;
     std::vector<ParticipantId> ids;
     for (int i = 0; i < participants; ++i) {
-      HostEndpoint ep;
-      ep.kind = HostEndpoint::Kind::kUdp;
+      Endpoint ep;
+      ep.kind = Endpoint::Kind::kUdp;
       ep.send_datagram = [&datagrams](BytesView) {
         ++datagrams;
         return true;

@@ -59,9 +59,9 @@ struct RelayTree {
   relay::RelayNode* root = nullptr;
 };
 
-relay::LegEndpoint viewer_endpoint(Viewer* v) {
-  relay::LegEndpoint ep;
-  ep.kind = relay::LegEndpoint::Kind::kUdp;
+Endpoint viewer_endpoint(Viewer* v) {
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kUdp;
   ep.send_packet = [v](const PacketView& pkt) {
     ++v->packets;
     v->bytes += pkt.wire_size();
@@ -94,8 +94,8 @@ relay::RelayNode* build_node(EventLoop& loop, RelayTree& tree, int level,
   if (level < depth) {
     for (int c = 0; c < degree; ++c) {
       relay::RelayNode* child = build_node(loop, tree, level + 1, depth, degree);
-      relay::LegEndpoint ep;
-      ep.kind = relay::LegEndpoint::Kind::kUdp;
+      Endpoint ep;
+      ep.kind = Endpoint::Kind::kUdp;
       ep.send_packet = [child](const PacketView& v) {
         child->on_upstream_packet(v);
         return true;
@@ -173,8 +173,8 @@ void relay_scaleout(benchmark::State& state) {
     std::vector<std::unique_ptr<Viewer>> direct_viewers;
     if (relay_arm) {
       tree.root = build_node(loop, tree, 1, depth, degree);
-      HostEndpoint ep;
-      ep.kind = HostEndpoint::Kind::kUdp;
+      Endpoint ep;
+      ep.kind = Endpoint::Kind::kUdp;
       ep.send_packet = [&staged_views](const PacketView& v) {
         staged_views.push_back(v);
         return true;
@@ -196,13 +196,7 @@ void relay_scaleout(benchmark::State& state) {
       for (int i = 0; i < total_viewers; ++i) {
         direct_viewers.push_back(std::make_unique<Viewer>());
         Viewer* v = direct_viewers.back().get();
-        relay::LegEndpoint leg_ep = viewer_endpoint(v);
-        HostEndpoint ep;
-        ep.kind = HostEndpoint::Kind::kUdp;
-        ep.send_packet = std::move(leg_ep.send_packet);
-        ep.send_packet_batch = std::move(leg_ep.send_packet_batch);
-        ep.send_datagram = std::move(leg_ep.send_datagram);
-        v->id = host.add_participant(std::move(ep));
+        v->id = host.add_participant(viewer_endpoint(v));
       }
     }
 

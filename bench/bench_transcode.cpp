@@ -208,8 +208,8 @@ void cohort(benchmark::State& state) {
         w, std::make_unique<SlideshowApp>(320, 240, 3, 1'000'000));
     std::vector<ParticipantId> ids;
     for (int i = 0; i < 5; ++i) {
-      HostEndpoint ep;
-      ep.kind = HostEndpoint::Kind::kUdp;
+      Endpoint ep;
+      ep.kind = Endpoint::Kind::kUdp;
       ep.send_datagram = [](BytesView) { return true; };
       ids.push_back(host.add_participant(std::move(ep)));
     }

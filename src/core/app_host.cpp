@@ -211,9 +211,9 @@ void AppHost::publish_metrics() {
   m.gauge("cache.entries").set(static_cast<std::int64_t>(cache.entries()));
   m.counter("cache.evictions").set(cache.evictions());
 
-  std::uint64_t rtx_hits = 0;
-  std::uint64_t rtx_misses = 0;
-  std::uint64_t rtx_evictions = 0;
+  std::uint64_t rtx_hits = retired_.rtx_hits;
+  std::uint64_t rtx_misses = retired_.rtx_misses;
+  std::uint64_t rtx_evictions = retired_.rtx_evictions;
   std::uint64_t rtx_cached = 0;
   for (const auto& [id, p] : participants_) {
     rtx_hits += p.cache.hits();
@@ -227,7 +227,10 @@ void AppHost::publish_metrics() {
   m.gauge("rtx.cached_packets").set(static_cast<std::int64_t>(rtx_cached));
 
   if (opts_.adaptation.enabled) {
-    std::uint64_t increases = 0, decreases = 0, q_changes = 0, fps_changes = 0;
+    std::uint64_t increases = retired_.rate.increases;
+    std::uint64_t decreases = retired_.rate.decreases;
+    std::uint64_t q_changes = retired_.rate.quality_changes;
+    std::uint64_t fps_changes = retired_.rate.fps_changes;
     for (const auto& [id, p] : participants_) {
       const rate::ControllerStats& rs = p.rate_ctrl.stats();
       increases += rs.increases;
@@ -299,31 +302,47 @@ void AppHost::publish_metrics() {
   m.counter("transcode.bytes_viewport").set(stats_.bytes_sent_viewport);
 }
 
-ParticipantId AppHost::add_participant(HostEndpoint endpoint,
+ParticipantId AppHost::allocate_id() {
+  if (participants_.size() + member_alias_.size() >= 0xFFFF) {
+    throw std::length_error("AppHost: all 65535 participant ids are live");
+  }
+  // 16-bit ids wrap: skip 0 (the "no reuse" sentinel) and every id a live
+  // participant or member alias still holds.
+  while (next_participant_id_ == 0 ||
+         participants_.count(next_participant_id_) != 0 ||
+         member_alias_.count(next_participant_id_) != 0) {
+    ++next_participant_id_;
+  }
+  return next_participant_id_++;
+}
+
+ParticipantId AppHost::add_participant(Endpoint endpoint,
                                        ParticipantId reuse_id) {
-  const bool reuse =
-      reuse_id != 0 && participants_.find(reuse_id) == participants_.end();
-  const ParticipantId id = reuse ? reuse_id : next_participant_id_++;
-  const bool udp = endpoint.kind == HostEndpoint::Kind::kUdp;
+  const bool reuse = reuse_id != 0 && participants_.count(reuse_id) == 0 &&
+                     member_alias_.count(reuse_id) == 0;
+  const ParticipantId id = reuse ? reuse_id : allocate_id();
+  const bool udp = endpoint.kind == Endpoint::Kind::kUdp;
   // With adaptation on, the controller's initial budget seeds the bucket;
   // the static udp_rate_bps only applies to the non-adaptive path.
   const std::uint64_t rate_bps =
       !udp ? 0
            : (opts_.adaptation.enabled ? opts_.adaptation.initial_rate_bps
                                        : opts_.udp_rate_bps);
-  auto [it, inserted] = participants_.try_emplace(
-      id, kRemotingPayloadType, opts_.seed, opts_.retransmission_cache,
-      rate_bps, opts_.udp_burst_bytes,
-      udp ? rate::Transport::kUdp : rate::Transport::kTcp, opts_.adaptation);
-  it->second.endpoint = std::move(endpoint);
-  if (it->second.endpoint.kind == HostEndpoint::Kind::kTcp) {
+  ParticipantState& p =
+      participants_
+          .try_emplace(id, std::move(endpoint), kRemotingPayloadType, opts_.seed,
+                       opts_.retransmission_cache, rate_bps, opts_.udp_burst_bytes,
+                       udp ? rate::Transport::kUdp : rate::Transport::kTcp,
+                       opts_.adaptation)
+          .first->second;
+  if (!udp) {
     // §4.4: "The AH prepares and transmits the windows' state information
     // and image of the whole shared region to the new participant, right
     // after the TCP connection establishment."
-    it->second.needs_wmi = true;
-    it->second.needs_full_refresh = true;
+    p.needs_wmi = true;
+    p.needs_full_refresh = true;
   }
-  it->second.last_uplink_us = loop_.now();
+  p.last_uplink_us = loop_.now();
   return id;
 }
 
@@ -356,19 +375,32 @@ void AppHost::sweep_liveness() {
     }
   }
   for (ParticipantId id : evict) {
-    // Erasing the state reclaims the token bucket, retransmission cache,
-    // stream carry and uplink deframer; the rtx.* totals and
-    // ah.participants gauge follow automatically at the next snapshot.
-    participants_.erase(id);
+    remove_participant(id);
     ++stats_.participants_evicted;
     if (eviction_handler_) eviction_handler_(id);
   }
 }
 
-void AppHost::remove_participant(ParticipantId id) { participants_.erase(id); }
+void AppHost::remove_participant(ParticipantId id) {
+  auto it = participants_.find(id);
+  if (it == participants_.end()) return;
+  // Erasing the state reclaims the token bucket, retransmission cache,
+  // egress carry and uplink deframer; its lifetime counters live on in
+  // retired_ so the rtx.* and rate.* sums stay monotone.
+  const ParticipantState& p = it->second;
+  retired_.rtx_hits += p.cache.hits();
+  retired_.rtx_misses += p.cache.misses();
+  retired_.rtx_evictions += p.cache.evictions();
+  const rate::ControllerStats& rs = p.rate_ctrl.stats();
+  retired_.rate.increases += rs.increases;
+  retired_.rate.decreases += rs.decreases;
+  retired_.rate.quality_changes += rs.quality_changes;
+  retired_.rate.fps_changes += rs.fps_changes;
+  participants_.erase(it);
+}
 
 ParticipantId AppHost::add_member_alias(ParticipantId group) {
-  const ParticipantId member = next_participant_id_++;
+  const ParticipantId member = allocate_id();
   member_alias_[member] = group;
   return member;
 }
@@ -526,81 +558,16 @@ void AppHost::transmit_view(ParticipantState& p, const PacketView& v, SimTime no
       break;
   }
 
-  if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
+  if (!p.egress.tcp()) {
     p.cache.put(v);  // shares the payload buffer: 16 header bytes + a ref
     p.bucket.consume(v.wire_size(), now);
-    if (p.batching) {
-      p.tx_batch.push_back(v);
-      return;
-    }
-    if (p.endpoint.send_packet) {
-      p.endpoint.send_packet(v);
-      return;
-    }
-    if (p.endpoint.send_datagram) {
-      // View-unaware endpoint: materialise here and count the copy.
-      const Bytes wire = v.serialize();
-      stats_.payload_bytes_copied += wire.size();
-      p.endpoint.send_datagram(wire);
-    }
-    return;
   }
-
-  // TCP: RFC 4571 framing; a partial write carries over so frames are never
-  // torn mid-stream.
-  if (v.wire_size() > 0xFFFF) {
-    ADS_LOG(kWarn) << "RTP packet too large for RFC4571 framing: " << v.wire_size();
-    return;
-  }
-  if (p.endpoint.write_gather) {
-    // Gather path: carry + length prefix + RTP header + shared payload go to
-    // the transport as one logical write — the same bytes, in the same
-    // single offer, as the staged fallback below, so segmentation and stats
-    // match byte-for-byte. Only the unaccepted suffix is re-staged.
-    std::array<BytesView, 3> parts;
-    std::size_t n = 0;
-    if (!p.stream_carry.empty()) parts[n++] = BytesView(p.stream_carry);
-    parts[n++] = v.framed_header();
-    parts[n++] = v.payload();
-    const std::span<const BytesView> offer(parts.data(), n);
-    std::size_t wrote = p.endpoint.write_gather(offer);
-    Bytes carry;
-    for (const BytesView& part : offer) {
-      const std::size_t taken = std::min(wrote, part.size());
-      wrote -= taken;
-      if (taken < part.size()) {
-        carry.insert(carry.end(), part.begin() + static_cast<std::ptrdiff_t>(taken),
-                     part.end());
-      }
-    }
-    stats_.payload_bytes_copied += carry.size();  // bytes physically re-staged
-    p.stream_carry = std::move(carry);
-    return;
-  }
-  // Staged fallback for endpoints without a gather callback.
-  const BytesView fh = v.framed_header();
-  const BytesView pl = v.payload();
-  stats_.payload_bytes_copied += v.framed_size();
-  p.stream_carry.insert(p.stream_carry.end(), fh.begin(), fh.end());
-  p.stream_carry.insert(p.stream_carry.end(), pl.begin(), pl.end());
-  if (p.endpoint.write_stream) {
-    const std::size_t wrote = p.endpoint.write_stream(p.stream_carry);
-    p.stream_carry.erase(p.stream_carry.begin(),
-                         p.stream_carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-  }
+  stats_.payload_bytes_copied += p.egress.send(v);
 }
 
-void AppHost::begin_tx_batch(ParticipantState& p) {
-  p.batching = p.endpoint.kind == HostEndpoint::Kind::kUdp &&
-               p.endpoint.send_packet_batch != nullptr;
-}
-
-void AppHost::flush_tx(ParticipantState& p) {
-  if (!p.batching) return;
-  p.batching = false;
-  if (p.tx_batch.empty()) return;
-  p.endpoint.send_packet_batch(std::span<const PacketView>(p.tx_batch));
-  p.tx_batch.clear();
+void AppHost::finish_turn(ParticipantState& p) {
+  ++p.frames_sent;
+  stats_.payload_bytes_copied += p.egress.flush();
 }
 
 void AppHost::send_payload(ParticipantState& p, Bytes payload, bool marker,
@@ -707,8 +674,7 @@ std::vector<Rect> AppHost::packetize_regions(
     ParticipantState& p, const std::vector<Rect>& queue,
     const std::function<const BandStream&(std::size_t)>& stream_for) {
   const SimTime now = loop_.now();
-  const bool rate_limited =
-      p.endpoint.kind == HostEndpoint::Kind::kUdp && !p.bucket.unlimited();
+  const bool rate_limited = !p.egress.tcp() && !p.bucket.unlimited();
   std::vector<Rect> leftover;
   for (std::size_t i = 0; i < queue.size(); ++i) {
     if (rate_limited && p.bucket.available(now) <= 0) {
@@ -796,12 +762,7 @@ bool AppHost::pre_send(ParticipantState& p,
                        const std::vector<Rect>& damage, bool& was_current,
                        transcode::OutputGeometry& geom) {
   // Flush any carried-over TCP bytes first.
-  if (p.endpoint.kind == HostEndpoint::Kind::kTcp && !p.stream_carry.empty() &&
-      p.endpoint.write_stream) {
-    const std::size_t wrote = p.endpoint.write_stream(p.stream_carry);
-    p.stream_carry.erase(p.stream_carry.begin(),
-                         p.stream_carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-  }
+  p.egress.drain_carry();
 
   // Resolve this tick's output geometry (follow mode re-anchors to the
   // topmost shared window). A moved source rect queues the newly-streamed
@@ -837,15 +798,11 @@ bool AppHost::pre_send(ParticipantState& p,
   // With adaptation disabled update() is a no-op returning the static
   // operating point.
   if (opts_.adaptation.enabled) {
-    if (p.endpoint.kind == HostEndpoint::Kind::kTcp) {
-      const std::size_t backlog =
-          (p.endpoint.backlog ? p.endpoint.backlog() : 0) + p.stream_carry.size();
-      p.rate_ctrl.on_backlog_sample(backlog, loop_.now());
+    if (p.egress.tcp()) {
+      p.rate_ctrl.on_backlog_sample(p.egress.backlog(), loop_.now());
     }
     const rate::OperatingPoint& op = p.rate_ctrl.update(loop_.now());
-    if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
-      p.bucket.set_rate(op.rate_bps, loop_.now());
-    }
+    if (!p.egress.tcp()) p.bucket.set_rate(op.rate_bps, loop_.now());
     // Frame-interval scaling: send this participant's frame only every
     // Nth capture tick. Damage (and scrolled areas, which cannot be
     // replayed later) keeps accumulating as pending.
@@ -863,16 +820,12 @@ bool AppHost::pre_send(ParticipantState& p,
   // see the final state of the image"). The §4.3 UDP rate-control bucket
   // applies the same policy to UDP participants.
   bool skip = false;
-  if (p.endpoint.kind == HostEndpoint::Kind::kTcp &&
-      opts_.tcp_backlog_limit > 0) {
-    const std::size_t backlog =
-        (p.endpoint.backlog ? p.endpoint.backlog() : 0) + p.stream_carry.size();
-    if (backlog > opts_.tcp_backlog_limit) {
-      skip = true;
-      ++stats_.frames_skipped_backlog;
-    }
+  if (p.egress.tcp() && opts_.tcp_backlog_limit > 0 &&
+      p.egress.backlog() > opts_.tcp_backlog_limit) {
+    skip = true;
+    ++stats_.frames_skipped_backlog;
   }
-  if (p.endpoint.kind == HostEndpoint::Kind::kUdp && !p.bucket.unlimited() &&
+  if (!p.egress.tcp() && !p.bucket.unlimited() &&
       p.bucket.available(loop_.now()) < static_cast<double>(opts_.mtu_payload)) {
     skip = true;
     ++stats_.frames_skipped_rate;
@@ -896,7 +849,6 @@ void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
 
     // One TX batch per participant turn: everything queued below goes to
     // the transport in a single drain at the end of the turn.
-    begin_tx_batch(p);
     if (p.needs_wmi) send_wmi(p);
     if (p.needs_full_refresh) {
       send_full_refresh(p, geom);
@@ -906,8 +858,7 @@ void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
       if (opts_.pointer_messages) send_pointer(p, /*include_icon=*/true);
       p.pointer_dirty = false;
       p.pointer_icon_dirty = false;
-      ++p.frames_sent;
-      flush_tx(p);
+      finish_turn(p);
       continue;
     }
 
@@ -938,8 +889,7 @@ void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
       p.pointer_dirty = false;
       p.pointer_icon_dirty = false;
     }
-    ++p.frames_sent;
-    flush_tx(p);
+    finish_turn(p);
   }
 }
 
@@ -1091,7 +1041,6 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
   telemetry::ScopedSpan packetise_span(tel_->trace, "ah.packetise");
   for (SendPlan& sp : plan) {
     ParticipantState& p = *sp.p;
-    begin_tx_batch(p);
     if (p.needs_wmi) send_wmi(p);
     if (sp.send_mrs) {
       for (const MoveRectangle& mr : sp.mrs) send_move_rectangle(p, mr);
@@ -1148,8 +1097,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
       p.pointer_dirty = false;
       p.pointer_icon_dirty = false;
     }
-    ++p.frames_sent;
-    flush_tx(p);
+    finish_turn(p);
   }
 }
 
@@ -1366,14 +1314,9 @@ void AppHost::tick() {
       sr.rtp_timestamp = p.sender.timestamp_at(loop_.now());
       sr.packet_count = static_cast<std::uint32_t>(p.sender.packets_sent());
       sr.octet_count = static_cast<std::uint32_t>(p.sender.bytes_sent());
-      const Bytes wire = sr.serialize();
       ++stats_.srs_sent;
-      if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
-        if (p.endpoint.send_datagram) p.endpoint.send_datagram(wire);
-      } else if (p.endpoint.write_stream) {
-        auto framed = frame_packet(wire);
-        if (framed.ok()) p.endpoint.write_stream(*framed);
-      }
+      // On TCP the SR queues behind any carried media tail, never inside it.
+      stats_.payload_bytes_copied += p.egress.send_control(sr.serialize());
     }
   }
 }
@@ -1470,15 +1413,7 @@ void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
     ++stats_.retransmissions_sent;
     stats_.bytes_sent += cached->wire_size();
     p.bucket.consume(cached->wire_size(), loop_.now());
-    if (p.endpoint.kind == HostEndpoint::Kind::kUdp) {
-      if (p.endpoint.send_packet) {
-        p.endpoint.send_packet(*cached);
-      } else if (p.endpoint.send_datagram) {
-        const Bytes wire = cached->serialize();
-        stats_.payload_bytes_copied += wire.size();
-        p.endpoint.send_datagram(wire);
-      }
-    }
+    stats_.payload_bytes_copied += p.egress.send_now(*cached);
   }
 }
 
@@ -1548,13 +1483,7 @@ void AppHost::handle_bfcp(ParticipantId from, BytesView packet) {
         alias == member_alias_.end() ? response.user_id : alias->second;
     auto it = participants_.find(target);
     if (it == participants_.end()) continue;
-    const Bytes wire = response.serialize();
-    if (it->second.endpoint.kind == HostEndpoint::Kind::kUdp) {
-      if (it->second.endpoint.send_datagram) it->second.endpoint.send_datagram(wire);
-    } else if (it->second.endpoint.write_stream) {
-      auto framed = frame_packet(wire);
-      if (framed.ok()) it->second.endpoint.write_stream(*framed);
-    }
+    stats_.payload_bytes_copied += it->second.egress.send_control(response.serialize());
   }
 }
 

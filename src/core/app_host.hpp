@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <thread>
 
 #include "bfcp/floor_control.hpp"
@@ -32,6 +31,7 @@
 #include "rtp/packet_classify.hpp"
 #include "core/parallel_encoder.hpp"
 #include "hip/messages.hpp"
+#include "net/egress.hpp"
 #include "net/event_loop.hpp"
 #include "net/rate_limiter.hpp"
 #include "rate/rate_controller.hpp"
@@ -139,35 +139,6 @@ struct AppHostOptions {
   std::uint64_t seed = 0xADA5;
 };
 
-/// AH-side transport handle for one participant. The callbacks abstract the
-/// simulated network (or any other transport).
-struct HostEndpoint {
-  /// Transport family of this endpoint.
-  enum class Kind { kUdp, kTcp };
-  Kind kind = Kind::kUdp;
-  /// UDP: transmit one datagram. Return false if dropped before the wire
-  /// (interface queue full).
-  std::function<bool(BytesView)> send_datagram;
-  /// TCP: non-blocking stream write; returns bytes accepted.
-  std::function<std::size_t(BytesView)> write_stream;
-  /// TCP: current send-buffer backlog in bytes (the §7 select() signal).
-  std::function<std::size_t()> backlog;
-  /// UDP, optional zero-copy path: transmit one header-plus-view packet
-  /// without materialising it up front. When unset the AH serialises into
-  /// send_datagram instead (and counts the copy).
-  std::function<bool(const PacketView&)> send_packet;
-  /// UDP, optional: drain one participant's per-tick TX batch in a single
-  /// call (packets in order); returns how many the transport accepted.
-  /// When unset packets go out one by one through send_packet/send_datagram.
-  std::function<std::size_t(std::span<const PacketView>)> send_packet_batch;
-  /// TCP, optional: gather-write — offer the concatenation of `parts` as
-  /// one stream write and return bytes accepted. Lets the AH hand carry +
-  /// RFC 4571 length prefix + RTP header + shared payload to the transport
-  /// without first concatenating them. When unset the AH stages framed
-  /// bytes through its carry buffer and uses write_stream.
-  std::function<std::size_t(std::span<const BytesView>)> write_gather;
-};
-
 /// The Application Host: owns capture, encode, fan-out, feedback handling
 /// and per-participant adaptation for one sharing session.
 class AppHost {
@@ -199,9 +170,13 @@ class AppHost {
   /// returning participant (TCP reconnect) under its previous id — BFCP
   /// floor state and HIP identity carry over — with fresh transport state
   /// (RTP stream, caches, uplink deframer). Falls back to a new id if the
-  /// requested one is still occupied.
-  ParticipantId add_participant(HostEndpoint endpoint, ParticipantId reuse_id = 0);
-  /// Deregister a participant and reclaim all its per-participant state.
+  /// requested one is still occupied. New ids are never 0 and never one a
+  /// live participant or member alias holds; throws std::length_error when
+  /// all 65,535 ids are live.
+  ParticipantId add_participant(Endpoint endpoint, ParticipantId reuse_id = 0);
+  /// Deregister a participant and reclaim all its per-participant state;
+  /// its rtx.* and rate.* totals live on, so those counters stay monotone.
+  /// The liveness sweep evicts through here too.
   void remove_participant(ParticipantId id);
   /// Number of currently registered participants.
   std::size_t participant_count() const { return participants_.size(); }
@@ -221,7 +196,8 @@ class AppHost {
 
   /// Register an uplink identity for a multicast group member: the member's
   /// RTCP feedback (PLI/NACK) applies to the group stream `group`, while
-  /// HIP/BFCP keep the member's own identity. Returns the member id.
+  /// HIP/BFCP keep the member's own identity. Returns the member id, drawn
+  /// from the same allocator as add_participant().
   ParticipantId add_member_alias(ParticipantId group);
 
   /// Most recent RTCP Receiver Report block from a participant (nullptr
@@ -369,7 +345,7 @@ class AppHost {
 
  private:
   struct ParticipantState {
-    HostEndpoint endpoint;
+    Egress egress;             ///< transport, TCP carry and UDP TX batch
     RtpSender sender;          ///< per-participant remoting RTP stream
     RetransmissionCache cache;
     TokenBucket bucket;        ///< §4.3 UDP rate control
@@ -377,7 +353,6 @@ class AppHost {
     bool needs_full_refresh = false;
     bool needs_wmi = false;
     Region pending;            ///< damage not yet delivered (backlog skips)
-    Bytes stream_carry;        ///< unwritten tail of a partial TCP write
     std::uint64_t frames_sent = 0;
     StreamDeframer uplink_deframer;  ///< TCP uplink reassembly
     std::optional<ReportBlock> last_rr;
@@ -396,18 +371,22 @@ class AppHost {
     // queues the newly-streamed area as pending damage.
     transcode::OutputGeometry geometry;
     Rect geometry_src;
-    // Zero-copy TX batching: while `batching` is set (one participant's
-    // distribute turn, UDP endpoints with a send_packet_batch callback),
-    // transmit_view() queues packets here; flush_tx() drains them in one
-    // transport call at the end of the turn.
-    std::vector<PacketView> tx_batch;
-    bool batching = false;
 
-    ParticipantState(std::uint8_t pt, std::uint64_t seed, std::size_t cache_size,
-                     std::uint64_t rate_bps, std::size_t burst,
-                     rate::Transport transport, const rate::AdaptationOptions& adapt)
-        : sender(pt, seed), cache(cache_size), bucket(rate_bps, burst),
-          rate_ctrl(transport, adapt) {}
+    ParticipantState(Endpoint ep, std::uint8_t pt, std::uint64_t seed,
+                     std::size_t cache_size, std::uint64_t rate_bps,
+                     std::size_t burst, rate::Transport transport,
+                     const rate::AdaptationOptions& adapt)
+        : egress(std::move(ep)), sender(pt, seed), cache(cache_size),
+          bucket(rate_bps, burst), rate_ctrl(transport, adapt) {}
+  };
+
+  /// Per-participant counters of participants that have left, so the
+  /// rtx.* and rate.* sums never run backwards.
+  struct RetiredTotals {
+    std::uint64_t rtx_hits = 0;
+    std::uint64_t rtx_misses = 0;
+    std::uint64_t rtx_evictions = 0;
+    rate::ControllerStats rate;
   };
 
   /// One band's serialised fragment stream: a pooled buffer holding the
@@ -424,15 +403,16 @@ class AppHost {
   /// payload_bytes_copied). `content` is consumed.
   BandStream make_band_stream(const Rect& r, ContentPt pt, Bytes content,
                               const transcode::OutputGeometry& geom);
-  /// Account for and hand one packet to the participant's transport: UDP →
-  /// retransmission cache + §4.3 bucket + batch/packet/datagram callback
-  /// (first available); TCP → RFC 4571 gather-write with carry, or the
-  /// staged carry + write_stream fallback.
+  /// Account for and hand one packet to the participant's egress (UDP
+  /// packets also enter the retransmission cache and the §4.3 bucket). UDP
+  /// packets leave at the end of the distribute turn (finish_turn).
   void transmit_view(ParticipantState& p, const PacketView& v, SimTime now);
-  /// Arm per-turn TX batching for `p` when its endpoint can drain batches.
-  void begin_tx_batch(ParticipantState& p);
-  /// Drain `p`'s TX batch in one send_packet_batch call and disarm batching.
-  void flush_tx(ParticipantState& p);
+  /// End one participant's distribute turn: count the frame and flush the
+  /// egress's UDP batch.
+  void finish_turn(ParticipantState& p);
+  /// The id for the next participant or member alias: the next one past
+  /// the last handed out that is non-zero and not live.
+  ParticipantId allocate_id();
   void send_payload(ParticipantState& p, Bytes payload, bool marker, SimTime now);
   void send_wmi(ParticipantState& p);
   void send_full_refresh(ParticipantState& p,
@@ -572,6 +552,7 @@ class AppHost {
   // initial timestamp).
   std::uint32_t ts_base_;
   Stats stats_;
+  RetiredTotals retired_;
 };
 
 }  // namespace ads

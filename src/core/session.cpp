@@ -1,72 +1,40 @@
 #include "core/session.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace ads {
 namespace {
 
-/// RFC 4571 gather-framed stream write: offer {carry, 2-byte length prefix,
-/// packet} to the channel as one send and re-stage the unaccepted suffix
-/// into `carry` — the same bytes, in the same single offer, as appending
-/// the framed packet to `carry` and writing that, without rebuilding the
-/// concatenation. Oversized packets are dropped, matching frame_packet().
-void gather_framed_write(TcpChannel& ch, Bytes& carry, BytesView packet) {
-  if (packet.size() > 0xFFFF) return;
-  const std::array<std::uint8_t, 2> prefix{
-      static_cast<std::uint8_t>(packet.size() >> 8),
-      static_cast<std::uint8_t>(packet.size() & 0xFF)};
-  std::array<BytesView, 3> parts;
-  std::size_t n = 0;
-  if (!carry.empty()) parts[n++] = BytesView(carry);
-  parts[n++] = BytesView(prefix.data(), prefix.size());
-  parts[n++] = packet;
-  const std::span<const BytesView> offer(parts.data(), n);
-  std::size_t wrote = ch.send_gather(offer);
-  Bytes rest;
-  for (const BytesView& part : offer) {
-    const std::size_t taken = std::min(wrote, part.size());
-    wrote -= taken;
-    if (taken < part.size()) {
-      rest.insert(rest.end(), part.begin() + static_cast<std::ptrdiff_t>(taken),
-                  part.end());
-    }
-  }
-  carry = std::move(rest);
-}
+// Endpoints read their channel through the owning handle's member at call
+// time (connection, relay handle, relay viewer, multicast session — all
+// heap-allocated and never moved): re-creating the channel needs no
+// re-wiring, and a torn-down link turns sends into clean no-ops instead of
+// dereferencing a dead channel.
 
-/// Leg endpoint feeding a child relay's subtree, routed through the child's
-/// stable handle: a crash nulls the channel and sends fail cleanly instead
-/// of dereferencing a dead UdpChannel.
-relay::LegEndpoint child_leg_endpoint(SharingSession::RelayHandle* r) {
-  relay::LegEndpoint ep;
-  ep.kind = relay::LegEndpoint::Kind::kUdp;
-  ep.send_datagram = [r](BytesView d) {
-    return r->down ? r->down->send(d) : false;
+/// UDP endpoint over a UdpChannel or MulticastGroup.
+template <class Channel>
+Endpoint udp_endpoint(const std::unique_ptr<Channel>& ch) {
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kUdp;
+  ep.send_datagram = [&ch](BytesView d) { return ch ? ch->send(d) : false; };
+  ep.send_packet = [&ch](const PacketView& pkt) {
+    return ch ? ch->send_packet(pkt) : false;
   };
-  ep.send_packet = [r](const PacketView& pkt) {
-    return r->down ? r->down->send_packet(pkt) : false;
-  };
-  ep.send_packet_batch = [r](std::span<const PacketView> pkts) {
-    return r->down ? r->down->send_batch(pkts) : std::size_t{0};
+  ep.send_packet_batch = [&ch](std::span<const PacketView> pkts) {
+    return ch ? ch->send_batch(pkts) : std::size_t{0};
   };
   return ep;
 }
 
-/// Leg endpoint feeding one relay viewer, routed through the viewer handle
-/// for the same lifetime-safety reason.
-relay::LegEndpoint viewer_leg_endpoint(SharingSession::RelayViewer* v) {
-  relay::LegEndpoint ep;
-  ep.kind = relay::LegEndpoint::Kind::kUdp;
-  ep.send_datagram = [v](BytesView d) {
-    return v->down ? v->down->send(d) : false;
+/// TCP endpoint over a TcpChannel (gather writes, §7 backlog signal).
+Endpoint tcp_endpoint(const std::unique_ptr<TcpChannel>& ch) {
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kTcp;
+  ep.write_stream = [&ch](BytesView d) { return ch ? ch->send(d) : std::size_t{0}; };
+  ep.write_gather = [&ch](std::span<const BytesView> parts) {
+    return ch ? ch->send_gather(parts) : std::size_t{0};
   };
-  ep.send_packet = [v](const PacketView& pkt) {
-    return v->down ? v->down->send_packet(pkt) : false;
-  };
-  ep.send_packet_batch = [v](std::span<const PacketView> pkts) {
-    return v->down ? v->down->send_batch(pkts) : std::size_t{0};
-  };
+  ep.backlog = [&ch] { return ch ? ch->backlog_bytes() : std::size_t{0}; };
   return ep;
 }
 
@@ -236,7 +204,7 @@ void SharingSession::teardown_links(Connection& c) {
   c.up_udp.reset();
   c.down_tcp.reset();
   c.up_tcp.reset();
-  c.up_carry.clear();
+  c.up_egress.clear();
 }
 
 void SharingSession::drop_tcp(Connection& c) {
@@ -257,21 +225,11 @@ void SharingSession::reconnect_tcp(Connection& c, TcpLinkConfig link) {
   c.down_tcp = std::make_unique<TcpChannel>(loop_, link.down);
   c.up_tcp = std::make_unique<TcpChannel>(loop_, link.up);
 
-  HostEndpoint endpoint;
-  endpoint.kind = HostEndpoint::Kind::kTcp;
-  endpoint.write_stream = [down = c.down_tcp.get()](BytesView d) {
-    return down->send(d);
-  };
-  endpoint.write_gather =
-      [down = c.down_tcp.get()](std::span<const BytesView> parts) {
-        return down->send_gather(parts);
-      };
-  endpoint.backlog = [down = c.down_tcp.get()] { return down->backlog_bytes(); };
   // Same id: BFCP floor state and HIP identity survive; re-registering as a
   // TCP endpoint queues the §4.4 late-join resync (WMI + full refresh), and
   // the fresh AH-side ParticipantState brings a fresh uplink deframer (no
   // torn-frame prefix from the old stream).
-  c.id = host_.add_participant(std::move(endpoint), c.id);
+  c.id = host_.add_participant(tcp_endpoint(c.down_tcp), c.id);
 
   c.down_tcp->set_receiver(
       [p = c.participant.get()](Bytes data) { p->on_stream_bytes(data); });
@@ -296,19 +254,7 @@ SharingSession::Connection& SharingSession::add_udp_participant(
   c->down_udp = std::make_unique<UdpChannel>(loop_, link.down);
   c->up_udp = std::make_unique<UdpChannel>(loop_, link.up);
 
-  HostEndpoint endpoint;
-  endpoint.kind = HostEndpoint::Kind::kUdp;
-  endpoint.send_datagram = [down = c->down_udp.get()](BytesView d) {
-    return down->send(d);
-  };
-  endpoint.send_packet = [down = c->down_udp.get()](const PacketView& pkt) {
-    return down->send_packet(pkt);
-  };
-  endpoint.send_packet_batch =
-      [down = c->down_udp.get()](std::span<const PacketView> pkts) {
-        return down->send_batch(pkts);
-      };
-  c->id = host_.add_participant(std::move(endpoint));
+  c->id = host_.add_participant(udp_endpoint(c->down_udp));
   opts.user_id = c->id;
 
   c->participant = std::make_unique<Participant>(loop_, opts);
@@ -340,17 +286,7 @@ SharingSession::Connection& SharingSession::add_tcp_participant(
   c->down_tcp = std::make_unique<TcpChannel>(loop_, link.down);
   c->up_tcp = std::make_unique<TcpChannel>(loop_, link.up);
 
-  HostEndpoint endpoint;
-  endpoint.kind = HostEndpoint::Kind::kTcp;
-  endpoint.write_stream = [down = c->down_tcp.get()](BytesView d) {
-    return down->send(d);
-  };
-  endpoint.write_gather =
-      [down = c->down_tcp.get()](std::span<const BytesView> parts) {
-        return down->send_gather(parts);
-      };
-  endpoint.backlog = [down = c->down_tcp.get()] { return down->backlog_bytes(); };
-  c->id = host_.add_participant(std::move(endpoint));
+  c->id = host_.add_participant(tcp_endpoint(c->down_tcp));
   opts.user_id = c->id;
 
   c->participant = std::make_unique<Participant>(loop_, opts);
@@ -359,14 +295,13 @@ SharingSession::Connection& SharingSession::add_tcp_participant(
   c->up_tcp->set_receiver([this, id = c->id](Bytes data) {
     host_.on_uplink_stream(id, data);
   });
-  // Participant emits packets; the session adds RFC 4571 framing via a
-  // gather-write (length prefix and packet go to the channel as-is, only
-  // the unaccepted suffix is re-staged). Routed through the Connection (not
-  // a raw channel pointer) so the closure survives eviction teardown and
-  // keeps working against the fresh channel after reconnect_tcp().
+  // Participant emits packets; the uplink egress adds RFC 4571 framing.
+  // Routed through the Connection (not a raw channel pointer) so the
+  // closure survives eviction teardown and keeps working against the fresh
+  // channel after reconnect_tcp().
+  c->up_egress = Egress(tcp_endpoint(c->up_tcp));
   c->participant->set_uplink([c](BytesView packet) {
-    if (!c->up_tcp) return;
-    gather_framed_write(*c->up_tcp, c->up_carry, packet);
+    if (c->up_tcp) c->up_egress.send_control(packet);
   });
 
   connections_.push_back(std::move(conn));
@@ -401,29 +336,17 @@ void SharingSession::wire_relay(RelayHandle* r) {
 }
 
 void SharingSession::attach_relay_upstream(RelayHandle& r) {
-  RelayHandle* rp = &r;
   if (r.parent == nullptr) {
     // The AH sees the relay as one more UDP participant: it gets the full
     // encode fan-out (joining the shared-encode cohort) and its uplink is
     // the aggregated feedback for the entire subtree. Re-attaching with a
     // known id (failover / restart) resyncs via the §4.4 late-join path.
-    HostEndpoint endpoint;
-    endpoint.kind = HostEndpoint::Kind::kUdp;
-    endpoint.send_datagram = [rp](BytesView d) {
-      return rp->down ? rp->down->send(d) : false;
-    };
-    endpoint.send_packet = [rp](const PacketView& pkt) {
-      return rp->down ? rp->down->send_packet(pkt) : false;
-    };
-    endpoint.send_packet_batch = [rp](std::span<const PacketView> pkts) {
-      return rp->down ? rp->down->send_batch(pkts) : std::size_t{0};
-    };
-    r.upstream_id = host_.add_participant(std::move(endpoint), r.upstream_id);
+    r.upstream_id = host_.add_participant(udp_endpoint(r.down), r.upstream_id);
     r.leg = 0;
     r.depth = 1;
   } else {
     // One parent leg feeds this child's whole subtree.
-    r.leg = r.parent->node->add_leg(child_leg_endpoint(rp), r.leg_cfg);
+    r.leg = r.parent->node->add_leg(udp_endpoint(r.down), r.leg_cfg);
     r.depth = r.parent->depth + 1;
   }
 }
@@ -525,7 +448,7 @@ SharingSession::RelayViewer& SharingSession::add_relay_viewer(
   v->down = std::make_unique<UdpChannel>(loop_, link.down);
   v->up = std::make_unique<UdpChannel>(loop_, link.up);
 
-  v->leg = relay.node->add_leg(viewer_leg_endpoint(v), leg);
+  v->leg = relay.node->add_leg(udp_endpoint(v->down), leg);
 
   v->participant = std::make_unique<Participant>(loop_, opts);
   v->down->set_receiver(
@@ -661,12 +584,12 @@ void SharingSession::restart_relay(RelayHandle& r) {
   // next delivery. Orphaned children re-home through their own watchdogs.
   for (auto& c : relays_) {
     if (c->parent == &r && c->alive && c->node) {
-      c->leg = r.node->add_leg(child_leg_endpoint(c.get()), c->leg_cfg);
+      c->leg = r.node->add_leg(udp_endpoint(c->down), c->leg_cfg);
     }
   }
   for (auto& v : relay_viewers_) {
     if (v->relay == &r) {
-      v->leg = r.node->add_leg(viewer_leg_endpoint(v.get()), v->leg_cfg);
+      v->leg = r.node->add_leg(udp_endpoint(v->down), v->leg_cfg);
     }
   }
   r.node->start();
@@ -682,19 +605,7 @@ SharingSession::MulticastSession& SharingSession::add_multicast_session() {
   auto mc = std::make_unique<MulticastSession>();
   mc->group = std::make_unique<MulticastGroup>(loop_);
 
-  HostEndpoint endpoint;
-  endpoint.kind = HostEndpoint::Kind::kUdp;
-  endpoint.send_datagram = [group = mc->group.get()](BytesView d) {
-    return group->send(d);
-  };
-  endpoint.send_packet = [group = mc->group.get()](const PacketView& pkt) {
-    return group->send_packet(pkt);
-  };
-  endpoint.send_packet_batch =
-      [group = mc->group.get()](std::span<const PacketView> pkts) {
-        return group->send_batch(pkts);
-      };
-  mc->group_id = host_.add_participant(std::move(endpoint));
+  mc->group_id = host_.add_participant(udp_endpoint(mc->group));
 
   multicast_.push_back(std::move(mc));
   return *multicast_.back();

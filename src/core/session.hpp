@@ -11,6 +11,7 @@
 
 #include "core/app_host.hpp"
 #include "core/participant.hpp"
+#include "net/egress.hpp"
 #include "net/multicast.hpp"
 #include "net/tcp_channel.hpp"
 #include "net/udp_channel.hpp"
@@ -55,7 +56,7 @@ class SharingSession {
     std::unique_ptr<UdpChannel> up_udp;
     std::unique_ptr<TcpChannel> down_tcp;
     std::unique_ptr<TcpChannel> up_tcp;
-    Bytes up_carry;  ///< partially-written uplink frame (TCP)
+    Egress up_egress;  ///< uplink RFC 4571 framing and carry (TCP)
   };
 
   /// Create a UDP participant wired through lossy channels. The

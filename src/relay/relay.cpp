@@ -1,7 +1,6 @@
 #include "relay/relay.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "rtp/rtp_packet.hpp"
@@ -64,12 +63,12 @@ RelayNode::~RelayNode() {
 
 // ----- downstream legs ------------------------------------------------
 
-LegId RelayNode::add_leg(LegEndpoint endpoint, LegConfig cfg) {
+LegId RelayNode::add_leg(Endpoint endpoint, LegConfig cfg) {
   if (legs_.size() >= opts_.max_legs) {
     throw std::invalid_argument("RelayNode: leg count would exceed max_legs");
   }
   const LegId id = next_leg_id_++;
-  const bool udp = endpoint.kind == LegEndpoint::Kind::kUdp;
+  const bool udp = endpoint.kind == Endpoint::Kind::kUdp;
   // With adaptation on, the controller's initial budget seeds the bucket
   // (mirrors AppHost::add_participant); the static leg_rate_bps applies to
   // the non-adaptive path.
@@ -78,10 +77,10 @@ LegId RelayNode::add_leg(LegEndpoint endpoint, LegConfig cfg) {
            : cfg.rate_bps.value_or(opts_.adaptation.enabled
                                        ? opts_.adaptation.initial_rate_bps
                                        : opts_.leg_rate_bps);
-  auto [it, inserted] = legs_.try_emplace(
-      id, rate_bps, cfg.burst_bytes.value_or(opts_.leg_burst_bytes),
-      udp ? rate::Transport::kUdp : rate::Transport::kTcp, opts_.adaptation);
-  it->second.ep = std::move(endpoint);
+  legs_.try_emplace(id, std::move(endpoint), rate_bps,
+                    cfg.burst_bytes.value_or(opts_.leg_burst_bytes),
+                    udp ? rate::Transport::kUdp : rate::Transport::kTcp,
+                    opts_.adaptation);
   return id;
 }
 
@@ -237,11 +236,13 @@ void RelayNode::ingest_media(const PacketView& v) {
     ++stats_.repairs_forwarded;
     for (LegId id : wait->second.waiters) {
       auto leg = legs_.find(id);
-      if (leg != legs_.end()) forward_to_leg(id, leg->second, v);
+      if (leg != legs_.end()) forward_to_leg(leg->second, v);
     }
     for (LegId id : wait->second.waiters) {
       auto leg = legs_.find(id);
-      if (leg != legs_.end()) flush_leg(leg->second);
+      if (leg != legs_.end()) {
+        stats_.payload_bytes_copied += leg->second.egress.flush();
+      }
     }
     requested_upstream_.erase(wait);
     queue_gap_nacks();
@@ -252,8 +253,8 @@ void RelayNode::ingest_media(const PacketView& v) {
     requested_upstream_.erase(wait);
   }
 
-  for (auto& [id, leg] : legs_) forward_to_leg(id, leg, v);
-  for (auto& [id, leg] : legs_) flush_leg(leg);
+  for (auto& [id, leg] : legs_) forward_to_leg(leg, v);
+  for (auto& [id, leg] : legs_) stats_.payload_bytes_copied += leg.egress.flush();
 
   // The relay NACKs upstream for its own reception gaps too — a loss on the
   // upstream link would otherwise starve the whole subtree.
@@ -262,117 +263,40 @@ void RelayNode::ingest_media(const PacketView& v) {
 
 // ----- per-leg forwarding --------------------------------------------
 
-void RelayNode::forward_to_leg(LegId id, LegState& leg, const PacketView& v) {
-  (void)id;
+void RelayNode::forward_to_leg(LegState& leg, const PacketView& v) {
   const SimTime now = loop_.now();
-  if (leg.ep.kind == LegEndpoint::Kind::kTcp) {
+  if (leg.egress.tcp()) {
     // §7 backlog gate, per packet: a slow leaf sheds its own traffic. The
     // viewer's NACK→PLI ladder recovers the gap from the relay's cache.
-    if (opts_.leg_backlog_limit != 0 && leg.ep.backlog &&
-        leg.ep.backlog() + leg.stream_carry.size() > opts_.leg_backlog_limit) {
+    if (opts_.leg_backlog_limit != 0 &&
+        leg.egress.backlog() > opts_.leg_backlog_limit) {
       ++leg.drops_backlog;
       ++stats_.leg_drops_backlog;
       return;
     }
-    if (v.wire_size() > 0xFFFF) return;  // unframeable; cannot happen for MTU payloads
-    ++leg.forwarded;
-    ++stats_.forwarded_packets;
     stats_.forwarded_bytes += v.framed_size();
-    if (leg.ep.write_gather) {
-      // Same gather discipline as AppHost::transmit_view: carry + RFC 4571
-      // prefix + RTP header + shared payload in one offer, only the
-      // unaccepted suffix is re-staged (and counted as a copy).
-      std::array<BytesView, 3> parts;
-      std::size_t n = 0;
-      if (!leg.stream_carry.empty()) parts[n++] = BytesView(leg.stream_carry);
-      parts[n++] = v.framed_header();
-      parts[n++] = v.payload();
-      const std::span<const BytesView> offer(parts.data(), n);
-      std::size_t wrote = leg.ep.write_gather ? leg.ep.write_gather(offer) : 0;
-      Bytes carry;
-      for (const BytesView& part : offer) {
-        const std::size_t taken = std::min(wrote, part.size());
-        wrote -= taken;
-        if (taken < part.size()) {
-          carry.insert(carry.end(),
-                       part.begin() + static_cast<std::ptrdiff_t>(taken),
-                       part.end());
-        }
-      }
-      stats_.payload_bytes_copied += carry.size();
-      leg.stream_carry = std::move(carry);
+  } else {
+    // UDP leg: §4.3 token bucket, per packet.
+    if (!leg.bucket.unlimited() &&
+        leg.bucket.available(now) < static_cast<double>(v.wire_size())) {
+      ++leg.drops_rate;
+      ++stats_.leg_drops_rate;
       return;
     }
-    // Staged fallback for gather-unaware endpoints.
-    const BytesView fh = v.framed_header();
-    const BytesView pl = v.payload();
-    stats_.payload_bytes_copied += v.framed_size();
-    leg.stream_carry.insert(leg.stream_carry.end(), fh.begin(), fh.end());
-    leg.stream_carry.insert(leg.stream_carry.end(), pl.begin(), pl.end());
-    if (leg.ep.write_stream) {
-      const std::size_t wrote = leg.ep.write_stream(leg.stream_carry);
-      leg.stream_carry.erase(
-          leg.stream_carry.begin(),
-          leg.stream_carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-    }
-    return;
+    leg.bucket.consume(v.wire_size(), now);
+    stats_.forwarded_bytes += v.wire_size();
   }
-
-  // UDP leg: §4.3 token bucket, per packet.
-  if (!leg.bucket.unlimited() &&
-      leg.bucket.available(now) < static_cast<double>(v.wire_size())) {
-    ++leg.drops_rate;
-    ++stats_.leg_drops_rate;
-    return;
-  }
-  leg.bucket.consume(v.wire_size(), now);
   ++leg.forwarded;
   ++stats_.forwarded_packets;
-  stats_.forwarded_bytes += v.wire_size();
-  leg.tx_batch.push_back(v);  // refcount bump; drained by flush_leg()
-}
-
-void RelayNode::flush_leg(LegState& leg) {
-  if (leg.tx_batch.empty()) return;
-  if (leg.ep.send_packet_batch) {
-    leg.ep.send_packet_batch(leg.tx_batch);
-  } else if (leg.ep.send_packet) {
-    for (const PacketView& v : leg.tx_batch) leg.ep.send_packet(v);
-  } else if (leg.ep.send_datagram) {
-    // View-unaware endpoint: materialise here and count the copies.
-    for (const PacketView& v : leg.tx_batch) {
-      const Bytes wire = v.serialize();
-      stats_.payload_bytes_copied += wire.size();
-      leg.ep.send_datagram(wire);
-    }
-  }
-  leg.tx_batch.clear();
+  stats_.payload_bytes_copied += leg.egress.send(v);
 }
 
 void RelayNode::forward_control(BytesView packet) {
   ++stats_.control_forwarded;
+  // TCP legs frame it behind their carry, ungated: control packets are
+  // tiny, and the §7 gate is for media — feedback must keep flowing.
   for (auto& [id, leg] : legs_) {
-    if (leg.ep.kind == LegEndpoint::Kind::kUdp) {
-      if (leg.ep.send_datagram) leg.ep.send_datagram(packet);
-      continue;
-    }
-    // TCP leg: frame into the carry (control packets are tiny, and the
-    // §7 gate is for media — feedback must keep flowing).
-    if (packet.size() > 0xFFFF) continue;
-    Bytes& carry = leg.stream_carry;
-    carry.push_back(static_cast<std::uint8_t>(packet.size() >> 8));
-    carry.push_back(static_cast<std::uint8_t>(packet.size()));
-    carry.insert(carry.end(), packet.begin(), packet.end());
-    stats_.payload_bytes_copied += packet.size() + 2;
-    if (leg.ep.write_stream) {
-      const std::size_t wrote = leg.ep.write_stream(carry);
-      carry.erase(carry.begin(), carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-    } else if (leg.ep.write_gather) {
-      std::array<BytesView, 1> parts{BytesView(carry)};
-      const std::size_t wrote =
-          leg.ep.write_gather(std::span<const BytesView>(parts));
-      carry.erase(carry.begin(), carry.begin() + static_cast<std::ptrdiff_t>(wrote));
-    }
+    stats_.payload_bytes_copied += leg.egress.send_control(packet);
   }
 }
 
@@ -451,7 +375,8 @@ void RelayNode::handle_leg_rtcp(LegId from, LegState& leg, BytesView packet) {
         ++stats_.nack_seqs_received;
         handle_leg_nack_seq(from, leg, seq);
       }
-      flush_leg(leg);  // repairs served from the cache go out as one batch
+      // Repairs served from the cache go out as one batch.
+      stats_.payload_bytes_copied += leg.egress.flush();
     }
   }
 }
@@ -464,7 +389,7 @@ void RelayNode::handle_leg_nack_seq(LegId from, LegState& leg,
   if (cached != nullptr) {
     ++stats_.rtx_served;
     stats_.rtx_bytes += cached->wire_size();
-    forward_to_leg(from, leg, *cached);
+    forward_to_leg(leg, *cached);
     return;
   }
   if (orphaned_) {
@@ -654,18 +579,16 @@ void RelayNode::report_tick() {
     }
   }
 
-  // Per-leg closed loop: the §7 backlog sample (TCP) or the accumulated RR
-  // signal (UDP) retargets that leg's bucket. Quality/fps outputs are
-  // meaningless without an encoder and stay unused.
+  // Per-leg closed loop: the §7 backlog sample (TCP, carry included) or the
+  // accumulated RR signal (UDP) retargets that leg's bucket. Quality/fps
+  // outputs are meaningless without an encoder and stay unused.
   if (opts_.adaptation.enabled) {
     for (auto& [id, leg] : legs_) {
-      if (leg.ep.kind == LegEndpoint::Kind::kTcp && leg.ep.backlog) {
-        leg.rate_ctrl.on_backlog_sample(leg.ep.backlog(), now);
+      if (leg.egress.tcp()) {
+        leg.rate_ctrl.on_backlog_sample(leg.egress.backlog(), now);
       }
       const rate::OperatingPoint& op = leg.rate_ctrl.update(now);
-      if (leg.ep.kind == LegEndpoint::Kind::kUdp) {
-        leg.bucket.set_rate(op.rate_bps, now);
-      }
+      if (!leg.egress.tcp()) leg.bucket.set_rate(op.rate_bps, now);
     }
   }
 
@@ -910,13 +833,11 @@ void RelayNode::publish_metrics() {
     // A stopped node withdraws its per-leg gauges (zero, not last-known):
     // stale backlog/rate readings from a quiesced forwarder would steer
     // upstream adaptation on fiction.
-    if (leg.ep.kind == LegEndpoint::Kind::kTcp && leg.ep.backlog) {
+    if (leg.egress.tcp()) {
       m.gauge(lp + "backlog")
-          .set(stopped_ ? 0
-                        : static_cast<std::int64_t>(leg.ep.backlog() +
-                                                    leg.stream_carry.size()));
+          .set(stopped_ ? 0 : static_cast<std::int64_t>(leg.egress.backlog()));
     }
-    if (leg.ep.kind == LegEndpoint::Kind::kUdp && !leg.bucket.unlimited()) {
+    if (!leg.egress.tcp() && !leg.bucket.unlimited()) {
       m.gauge(lp + "rate_bps")
           .set(stopped_ ? 0
                         : static_cast<std::int64_t>(leg.bucket.rate_bps()));

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "buf/buf.hpp"
+#include "net/egress.hpp"
 #include "net/event_loop.hpp"
 #include "net/rate_limiter.hpp"
 #include "rate/rate_controller.hpp"
@@ -145,30 +146,6 @@ struct LegConfig {
   std::optional<std::size_t> burst_bytes;
 };
 
-/// Relay-side transport handle for one downstream leg — the same callback
-/// shape as the AH's HostEndpoint, so session wiring builds both from one
-/// channel idiom.
-struct LegEndpoint {
-  /// Transport family of this leg.
-  enum class Kind { kUdp, kTcp };
-  Kind kind = Kind::kUdp;
-  /// UDP: transmit one datagram (control traffic and view-unaware media
-  /// fallback). Return false if dropped before the wire.
-  std::function<bool(BytesView)> send_datagram;
-  /// UDP, zero-copy: transmit one header-plus-view packet.
-  std::function<bool(const PacketView&)> send_packet;
-  /// UDP, zero-copy: drain one forward turn's packets in a single call
-  /// (in order); returns how many the transport accepted.
-  std::function<std::size_t(std::span<const PacketView>)> send_packet_batch;
-  /// TCP: non-blocking stream write; returns bytes accepted.
-  std::function<std::size_t(BytesView)> write_stream;
-  /// TCP, zero-copy: gather-write carry + RFC 4571 prefix + header +
-  /// shared payload as one offer; returns bytes accepted.
-  std::function<std::size_t(std::span<const BytesView>)> write_gather;
-  /// TCP: current send-buffer backlog in bytes (the §7 signal).
-  std::function<std::size_t()> backlog;
-};
-
 /// One relay node: upstream RTP/RTCP termination, zero-copy downstream
 /// fan-out, upward feedback aggregation. Single-threaded on the event loop,
 /// like everything else in the simulator.
@@ -212,7 +189,7 @@ class RelayNode {
 
   /// Register a downstream leg (a viewer's link or a child relay's
   /// upstream). Throws std::invalid_argument past options().max_legs.
-  LegId add_leg(LegEndpoint endpoint, LegConfig cfg = {});
+  LegId add_leg(Endpoint endpoint, LegConfig cfg = {});
   /// Deregister a leg and reclaim its state.
   void remove_leg(LegId id);
   /// Number of registered legs.
@@ -356,20 +333,19 @@ class RelayNode {
 
  private:
   struct LegState {
-    LegEndpoint ep;
+    Egress egress;  ///< transport, TCP carry and one forward turn's batch
     TokenBucket bucket;
     rate::RateController rate_ctrl;
     std::optional<ReportBlock> last_rr;
-    Bytes stream_carry;              ///< unwritten tail of a partial TCP write
     StreamDeframer uplink_deframer;  ///< TCP leg uplink reassembly
-    std::vector<PacketView> tx_batch;  ///< one forward turn's packets
     std::uint64_t forwarded = 0;
     std::uint64_t drops_backlog = 0;
     std::uint64_t drops_rate = 0;
 
-    LegState(std::uint64_t rate_bps, std::size_t burst,
+    LegState(Endpoint ep, std::uint64_t rate_bps, std::size_t burst,
              rate::Transport transport, const rate::AdaptationOptions& adapt)
-        : bucket(rate_bps, burst), rate_ctrl(transport, adapt) {}
+        : egress(std::move(ep)), bucket(rate_bps, burst),
+          rate_ctrl(transport, adapt) {}
   };
 
   /// A sequence the subtree is missing: which legs asked (or everyone, for
@@ -384,10 +360,9 @@ class RelayNode {
   void dispatch_upstream(Bytes datagram);
   /// Bookkeeping + cache + fan-out for one ingested media view.
   void ingest_media(const PacketView& v);
-  /// Queue one media packet onto a leg, honouring that leg's §7/§4.3 gates.
-  void forward_to_leg(LegId id, LegState& leg, const PacketView& v);
-  /// Drain a leg's queued packets in one batch transport call.
-  void flush_leg(LegState& leg);
+  /// Queue one media packet onto a leg, honouring that leg's §7/§4.3 gates
+  /// (UDP packets leave at the leg's next egress flush).
+  void forward_to_leg(LegState& leg, const PacketView& v);
   /// Fan one upstream control datagram (SR, BFCP) to every leg verbatim.
   void forward_control(BytesView packet);
   /// Consume upstream RTCP (SR → LSR/DLSR state) before fanning it down.

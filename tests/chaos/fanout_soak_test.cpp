@@ -46,8 +46,8 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
   std::uint64_t datagrams = 0;
   int tick_no = 0;
   for (std::size_t i = 0; i < kParticipants; ++i) {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kUdp;
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::kUdp;
     if (i % 64 == 0) {
       ParticipantOptions popts;
       popts.transport = ParticipantOptions::Transport::kUdp;

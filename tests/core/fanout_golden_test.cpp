@@ -6,15 +6,21 @@
 // transports, a cohort-splitting codec override, §7 backlog skips, partial
 // TCP writes, §4.3 rate-limited leftovers, pointer moves and icon changes,
 // a mid-session PLI full refresh, window-manager changes, and
-// MoveRectangle-producing scroll workloads.
+// MoveRectangle-producing scroll workloads. The TCP viewers' wires must
+// also deframe cleanly: Sender Reports that come due while a partial write
+// is carried queue behind it instead of tearing into a media frame.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "capture/apps.hpp"
 #include "core/app_host.hpp"
+#include "rtp/framing.hpp"
+#include "rtp/packet_classify.hpp"
 #include "rtp/rtcp.hpp"
+#include "rtp/rtp_packet.hpp"
 
 namespace ads {
 namespace {
@@ -57,8 +63,8 @@ GoldenResult run_golden(bool shared_fanout) {
   };
 
   // Viewer 0: healthy TCP.
-  HostEndpoint ep0;
-  ep0.kind = HostEndpoint::Kind::kTcp;
+  Endpoint ep0;
+  ep0.kind = Endpoint::Kind::kTcp;
   ep0.write_stream = [&](BytesView d) {
     capture_stream(0, d, d.size());
     return d.size();
@@ -68,8 +74,8 @@ GoldenResult run_golden(bool shared_fanout) {
 
   // Viewer 1: flaky TCP — §7 backlog spike on ticks 10..15, partial writes
   // (stream-carry path) on ticks 20..23.
-  HostEndpoint ep1;
-  ep1.kind = HostEndpoint::Kind::kTcp;
+  Endpoint ep1;
+  ep1.kind = Endpoint::Kind::kTcp;
   ep1.write_stream = [&](BytesView d) {
     const std::size_t allow =
         (tick_no >= 20 && tick_no < 24) ? std::min<std::size_t>(d.size(), 96)
@@ -86,8 +92,8 @@ GoldenResult run_golden(bool shared_fanout) {
   // Viewers 2..4: UDP. Viewer 3 negotiates DCT — its own cohort.
   std::vector<ParticipantId> udp_ids;
   for (std::size_t i = 2; i < kViewers; ++i) {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kUdp;
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::kUdp;
     ep.send_datagram = [&, i](BytesView d) {
       capture_stream(i, d, d.size());
       return true;
@@ -121,6 +127,39 @@ GoldenResult run_golden(bool shared_fanout) {
   return out;
 }
 
+/// Deframe one TCP viewer's wire: every RFC 4571 frame parses as remoting
+/// RTP or as RTCP, RTP sequence numbers are consecutive, and no bytes are
+/// left over.
+void expect_clean_stream(const Bytes& wire, std::size_t viewer) {
+  StreamDeframer deframer;
+  deframer.feed(wire);
+  std::size_t rtp = 0;
+  std::size_t rtcp = 0;
+  std::optional<std::uint16_t> last_seq;
+  while (auto frame = deframer.next()) {
+    const PacketKind kind = classify_packet(*frame);
+    if (kind == PacketKind::kRtcp) {
+      EXPECT_TRUE(parse_rtcp_compound(*frame).ok()) << "viewer " << viewer;
+      ++rtcp;
+      continue;
+    }
+    ASSERT_EQ(kind, PacketKind::kRtp) << "viewer " << viewer << " frame "
+                                      << rtp + rtcp << " is neither RTP nor RTCP";
+    auto pkt = RtpPacket::parse(*frame);
+    ASSERT_TRUE(pkt.ok()) << "viewer " << viewer;
+    EXPECT_EQ(pkt->payload_type, kRemotingPayloadType) << "viewer " << viewer;
+    if (last_seq) {
+      EXPECT_EQ(pkt->sequence, static_cast<std::uint16_t>(*last_seq + 1))
+          << "viewer " << viewer;
+    }
+    last_seq = pkt->sequence;
+    ++rtp;
+  }
+  EXPECT_EQ(deframer.pending_bytes(), 0u) << "viewer " << viewer;
+  EXPECT_GT(rtp, 0u) << "viewer " << viewer;
+  EXPECT_GT(rtcp, 0u) << "viewer " << viewer;
+}
+
 TEST(FanoutGolden, SharedFanoutIsByteIdenticalPerParticipant) {
   const GoldenResult shared = run_golden(true);
   const GoldenResult legacy = run_golden(false);
@@ -132,6 +171,8 @@ TEST(FanoutGolden, SharedFanoutIsByteIdenticalPerParticipant) {
     EXPECT_TRUE(shared.wires[i] == legacy.wires[i])
         << "viewer " << i << " wire bytes diverged";
   }
+  // Viewers 0 and 1 are TCP; viewer 1's partial writes overlap an SR.
+  for (std::size_t i = 0; i < 2; ++i) expect_clean_stream(shared.wires[i], i);
 
   // The script really exercised the interesting paths…
   EXPECT_GT(legacy.stats.move_rectangles_sent, 0u);

@@ -77,9 +77,9 @@ struct TcpViewer {
   Participant participant;
   std::size_t backlog = 0;
 
-  HostEndpoint endpoint() {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kTcp;
+  Endpoint endpoint() {
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::kTcp;
     ep.write_stream = [this](BytesView data) {
       participant.on_stream_bytes(data);
       return data.size();

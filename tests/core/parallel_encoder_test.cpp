@@ -160,8 +160,8 @@ std::unique_ptr<AppHost> make_host(EventLoop& loop, std::size_t threads,
   auto host = std::make_unique<AppHost>(loop, opts);
   const WindowId w = host->wm().create({8, 8, 288, 224}, 1);
   host->capturer().attach(w, make_app(workload, 288, 224, 21));
-  HostEndpoint ep;
-  ep.kind = HostEndpoint::Kind::kUdp;
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kUdp;
   ep.send_datagram = [&capture](BytesView wire) {
     capture.stream.insert(capture.stream.end(), wire.begin(), wire.end());
     ++capture.datagrams;

@@ -118,8 +118,8 @@ TEST(PointerFlow, BacklogSkippedParticipantStillGetsPointerUpdate) {
   Participant part(loop, popts);
 
   std::size_t scripted_backlog = 0;
-  HostEndpoint ep;
-  ep.kind = HostEndpoint::Kind::kTcp;
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kTcp;
   ep.write_stream = [&part](BytesView data) {
     part.on_stream_bytes(data);
     return data.size();

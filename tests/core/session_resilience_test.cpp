@@ -72,8 +72,8 @@ TEST(SessionResilience, TcpDropThenReconnectResyncsViaLateJoinPath) {
 
 TEST(SessionResilience, MidFrameDisconnectDoesNotDesyncUplinkParser) {
   // Force the uplink into a state where a partially-written RFC 4571 frame
-  // sits in up_carry (and its prefix in the AH's deframer), then drop and
-  // reconnect. Neither side may misparse the new byte stream.
+  // sits in the uplink egress carry (and its prefix in the AH's deframer),
+  // then drop and reconnect. Neither side may misparse the new byte stream.
   SharingSession session(small_host());
   const WindowId w = session.host().wm().create({0, 0, 96, 96}, 1);
   session.host().capturer().attach(w, std::make_unique<SlideshowApp>(96, 96, 3));
@@ -90,13 +90,13 @@ TEST(SessionResilience, MidFrameDisconnectDoesNotDesyncUplinkParser) {
   for (int i = 0; i < 40; ++i) {
     conn.participant->mouse_move(10 + static_cast<std::uint32_t>(i), 20);
   }
-  EXPECT_FALSE(conn.up_carry.empty());  // partial frame stuck in the carry
+  EXPECT_GT(conn.up_egress.carry_bytes(), 0u);  // partial frame stuck in the carry
   session.run_for(sim_ms(50));          // its prefix reaches the AH
 
   session.drop_tcp(conn);
   session.run_for(sim_ms(300));
   session.reconnect_tcp(conn, fast_tcp());
-  EXPECT_TRUE(conn.up_carry.empty());   // the torn frame died with the link
+  EXPECT_EQ(conn.up_egress.carry_bytes(), 0u);  // the torn frame died with the link
 
   // Fresh HIP traffic over the new stream must parse cleanly.
   for (int i = 0; i < 10; ++i) {

@@ -67,8 +67,8 @@ TEST(TranscodeFlow, OneEncodePerGeometryRungCohortPerTick) {
 
   std::vector<ParticipantId> ids;
   for (int i = 0; i < 5; ++i) {
-    HostEndpoint ep;
-    ep.kind = HostEndpoint::Kind::kUdp;
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::kUdp;
     ep.send_datagram = [](BytesView) { return true; };
     ids.push_back(host.add_participant(std::move(ep)));
   }

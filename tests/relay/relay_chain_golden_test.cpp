@@ -34,9 +34,9 @@ struct LegCapture {
   std::vector<Bytes> control;
   std::set<std::uint16_t> seqs;
 
-  relay::LegEndpoint endpoint() {
-    relay::LegEndpoint ep;
-    ep.kind = relay::LegEndpoint::Kind::kUdp;
+  Endpoint endpoint() {
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::kUdp;
     ep.send_packet = [this](const PacketView& v) {
       v.serialize_into(media);
       seqs.insert(v.sequence());
@@ -82,8 +82,8 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   relay::RelayNode relay2(loop, r2_opts);
 
   // relay1 leg 1: feeds relay2 (in-process, zero-copy view hand-off).
-  relay::LegEndpoint to_r2;
-  to_r2.kind = relay::LegEndpoint::Kind::kUdp;
+  Endpoint to_r2;
+  to_r2.kind = Endpoint::Kind::kUdp;
   to_r2.send_packet = [&relay2](const PacketView& v) {
     relay2.on_upstream_packet(v);
     return true;
@@ -106,8 +106,8 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   int tick_no = 0;
   LegCapture b;
   std::set<std::uint16_t> b_dropped;
-  relay::LegEndpoint b_ep;
-  b_ep.kind = relay::LegEndpoint::Kind::kUdp;
+  Endpoint b_ep;
+  b_ep.kind = Endpoint::Kind::kUdp;
   b_ep.send_packet = [&](const PacketView& v) {
     if (tick_no >= 10 && tick_no < 16) {
       b_dropped.insert(v.sequence());
@@ -137,8 +137,8 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   // Direct viewer: same endpoint shape as the leaf's leg, wired straight to
   // the AH.
   LegCapture direct;
-  HostEndpoint direct_ep;
-  direct_ep.kind = HostEndpoint::Kind::kUdp;
+  Endpoint direct_ep;
+  direct_ep.kind = Endpoint::Kind::kUdp;
   direct_ep.send_packet = [&direct](const PacketView& v) {
     v.serialize_into(direct.media);
     direct.seqs.insert(v.sequence());
@@ -158,8 +158,8 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   const ParticipantId direct_id = host.add_participant(std::move(direct_ep));
 
   // Relay root: the AH's second UDP participant is relay1's upstream.
-  HostEndpoint relay_ep;
-  relay_ep.kind = HostEndpoint::Kind::kUdp;
+  Endpoint relay_ep;
+  relay_ep.kind = Endpoint::Kind::kUdp;
   relay_ep.send_packet = [&relay1](const PacketView& v) {
     relay1.on_upstream_packet(v);
     return true;

@@ -32,9 +32,9 @@ struct UdpLegProbe {
   std::vector<Bytes> media;
   std::vector<Bytes> control;
 
-  LegEndpoint endpoint() {
-    LegEndpoint ep;
-    ep.kind = LegEndpoint::Kind::kUdp;
+  Endpoint endpoint() {
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::kUdp;
     ep.send_packet = [this](const PacketView& v) {
       media.push_back(v.serialize());
       return true;
@@ -363,8 +363,8 @@ TEST(RelayNode, BacklogGateShedsOnlyTheSlowTcpLeg) {
 
   std::size_t backlog = 0;
   Bytes slow_bytes;
-  LegEndpoint slow;
-  slow.kind = LegEndpoint::Kind::kTcp;
+  Endpoint slow;
+  slow.kind = Endpoint::Kind::kTcp;
   slow.write_gather = [&slow_bytes](std::span<const BytesView> parts) {
     std::size_t total = 0;
     for (const BytesView& p : parts) {

@@ -79,7 +79,7 @@ TEST(RelayOptions, AddLegBeyondMaxLegsThrows) {
   RelayOptions opts;
   opts.max_legs = 2;
   RelayNode node(loop, opts);
-  LegEndpoint a, b, c;
+  Endpoint a, b, c;
   node.add_leg(std::move(a));
   node.add_leg(std::move(b));
   EXPECT_THROW(node.add_leg(std::move(c)), std::invalid_argument);
@@ -91,10 +91,10 @@ TEST(RelayOptions, RemoveLegFreesASlot) {
   RelayOptions opts;
   opts.max_legs = 1;
   RelayNode node(loop, opts);
-  const LegId id = node.add_leg(LegEndpoint{});
+  const LegId id = node.add_leg(Endpoint{});
   node.remove_leg(id);
   EXPECT_EQ(node.leg_count(), 0u);
-  EXPECT_NO_THROW(node.add_leg(LegEndpoint{}));
+  EXPECT_NO_THROW(node.add_leg(Endpoint{}));
 }
 
 TEST(RelaySession, CascadeDepthIsBounded) {
