@@ -97,11 +97,11 @@ BENCHMARK(fanout)
 //
 // One AH, N UDP endpoints, full-frame damage every tick (VideoApp): the
 // encode stage dominates, so this isolates what the cohort fan-out buys.
-// Grid: participants x {per-participant, shared} x {uniform operating
-// point, 4-rung spread}. Encoding is serial (encode_threads = 0) so the
-// per-tick wall time reads as encode CPU, and the encoded-region cache is
-// off so the per-participant arm pays its true per-endpoint encode cost
-// rather than hiding it behind content-hash hits.
+// Grid: participants x {uniform operating point, 4-rung spread}. N = 1 is
+// the per-participant cost: a lone viewer's cohort shares nothing. Encoding
+// is serial (encode_threads = 0) so the per-tick wall time reads as encode
+// CPU, and the encoded-region cache is off so every cohort pays its true
+// encode cost rather than hiding it behind content-hash hits.
 //
 // The 4-rung spread drives the real closed loop: adaptation is enabled and
 // groups k = 1..3 receive lossy receiver reports for 3k warmup ticks, so
@@ -110,8 +110,7 @@ BENCHMARK(fanout)
 // grid point is reproducible.
 void broadcast(benchmark::State& state) {
   const int participants = static_cast<int>(state.range(0));
-  const bool shared = state.range(1) != 0;
-  const bool spread = state.range(2) != 0;
+  const bool spread = state.range(1) != 0;
   constexpr int kMeasuredTicks = 8;
   const int warmup_ticks = spread ? 12 : 2;
 
@@ -126,7 +125,6 @@ void broadcast(benchmark::State& state) {
     opts.screen_height = 240;
     opts.region_band_rows = 64;  // full-frame damage -> 4 bands per tick
     opts.frame_interval_us = sim_ms(100);
-    opts.shared_fanout = shared;
     opts.encode_threads = 0;
     opts.encoded_cache_bytes = 0;
     if (spread) {
@@ -209,9 +207,9 @@ void broadcast(benchmark::State& state) {
   state.counters["region_updates_per_tick"] =
       delta(&AppHost::Stats::region_updates_sent) / ticks;
   state.counters["bands_per_frame"] = 4;
-  // Zero-copy datapath: payload bytes physically staged per tick (the shared
-  // path serialises each cohort band once; the per-participant path restages
-  // per endpoint) and packet assembly throughput over the measured window.
+  // Zero-copy datapath: payload bytes physically staged per tick (each
+  // cohort band is serialised once, whatever the cohort size) and packet
+  // assembly throughput over the measured window.
   state.counters["bytes_copied_per_tick"] =
       delta(&AppHost::Stats::payload_bytes_copied) / ticks;
   state.counters["packets_built_per_tick"] =
@@ -224,14 +222,14 @@ void broadcast(benchmark::State& state) {
       delta(&AppHost::Stats::band_streams_built) / ticks;
   bench::record_counters(
       "fanout",
-      std::string("E17/broadcast/") + (shared ? "shared" : "per_participant") +
-          (spread ? "/rung_spread/" : "/uniform/") + std::to_string(participants),
+      std::string("E17/broadcast/") + (spread ? "rung_spread/" : "uniform/") +
+          std::to_string(participants),
       state.counters);
 }
 
 BENCHMARK(broadcast)
     ->Name("E17/broadcast")
-    ->ArgsProduct({{1, 4, 16, 64, 256, 512}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{1, 4, 16, 64, 256, 512}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -1,20 +1,21 @@
-// E19 — flash-crowd late-join: checkpoint snapshot service vs naive
-// per-joiner refresh (docs/LATEJOIN.md).
+// E19 — flash-crowd late-join: checkpoint snapshot service vs the tick's
+// cohort encode (docs/LATEJOIN.md).
 //
 // A warm session goes static, then a join flood (chaos::kJoinFlood
 // scripting, fixed seed) lands a cohort of N joiners inside one refresh
 // window. Both arms measure join-to-first-frame latency per joiner and the
 // AH's encode work across the wave:
 //
-//   * naive    — snapshots off; every joiner's PLI triggers its own
-//                full-screen encode, so bands encoded grow linearly in N.
-//   * snapshot — the first PLI opens the window, the cohort shares one
-//                checkpoint bundle, and bands encoded stay flat in N.
+//   * cohort   — snapshots off; joiners whose PLIs land before the same
+//                tick share that tick's cohort encode of the full screen,
+//                so bands requested grow with the ticks the wave spans.
+//   * snapshot — the first PLI opens the window, the whole wave shares one
+//                checkpoint bundle, and bands requested stay at one encode.
 //
 // The content is static after warm-up, so post-warm-up encodes are refresh
-// encodes only and the flat-vs-linear signal is exact, not a timing
-// heuristic. The CI smoke asserts ≤1 cohort encode per join wave on the
-// snapshot arm and the linear blow-up on the naive arm.
+// encodes only and the counters are exact, not a timing heuristic. The CI
+// smoke asserts ≤1 cohort encode per join wave on the snapshot arm, and
+// that the cohort arm is flat in N but above the snapshot arm.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -38,7 +39,7 @@ struct FloodStats {
   double join_ms_mean = -1;      ///< PLI → full-frame latency, cohort mean
   double join_ms_max = -1;
   double bands_encoded_wave = 0; ///< unique encodes across the wave
-  double bands_requested_wave = 0;  ///< per-joiner encoder consultations
+  double bands_requested_wave = 0;  ///< encoder band requests across the wave
   double bundles_built = 0;
   double windows_opened = 0;
   double encodes_saved = 0;
@@ -51,10 +52,6 @@ FloodStats run_flood(int cohort, bool snapshot_on) {
   opts.screen_width = kWidth;
   opts.screen_height = kHeight;
   opts.frame_interval_us = sim_ms(100);
-  // The naive arm is the true pre-cohort baseline: per-participant fan-out,
-  // where every joiner's refresh is encoded and packetised on its own. The
-  // snapshot arm layers the checkpoint service on the shared cohort path.
-  opts.shared_fanout = snapshot_on;
   opts.snapshot.enabled = snapshot_on;
   opts.snapshot.refresh_interval_us = sim_ms(300);
   SharingSession session(opts);
@@ -96,10 +93,9 @@ FloodStats run_flood(int cohort, bool snapshot_on) {
   FloodStats out;
   const telemetry::Snapshot after = session.telemetry().snapshot();
   // The EncodedRegionCache already dedupes the actual codec runs, so the
-  // flat-vs-linear signal is the per-joiner encoder *requests*: the naive
-  // arm consults the encoder (cache included) for every joiner's bands,
-  // while the snapshot arm serves the cohort from the bundle and never
-  // issues them at all.
+  // signal is the encoder *requests*: the cohort arm consults the encoder
+  // (cache included) once per tick the wave spans, while the snapshot arm
+  // serves the whole wave from one bundle.
   out.bands_encoded_wave =
       static_cast<double>(after.counter("encoder.bands_encoded") -
                           before.counter("encoder.bands_encoded"));
@@ -152,16 +148,16 @@ void run_bench(benchmark::State& state, bool snapshot_on) {
   state.counters["fallback_refreshes"] = stats.fallback;
   bench::record_counters("latejoin_flood",
                          std::string("E19/flood/") +
-                             (snapshot_on ? "snapshot" : "naive") + "/" +
+                             (snapshot_on ? "snapshot" : "cohort") + "/" +
                              std::to_string(cohort),
                          state.counters);
 }
 
-void naive(benchmark::State& state) { run_bench(state, false); }
+void cohort(benchmark::State& state) { run_bench(state, false); }
 void snapshot(benchmark::State& state) { run_bench(state, true); }
 
-BENCHMARK(naive)
-    ->Name("E19/flood/naive")
+BENCHMARK(cohort)
+    ->Name("E19/flood/cohort")
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -526,9 +525,8 @@ std::vector<Rect> AppHost::geometry_bands(
     const transcode::OutputGeometry& geom,
     const std::vector<Rect>& host_rects) const {
   const Rect fb = capturer_.last_frame().bounds();
-  // Pixel-identity views band the host rects directly — bit-for-bit the
-  // pre-geometry behaviour, which keeps the legacy/shared A/B byte-identity
-  // (both paths call this same helper).
+  // Pixel-identity views band the host rects as given; only mapped views
+  // need the merge below.
   if (geom.scale_shift == 0 && transcode::source_rect(geom, fb) == fb) {
     return band_split(host_rects);
   }
@@ -694,69 +692,6 @@ std::vector<Rect> AppHost::packetize_regions(
   return leftover;
 }
 
-std::vector<Rect> AppHost::send_regions(ParticipantState& p,
-                                        const std::vector<Rect>& rects,
-                                        const transcode::OutputGeometry& geom) {
-  // Host-space damage → output-space bands through this participant's
-  // geometry (identity passes straight through to band_split).
-  std::vector<Rect> queue = geometry_bands(geom, rects);
-
-  // Encode every band up front — cache lookups first, then misses fanned
-  // out across the worker pool (drained in sequence order, so the payloads
-  // below are byte-identical to encoding serially in the send loop). The
-  // ads::rate quality rung rides in as an encode parameter (and cache key)
-  // for lossy codecs. Scaled geometries encode from the per-tick scaler
-  // cache; identity views borrow the live frame without a copy.
-  const ContentPt pt = codec_for(p);
-  EncodeParams params;
-  if (opts_.adaptation.enabled && pt == ContentPt::kDct) {
-    params.dct_quality = p.rate_ctrl.current().dct_quality;
-  }
-  std::vector<Bytes> payloads = [&] {
-    telemetry::ScopedSpan span(tel_->trace, "ah.encode");
-    return encoder_.encode_regions(scaler_.view(capturer_.last_frame(), geom),
-                                   queue, pt, params);
-  }();
-
-  telemetry::ScopedSpan packetise_span(tel_->trace, "ah.packetise");
-  // Per-participant streams, built lazily past the rate gate. Not counted
-  // as band_streams_built — that counter is the shared path's
-  // once-per-cohort serialisation signal.
-  std::vector<BandStream> streams(queue.size());
-  auto stream_for = [&](std::size_t i) -> const BandStream& {
-    BandStream& bs = streams[i];
-    if (!bs.buf) bs = make_band_stream(queue[i], pt, std::move(payloads[i]), geom);
-    return bs;
-  };
-  std::vector<Rect> leftover = packetize_regions(p, queue, stream_for);
-  // Pending damage is host-space: map rate-limited output-space leftovers
-  // back through the geometry before they re-queue.
-  const Rect fb = capturer_.last_frame().bounds();
-  if (geom.scale_shift == 0 && transcode::source_rect(geom, fb) == fb) {
-    return leftover;
-  }
-  std::vector<Rect> host;
-  host.reserve(leftover.size());
-  for (const Rect& r : leftover) {
-    const Rect mapped = transcode::map_rect_to_host(geom, fb, r);
-    if (!mapped.empty()) host.push_back(mapped);
-  }
-  return host;
-}
-
-void AppHost::send_full_refresh(ParticipantState& p,
-                                const transcode::OutputGeometry& geom) {
-  // "image of the whole shared region" (§4.3): RegionUpdates covering the
-  // participant's output view of the shared frame (band-split; any
-  // rate-limited remainder stays pending and completes over the following
-  // ticks).
-  p.pending.clear();
-  ++stats_.join_admissions;
-  auto leftover = send_regions(p, {capturer_.last_frame().bounds()}, geom);
-  for (const Rect& r : leftover) p.pending.add(r);
-  p.needs_full_refresh = false;
-}
-
 bool AppHost::pre_send(ParticipantState& p,
                        const std::vector<MoveRectangle>& scrolls,
                        const std::vector<Rect>& damage, bool& was_current,
@@ -839,60 +774,6 @@ bool AppHost::pre_send(ParticipantState& p,
   return true;
 }
 
-void AppHost::distribute_legacy(const std::vector<MoveRectangle>& scrolls,
-                                const std::vector<Rect>& damage) {
-  const Rect fb = capturer_.last_frame().bounds();
-  for (auto& [id, p] : participants_) {
-    bool was_current = false;
-    transcode::OutputGeometry geom;
-    if (!pre_send(p, scrolls, damage, was_current, geom)) continue;
-
-    // One TX batch per participant turn: everything queued below goes to
-    // the transport in a single drain at the end of the turn.
-    if (p.needs_wmi) send_wmi(p);
-    if (p.needs_full_refresh) {
-      send_full_refresh(p, geom);
-      // §5.2.4: "If the AH uses MousePointerInfo messages, it MUST inform
-      // the late joiners about the current position and image of mouse
-      // pointer."
-      if (opts_.pointer_messages) send_pointer(p, /*include_icon=*/true);
-      p.pointer_dirty = false;
-      p.pointer_icon_dirty = false;
-      finish_turn(p);
-      continue;
-    }
-
-    // MoveRectangle only helps a participant whose view was current before
-    // this tick; lagging participants get the moved area as ordinary
-    // damage. On a scaled/viewport view the scroll additionally has to pass
-    // the S1 alignment gate — a non-replayable move degrades to damage.
-    const bool caught_up = p.frames_sent > 0 && was_current;
-    if (caught_up) {
-      for (const MoveRectangle& mr : scrolls) {
-        if (mr_alignable(geom, fb, mr)) {
-          send_move_rectangle(p, mr_to_output(geom, fb, mr));
-        } else {
-          p.pending.add(dest_rect(mr));
-          ++stats_.move_rects_geometry_skipped;
-        }
-      }
-    } else {
-      for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
-    }
-
-    p.pending.simplify();
-    auto leftover = send_regions(p, p.pending.rects(), geom);
-    p.pending.clear();
-    for (const Rect& r : leftover) p.pending.add(r);
-    if (p.pointer_dirty && opts_.pointer_messages) {
-      send_pointer(p, p.pointer_icon_dirty);
-      p.pointer_dirty = false;
-      p.pointer_icon_dirty = false;
-    }
-    finish_turn(p);
-  }
-}
-
 void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
                                 const std::vector<Rect>& damage) {
   const Image& frame = capturer_.last_frame();
@@ -916,8 +797,8 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
 
   // Phase 1 — per-participant policy and banding. Decisions here depend
   // only on that participant's own state (bucket, backlog, fps divisor,
-  // pending region), so running them before any send keeps the wire
-  // byte-identical to the per-participant path.
+  // pending region), so running them before any send gives each
+  // participant the same wire it would get alone.
   std::vector<SendPlan> plan;
   plan.reserve(participants_.size());
   for (auto& [id, p] : participants_) {
@@ -967,7 +848,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
       if (sp.send_mrs) {
         // S1 alignment gate, decided here in phase 1 so a blocked scroll's
         // destination folds into pending *before* banding — same-tick
-        // damage delivery, exactly like the legacy path.
+        // damage delivery.
         for (const MoveRectangle& mr : scrolls) {
           if (mr_alignable(geom, fb, mr)) {
             sp.mrs.push_back(mr_to_output(geom, fb, mr));
@@ -1036,8 +917,8 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
   }
 
   // Phase 3 — per-endpoint transmission, in participant order, preserving
-  // the per-participant message sequence of the legacy path (WMI →
-  // MoveRectangles → RegionUpdates → pointer).
+  // each participant's message sequence (WMI → MoveRectangles →
+  // RegionUpdates → pointer).
   telemetry::ScopedSpan packetise_span(tel_->trace, "ah.packetise");
   for (SendPlan& sp : plan) {
     ParticipantState& p = *sp.p;
@@ -1287,16 +1168,10 @@ void AppHost::tick() {
     snapshot_stage(scrolls, damage);
   }
 
-  // Distribute to participants. (optional<> so the span can close before
-  // the RTCP block below rather than at end of scope.)
-  std::optional<telemetry::ScopedSpan> distribute_span;
-  distribute_span.emplace(tel_->trace, "ah.distribute");
-  if (opts_.shared_fanout) {
+  {
+    telemetry::ScopedSpan span(tel_->trace, "ah.distribute");
     distribute_shared(scrolls, damage);
-  } else {
-    distribute_legacy(scrolls, damage);
   }
-  distribute_span.reset();
 
   // Periodic RTCP Sender Reports (RFC 3550 §6.4.1) so participants can
   // compute RTT and map RTP timestamps to wallclock.
@@ -1380,7 +1255,7 @@ void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
     // at the next tick's admission — from a shared bundle when possible —
     // so a PLI storm (including relay-coalesced waves) costs one window,
     // not one encode per PLI.
-    if (opts_.shared_fanout) snapshot_.note_demand(loop_.now());
+    snapshot_.note_demand(loop_.now());
     return;
   }
   if (std::holds_alternative<ReceiverReport>(msg)) {

@@ -100,21 +100,14 @@ struct AppHostOptions {
   /// a band (serves PLI full refreshes, late joiners, and repeating content
   /// from memory). 0 disables the cache.
   std::size_t encoded_cache_bytes = 8 * 1024 * 1024;
-  /// Shared-encode broadcast fan-out: group participants into cohorts by
-  /// effective operating point (content payload type, quality rung, MTU)
-  /// and encode each pending band once per cohort per tick, then packetize
-  /// the shared payload per endpoint. Wire bytes are identical to the
-  /// per-participant path (false), which survives as the golden reference
-  /// and the E17 baseline.
-  bool shared_fanout = true;
   /// Flash-crowd late-join: the checkpoint snapshot service
-  /// (docs/LATEJOIN.md). When enabled (shared fan-out path only), refresh
-  /// demand — PLIs and TCP admissions — is batched into join cohorts per
-  /// refresh window and served from pre-encoded, cohort-keyed refresh
-  /// bundles: one checkpoint encode per operating point per join wave. Off
-  /// by default; the §4.4 per-joiner path is the E19 baseline. The embedded
-  /// record_path additionally streams checkpoint + updates to disk for
-  /// deterministic session replay.
+  /// (docs/LATEJOIN.md). When enabled, refresh demand — PLIs and TCP
+  /// admissions — is batched into join cohorts per refresh window and
+  /// served from pre-encoded, cohort-keyed refresh bundles: one checkpoint
+  /// encode per operating point per join wave. Off by default; refreshes
+  /// then go through the tick's cohort encode (the E19 baseline). The
+  /// embedded record_path additionally streams checkpoint + updates to disk
+  /// for deterministic session replay.
   snapshot::SnapshotOptions snapshot;
   SimTime frame_interval_us = 100'000;  ///< 10 fps capture clock
   /// RTCP Sender Report cadence (0 = no SRs).
@@ -285,7 +278,7 @@ class AppHost {
     std::uint64_t hip_parse_errors = 0;
     std::uint64_t participants_evicted = 0;   ///< liveness-timeout removals
     std::uint64_t stale_transitions = 0;      ///< fresh→stale edges observed
-    // Shared fan-out accounting (zero on the per-participant path).
+    // Shared fan-out accounting.
     std::uint64_t fanout_cohorts = 0;         ///< operating-point cohorts formed
     std::uint64_t fanout_encodes_unique = 0;  ///< bands encoded once per cohort
     std::uint64_t fanout_encodes_shared = 0;  ///< band encodes saved by sharing
@@ -297,11 +290,10 @@ class AppHost {
     std::uint64_t packets_built = 0;          ///< header-plus-view packets assembled
     std::uint64_t payload_bytes_copied = 0;   ///< staging copies, in bytes
     std::uint64_t band_streams_built = 0;     ///< fragment streams serialised once
-                                              ///< per cohort band (shared path)
+                                              ///< per cohort or bundle band
     // Flash-crowd late-join accounting (docs/LATEJOIN.md). join_admissions
-    // counts every full refresh granted on either distribute path; the
-    // shared/fallback split only accrues while the snapshot service is
-    // enabled.
+    // counts every full refresh granted; the shared/fallback split only
+    // accrues while the snapshot service is enabled.
     std::uint64_t join_admissions = 0;          ///< full refreshes granted
     std::uint64_t join_shared_refreshes = 0;    ///< served from a refresh bundle
     std::uint64_t join_fallback_refreshes = 0;  ///< §4.4 path despite snapshot on
@@ -415,15 +407,12 @@ class AppHost {
   ParticipantId allocate_id();
   void send_payload(ParticipantState& p, Bytes payload, bool marker, SimTime now);
   void send_wmi(ParticipantState& p);
-  void send_full_refresh(ParticipantState& p,
-                         const transcode::OutputGeometry& geom);
   /// Resolve a participant's declared geometry for this tick: follow mode
   /// re-anchors the viewport to the topmost shared window's frame; plain
   /// geometries pass through unchanged.
   transcode::OutputGeometry resolve_geometry(const ParticipantState& p) const;
   /// Map host-space rects into one geometry's output space, merge, and
-  /// band-split — the banding step both distribute paths share (the A/B
-  /// byte-identity between them depends on using the same banding).
+  /// band-split.
   std::vector<Rect> geometry_bands(const transcode::OutputGeometry& geom,
                                    const std::vector<Rect>& host_rects) const;
   /// Per-tick snapshot + record stage, run before distribution: geometry
@@ -439,21 +428,15 @@ class AppHost {
   snapshot::RefreshBundle* snapshot_admit(ContentPt pt, std::uint8_t quality,
                                           const EncodeParams& params,
                                           const transcode::OutputGeometry& geom);
-  /// Sends as much as the participant's rate budget allows; returns the
-  /// host-space rectangles that must stay pending for the next tick
-  /// (output-space leftovers are mapped back through the geometry).
-  std::vector<Rect> send_regions(ParticipantState& p, const std::vector<Rect>& rects,
-                                 const transcode::OutputGeometry& geom);
   /// Split rectangles into ≤ region_band_rows-row bands (the encode/cohort
   /// granularity). Empty rects are dropped.
   std::vector<Rect> band_split(const std::vector<Rect>& rects) const;
-  /// Per-participant pre-send policy shared by both distribute paths:
-  /// flushes TCP carry, records whether the participant was current before
-  /// this tick's damage landed (`was_current` — the §5.2.2 MoveRectangle
-  /// eligibility), accumulates damage, runs the ads::rate update and the
-  /// fps-divisor / §7 backlog / §4.3 bucket gates. Returns false when the
-  /// participant is skipped this tick (scrolled areas are folded into its
-  /// pending damage).
+  /// Per-participant pre-send policy: flushes TCP carry, records whether
+  /// the participant was current before this tick's damage landed
+  /// (`was_current` — the §5.2.2 MoveRectangle eligibility), accumulates
+  /// damage, runs the ads::rate update and the fps-divisor / §7 backlog /
+  /// §4.3 bucket gates. Returns false when the participant is skipped this
+  /// tick (scrolled areas are folded into its pending damage).
   /// Also resolves the participant's output geometry for this tick (follow
   /// re-anchoring; a moved source rect queues the newly-exposed area as
   /// pending damage *before* the was_current probe, so a viewport move
@@ -464,17 +447,12 @@ class AppHost {
   /// Transmit already-encoded bands (parallel to `queue`) within the
   /// participant's rate budget, cutting header-plus-view packets from each
   /// band's fragment stream. `stream_for(i)` yields band i's stream, built
-  /// lazily so bands past the rate cut-off cost nothing; the shared path
-  /// passes cohort-owned streams (one serialisation feeds the whole
-  /// cohort), the legacy path per-participant ones. Returns the bands that
-  /// must stay pending for the next tick.
+  /// lazily so bands past the rate cut-off cost nothing; the streams are
+  /// cohort- or bundle-owned (one serialisation feeds every member).
+  /// Returns the bands that must stay pending for the next tick.
   std::vector<Rect> packetize_regions(
       ParticipantState& p, const std::vector<Rect>& queue,
       const std::function<const BandStream&(std::size_t)>& stream_for);
-  /// Per-participant distribute (encode once per participant): the golden
-  /// reference path, kept for A/B tests and the E17 baseline.
-  void distribute_legacy(const std::vector<MoveRectangle>& scrolls,
-                         const std::vector<Rect>& damage);
   /// Shared-encode broadcast fan-out: plan per participant, group into
   /// operating-point cohorts, encode each band once per cohort, then
   /// packetize per endpoint in participant order.

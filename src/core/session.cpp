@@ -45,7 +45,7 @@ SharingSession::SharingSession(AppHostOptions host_opts)
   host_.telemetry().metrics.add_collector(this, [this] { publish_net_metrics(); });
   // Liveness evictions reclaim the session-side transport too. The
   // Participant object is kept: its replica and stats outlive the links,
-  // and reconnect_tcp() can revive the connection under the same id.
+  // and reconnect_tcp() can revive the connection.
   host_.set_eviction_handler([this](ParticipantId id) {
     for (auto& conn : connections_) {
       if (conn->id != id) continue;
@@ -216,8 +216,11 @@ void SharingSession::drop_tcp(Connection& c) {
 
 void SharingSession::reconnect_tcp(Connection& c, TcpLinkConfig link) {
   // The AH forgets the old transport first — its endpoint closures point at
-  // the channels about to die.
-  host_.remove_participant(c.id);
+  // the channels about to die. A connection without links was evicted: the
+  // AH already dropped its id, which may since belong to someone else.
+  if (c.down_tcp || c.up_tcp || c.down_udp || c.up_udp) {
+    host_.remove_participant(c.id);
+  }
   teardown_links(c);
 
   link.down.telemetry = &host_.telemetry();
@@ -225,8 +228,9 @@ void SharingSession::reconnect_tcp(Connection& c, TcpLinkConfig link) {
   c.down_tcp = std::make_unique<TcpChannel>(loop_, link.down);
   c.up_tcp = std::make_unique<TcpChannel>(loop_, link.up);
 
-  // Same id: BFCP floor state and HIP identity survive; re-registering as a
-  // TCP endpoint queues the §4.4 late-join resync (WMI + full refresh), and
+  // Same id while it is free: BFCP floor state and HIP identity survive
+  // (a re-issued id falls back to a fresh one). Re-registering as a TCP
+  // endpoint queues the §4.4 late-join resync (WMI + full refresh), and
   // the fresh AH-side ParticipantState brings a fresh uplink deframer (no
   // torn-frame prefix from the old stream).
   c.id = host_.add_participant(tcp_endpoint(c.down_tcp), c.id);

@@ -84,9 +84,11 @@ class SharingSession {
 
   /// Re-establish a dropped (or evicted) TCP participant: fresh channels,
   /// the AH re-registers the peer under its old id (BFCP/HIP identity and
-  /// floor state survive) and resyncs it through the §4.4 late-join path
-  /// (WMI + full refresh); the participant resets its stream/loss state via
-  /// on_transport_reset(). Counted in recovery.reconnects.
+  /// floor state survive) — or a fresh one if, after an eviction, the old
+  /// id went to another participant — and resyncs it through the §4.4
+  /// late-join path (WMI + full refresh); the participant resets its
+  /// stream/loss state via on_transport_reset(). Counted in
+  /// recovery.reconnects.
   void reconnect_tcp(Connection& c, TcpLinkConfig link = {});
 
   /// Successful reconnect_tcp() calls so far.

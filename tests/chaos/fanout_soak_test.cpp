@@ -28,7 +28,6 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
   AppHostOptions opts;
   opts.screen_width = 320;
   opts.screen_height = 240;
-  opts.shared_fanout = true;
   opts.frame_interval_us = sim_ms(100);
   // Generous buckets: chaos here is loss/PLI pressure, not rate skips.
   opts.udp_rate_bps = 200'000'000;

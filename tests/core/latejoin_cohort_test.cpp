@@ -179,7 +179,7 @@ TEST(LateJoinCohort, JoinerMidWindowInheritsBundleDeltaAndConverges) {
 
 TEST(LateJoinCohort, SnapshotDisabledFallsBackToPerJoinerPath) {
   AppHostOptions opts = snap_host();
-  opts.snapshot.enabled = false;  // the E19 naive baseline
+  opts.snapshot.enabled = false;  // the E19 cohort arm
   SharingSession session(opts);
   AppHost& host = session.host();
   const WindowId w = host.wm().create({10, 10, 96, 96}, 1);

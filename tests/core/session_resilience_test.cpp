@@ -5,6 +5,7 @@
 
 #include "core/session.hpp"
 #include "image/metrics.hpp"
+#include "rtp/rtcp.hpp"
 
 namespace ads {
 namespace {
@@ -173,6 +174,48 @@ TEST(SessionResilience, DroppedTcpParticipantIsEvictedThenRevivedByReconnect) {
   auto snap = session.telemetry().snapshot();
   EXPECT_EQ(snap.counter("liveness.evictions"), 1u);
   EXPECT_EQ(snap.counter("recovery.reconnects"), 1u);
+}
+
+TEST(SessionResilience, ReconnectAfterEvictionKeepsReissuedIdHolder) {
+  AppHostOptions host_opts = small_host();
+  host_opts.stale_after_us = sim_ms(1500);
+  host_opts.evict_after_us = sim_sec(3);
+  SharingSession session(host_opts);
+  AppHost& host = session.host();
+  const WindowId w = host.wm().create({0, 0, 128, 96}, 1);
+  host.capturer().attach(w, std::make_unique<SlideshowApp>(128, 96, 3));
+
+  auto& conn = session.add_tcp_participant({}, fast_tcp());
+  const ParticipantId evicted_id = conn.id;
+  host.start();
+  session.run_for(sim_sec(1));
+  session.drop_tcp(conn);
+  session.run_for(sim_sec(4));  // silence -> stale -> evicted
+  ASSERT_EQ(host.participant_count(), 0u);
+  host.stop();
+
+  // 65,534 join/leave cycles wrap the 16-bit id counter; the next newcomer
+  // gets the evicted connection's id.
+  for (int i = 0; i < 0xFFFE; ++i) {
+    host.remove_participant(host.add_participant(Endpoint{}));
+  }
+  std::size_t newcomer_packets = 0;
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kUdp;
+  ep.send_packet = [&newcomer_packets](const PacketView&) {
+    ++newcomer_packets;
+    return true;
+  };
+  const ParticipantId newcomer = host.add_participant(std::move(ep));
+  ASSERT_EQ(newcomer, evicted_id);
+
+  // The reconnect must not deregister the id's new holder.
+  session.reconnect_tcp(conn, fast_tcp());
+  EXPECT_NE(conn.id, newcomer);
+  EXPECT_EQ(host.participant_count(), 2u);
+  host.on_uplink_packet(newcomer, PictureLossIndication{}.serialize());
+  host.tick();
+  EXPECT_GT(newcomer_packets, 0u);
 }
 
 TEST(SessionResilience, NackRetriesAreBoundedPerSequenceAndEscalateToPli) {

@@ -132,8 +132,8 @@ TEST(TelemetryFlow, TickPipelineSpansAreRecorded) {
   EXPECT_EQ(captures, 50u);
   EXPECT_EQ(damages, 50u);
   EXPECT_EQ(distributes, 50u);
-  // Encode/packetise run once per send_regions call — at least one per
-  // frame that shipped regions, and the SR cadence fired at least once.
+  // Encode/packetise run once per distribute stage, and the SR cadence
+  // fired at least once.
   EXPECT_GT(encodes, 0u);
   EXPECT_EQ(encodes, packetises);
   EXPECT_GE(rtcps, 4u);  // 1 s cadence over a 5 s run
