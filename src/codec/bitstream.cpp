@@ -26,21 +26,9 @@ void BitWriter::byte(std::uint8_t b) {
 
 Result<std::uint32_t> BitReader::read(int count) {
   assert(count >= 0 && count <= 32);
-  std::uint32_t out = 0;
-  int got = 0;
-  while (got < count) {
-    if (byte_pos_ >= data_.size()) return ParseError::kTruncated;
-    const int avail = 8 - bit_pos_;
-    const int take = (count - got) < avail ? (count - got) : avail;
-    const std::uint32_t chunk = (data_[byte_pos_] >> bit_pos_) & ((1u << take) - 1);
-    out |= chunk << got;
-    got += take;
-    bit_pos_ += take;
-    if (bit_pos_ == 8) {
-      bit_pos_ = 0;
-      ++byte_pos_;
-    }
-  }
+  if (bits_remaining() < static_cast<std::size_t>(count)) return ParseError::kTruncated;
+  const std::uint32_t out = peek(count);
+  consume(count);
   return out;
 }
 

@@ -4,7 +4,9 @@
 // reversing the code bits before writing (see Huffman code builder).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "util/bytes.hpp"
 
@@ -41,6 +43,28 @@ class BitWriter {
 class BitReader {
  public:
   explicit BitReader(BytesView data) : data_(data) {}
+
+  /// The next `count` bits (count <= 32), LSB first, without consuming them.
+  /// Bits past the end of the data read as zero.
+  std::uint32_t peek(int count) const {
+    const std::size_t avail = data_.size() - byte_pos_;
+    const std::uint8_t* p = data_.data() + byte_pos_;
+    std::uint64_t window = 0;
+    if (std::endian::native == std::endian::little && avail >= 8) {
+      std::memcpy(&window, p, 8);
+    } else {
+      for (std::size_t k = 0; k < avail && k < 8; ++k) window |= std::uint64_t{p[k]} << (8 * k);
+    }
+    return static_cast<std::uint32_t>((window >> bit_pos_) &
+                                      ((std::uint64_t{1} << count) - 1));
+  }
+
+  /// Skip `count` bits; the caller checks bits_remaining() first.
+  void consume(int count) {
+    bit_pos_ += count;
+    byte_pos_ += static_cast<std::size_t>(bit_pos_ >> 3);
+    bit_pos_ &= 7;
+  }
 
   /// Read `count` bits, LSB first. Returns kTruncated past the end.
   Result<std::uint32_t> read(int count);

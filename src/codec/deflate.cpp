@@ -1,7 +1,7 @@
 #include "codec/deflate.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -9,33 +9,6 @@
 #include "codec/huffman.hpp"
 
 namespace ads {
-
-namespace deflate_tables {
-
-int length_code(int length) {
-  assert(length >= 3 && length <= 258);
-  // Linear scan over 29 entries is branch-predictable and not on the hot
-  // path (called once per token after search).
-  for (int i = kNumLengthCodes - 1; i >= 0; --i) {
-    if (length >= kLengthBase[static_cast<std::size_t>(i)]) {
-      // Code 28 (base 258) carries no extra bits; lengths 227..257 belong
-      // to code 27 even though 258 >= 227.
-      if (i == 28 && length != 258) continue;
-      return i;
-    }
-  }
-  return 0;
-}
-
-int dist_code(int dist) {
-  assert(dist >= 1 && dist <= 32768);
-  for (int i = kNumDistCodes - 1; i >= 0; --i) {
-    if (dist >= kDistBase[static_cast<std::size_t>(i)]) return i;
-  }
-  return 0;
-}
-
-}  // namespace deflate_tables
 
 namespace {
 
@@ -83,11 +56,28 @@ SearchParams params_for_level(int level) {
   }
 }
 
+/// Length of the common prefix of `a` and `b`, at most `limit`. Compares 8
+/// bytes per step on little-endian hosts (the first differing byte is the
+/// lowest set byte of the XOR); loads never reach past `limit`.
 int match_length(const std::uint8_t* a, const std::uint8_t* b, int limit) {
   int n = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n + 8 <= limit; n += 8) {
+      std::uint64_t x;
+      std::uint64_t y;
+      std::memcpy(&x, a + n, 8);
+      std::memcpy(&y, b + n, 8);
+      if (const std::uint64_t diff = x ^ y) return n + std::countr_zero(diff) / 8;
+    }
+  }
   while (n < limit && a[n] == b[n]) ++n;
   return n;
 }
+
+struct Match {
+  int len = 0;
+  int dist = 0;
+};
 
 /// Hash-chain LZ77 tokeniser. The chain tables and token list are borrowed
 /// from the caller's scratch so repeated invocations reuse their capacity.
@@ -105,66 +95,62 @@ class Lz77 {
     tokens.reserve(in_.size() / 3 + 16);
     const std::size_t n = in_.size();
     std::size_t i = 0;
-    int pending_literal = -1;  // deferred byte during lazy evaluation
+    // Longest match at i on the current chains. Each position is probed
+    // once: a lazy look-ahead that wins is carried into the next step.
+    Match match = find_match(0);
     while (i < n) {
-      int best_len = 0;
-      int best_dist = 0;
-      find_match(i, best_len, best_dist);
-
-      if (params_.lazy && best_len >= kMinMatch && best_len < params_.nice_length &&
+      if (params_.lazy && match.len >= kMinMatch && match.len < params_.nice_length &&
           i + 1 < n) {
         // Peek at i+1; if strictly better there, emit in_[i] as a literal.
-        int next_len = 0;
-        int next_dist = 0;
         insert(i);
-        find_match(i + 1, next_len, next_dist);
-        if (next_len > best_len) {
+        const Match next = find_match(i + 1);
+        if (next.len > match.len) {
           tokens.push_back({in_[i], 0});
           ++i;
-          // The match at i (now i_old+1) will be re-found next iteration;
-          // avoid reinserting i twice.
-          pending_literal = -1;
+          // Nothing was inserted since the peek, so it is the match at i.
+          match = next;
           continue;
         }
-        // Match at i wins; we already inserted i, so skip the first insert
-        // in the emit path below.
-        emit_match(tokens, i, best_len, best_dist, /*first_inserted=*/true);
-        i += static_cast<std::size_t>(best_len);
-        continue;
-      }
-
-      if (best_len >= kMinMatch) {
-        emit_match(tokens, i, best_len, best_dist, false);
-        i += static_cast<std::size_t>(best_len);
+        // Match at i wins; i is already inserted.
+        emit_match(tokens, i, match, /*first_inserted=*/true);
+        i += static_cast<std::size_t>(match.len);
+      } else if (match.len >= kMinMatch) {
+        emit_match(tokens, i, match, false);
+        i += static_cast<std::size_t>(match.len);
       } else {
         insert(i);
         tokens.push_back({in_[i], 0});
         ++i;
       }
+      match = find_match(i);
     }
-    (void)pending_literal;
   }
 
  private:
-  void find_match(std::size_t pos, int& best_len, int& best_dist) const {
-    best_len = 0;
-    best_dist = 0;
+  Match find_match(std::size_t pos) const {
+    Match best;
     const std::size_t n = in_.size();
-    if (pos + kMinMatch > n) return;
+    if (pos + kMinMatch > n) return best;
     const int limit = static_cast<int>(std::min<std::size_t>(kMaxMatch, n - pos));
-    int candidate = head_[hash3(&in_[pos])];
+    const std::uint8_t* const here = &in_[pos];
+    int candidate = head_[hash3(here)];
     int chain = params_.max_chain;
     while (candidate >= 0 && chain-- > 0) {
       const std::size_t cpos = static_cast<std::size_t>(candidate);
       if (pos - cpos > kWindowSize) break;
-      const int len = match_length(&in_[cpos], &in_[pos], limit);
-      if (len > best_len) {
-        best_len = len;
-        best_dist = static_cast<int>(pos - cpos);
-        if (len >= params_.nice_length) break;
+      const std::uint8_t* const there = &in_[cpos];
+      // Only a candidate that also matches at offset best.len can be
+      // longer; best.len < limit keeps this probe inside the input.
+      if (there[best.len] == here[best.len]) {
+        const int len = match_length(there, here, limit);
+        if (len > best.len) {
+          best = {len, static_cast<int>(pos - cpos)};
+          if (len >= params_.nice_length || len == limit) break;
+        }
       }
       candidate = prev_[cpos];
     }
+    return best;
   }
 
   void insert(std::size_t pos) {
@@ -174,12 +160,12 @@ class Lz77 {
     head_[h] = static_cast<int>(pos);
   }
 
-  void emit_match(std::vector<Token>& tokens, std::size_t pos, int len, int dist,
+  void emit_match(std::vector<Token>& tokens, std::size_t pos, Match m,
                   bool first_inserted) {
     tokens.push_back(
-        {static_cast<std::uint16_t>(len), static_cast<std::uint16_t>(dist)});
+        {static_cast<std::uint16_t>(m.len), static_cast<std::uint16_t>(m.dist)});
     const std::size_t start = first_inserted ? pos + 1 : pos;
-    for (std::size_t p = start; p < pos + static_cast<std::size_t>(len); ++p) insert(p);
+    for (std::size_t p = start; p < pos + static_cast<std::size_t>(m.len); ++p) insert(p);
   }
 
   BytesView in_;
@@ -187,20 +173,6 @@ class Lz77 {
   std::vector<int>& head_;
   std::vector<int>& prev_;
 };
-
-/// Fixed literal/length code lengths (RFC 1951 §3.2.6).
-std::vector<std::uint8_t> fixed_litlen_lengths() {
-  std::vector<std::uint8_t> l(288);
-  for (int i = 0; i <= 143; ++i) l[static_cast<std::size_t>(i)] = 8;
-  for (int i = 144; i <= 255; ++i) l[static_cast<std::size_t>(i)] = 9;
-  for (int i = 256; i <= 279; ++i) l[static_cast<std::size_t>(i)] = 7;
-  for (int i = 280; i <= 287; ++i) l[static_cast<std::size_t>(i)] = 8;
-  return l;
-}
-
-std::vector<std::uint8_t> fixed_dist_lengths() {
-  return std::vector<std::uint8_t>(30, 5);
-}
 
 struct CodeSet {
   std::vector<std::uint8_t> litlen_lengths;
@@ -401,9 +373,9 @@ void write_dynamic_header(BitWriter& out, const DynamicHeader& h) {
 const CodeSet& fixed_codes() {
   static const CodeSet cs = [] {
     CodeSet fixed;
-    fixed.litlen_lengths = fixed_litlen_lengths();
+    fixed.litlen_lengths.assign(kFixedLitLenLengths.begin(), kFixedLitLenLengths.end());
     fixed.litlen_codes = canonical_codes(fixed.litlen_lengths);
-    fixed.dist_lengths = fixed_dist_lengths();
+    fixed.dist_lengths.assign(kFixedDistCodes, kFixedDistLength);
     fixed.dist_codes = canonical_codes(fixed.dist_lengths);
     return fixed;
   }();

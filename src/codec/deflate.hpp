@@ -8,6 +8,8 @@
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -72,14 +74,57 @@ inline constexpr std::array<std::uint16_t, kNumDistCodes> kDistBase = {
 inline constexpr std::array<std::uint8_t, kNumDistCodes> kDistExtra = {
     0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
+// Fixed-Huffman code lengths (§3.2.6): literal/length symbols 0..287, then
+// the 30 distance codes (all 5 bits).
+inline constexpr auto kFixedLitLenLengths = [] {
+  std::array<std::uint8_t, 288> l{};
+  for (std::size_t i = 0; i < l.size(); ++i) l[i] = i < 144 ? 8 : i < 256 ? 9 : i < 280 ? 7 : 8;
+  return l;
+}();
+inline constexpr std::size_t kFixedDistCodes = 30;
+inline constexpr std::uint8_t kFixedDistLength = 5;
+
 // Order in which code-length-code lengths are transmitted (§3.2.7).
 inline constexpr std::array<std::uint8_t, 19> kClcOrder = {
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
 
+/// Length value (0..258) -> length code index; 0..2 are not lengths.
+inline constexpr auto kLengthCode = [] {
+  std::array<std::uint8_t, 259> t{};
+  for (std::size_t code = 0; code < kNumLengthCodes; ++code) {
+    // 258 has its own code (28), so code 27 stops at 257.
+    const int end = code + 1 < kNumLengthCodes ? kLengthBase[code + 1] : 259;
+    for (int len = kLengthBase[code]; len < end; ++len) {
+      t[static_cast<std::size_t>(len)] = static_cast<std::uint8_t>(code);
+    }
+  }
+  return t;
+}();
+
+/// Distance code by `dist - 1` up to 256, then by `256 + ((dist - 1) >> 7)`:
+/// every code above 15 spans whole multiples of 128 (zlib's `_dist_code`).
+inline constexpr auto kDistCode = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (std::size_t code = 0; code < kNumDistCodes; ++code) {
+    const int end = code + 1 < kNumDistCodes ? kDistBase[code + 1] : 32769;
+    for (int d = kDistBase[code]; d < end; ++d) {
+      t[static_cast<std::size_t>(d <= 256 ? d - 1 : 256 + ((d - 1) >> 7))] =
+          static_cast<std::uint8_t>(code);
+    }
+  }
+  return t;
+}();
+
 /// Length value (3..258) -> length code index (0..28).
-int length_code(int length);
+constexpr int length_code(int length) {
+  assert(length >= 3 && length <= 258);
+  return kLengthCode[static_cast<std::size_t>(length)];
+}
 /// Distance value (1..32768) -> distance code index (0..29).
-int dist_code(int dist);
+constexpr int dist_code(int dist) {
+  assert(dist >= 1 && dist <= 32768);
+  return kDistCode[static_cast<std::size_t>(dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7))];
+}
 
 }  // namespace deflate_tables
 

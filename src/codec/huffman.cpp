@@ -144,21 +144,32 @@ ParseStatus HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
     if (lengths[sym]) sorted_symbols_[fill[lengths[sym]]++] = static_cast<std::uint16_t>(sym);
   }
   if (sorted_symbols_.empty()) return ParseError::kBadValue;
+
+  // Every table slot whose low `len` bits are a short code's (bit-reversed)
+  // pattern decodes to it; the slots' upper bits are the following input.
+  table_.fill(0);
+  const std::vector<std::uint32_t> codes = canonical_codes(lengths);
+  for (std::size_t sym = 0; sym < lengths.size(); ++sym) {
+    const int len = lengths[sym];
+    if (len == 0 || len > kTableBits) continue;
+    const auto entry = static_cast<std::uint16_t>(sym << 4 | static_cast<std::size_t>(len));
+    for (std::uint32_t slot = codes[sym]; slot < table_.size(); slot += 1u << len) {
+      table_[slot] = entry;
+    }
+  }
   return {};
 }
 
-Result<int> HuffmanDecoder::decode(BitReader& in) const {
-  if (!initialised()) return ParseError::kBadValue;
+Result<int> HuffmanDecoder::decode_long(BitReader& in) const {
+  const std::uint32_t bits = in.peek(kMaxBits);
+  const std::size_t avail = in.bits_remaining();
   std::uint32_t code = 0;
   for (int len = 1; len <= kMaxBits; ++len) {
-    auto b = in.bit();
-    if (!b) return b.error();
-    code = (code << 1) | *b;
-    if (counts_[len] != 0 && code < first_code_[len] + counts_[len]) {
-      if (code >= first_code_[len]) {
-        return static_cast<int>(
-            sorted_symbols_[offsets_[len] + (code - first_code_[len])]);
-      }
+    if (avail < static_cast<std::size_t>(len)) return ParseError::kTruncated;
+    code = (code << 1) | ((bits >> (len - 1)) & 1);
+    if (code >= first_code_[len] && code - first_code_[len] < counts_[len]) {
+      in.consume(len);
+      return static_cast<int>(sorted_symbols_[offsets_[len] + (code - first_code_[len])]);
     }
   }
   return ParseError::kBadValue;

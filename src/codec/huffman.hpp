@@ -7,9 +7,11 @@
 // LSB-first BitWriter).
 //
 // Decoding side: HuffmanDecoder consumes a code-length vector and decodes
-// symbols from a BitReader via the canonical count/offset method.
+// symbols from a BitReader: codes of up to kTableBits bits in one lookup,
+// longer ones by the canonical count/offset walk.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,13 +40,34 @@ class HuffmanDecoder {
   /// single-symbol distance codes).
   ParseStatus init(const std::vector<std::uint8_t>& lengths);
 
-  /// Decode one symbol.
-  Result<int> decode(BitReader& in) const;
+  /// Decode one symbol. kTruncated if the data ends inside a code,
+  /// kBadValue if the bits match no code.
+  Result<int> decode(BitReader& in) const {
+    if (!initialised()) return ParseError::kBadValue;
+    const std::uint16_t entry = table_[in.peek(kTableBits)];
+    if (entry == 0) return decode_long(in);
+    // Codes are prefix-free: if the zero-padded lookup found a code longer
+    // than what is left, no code fits in the remaining bits.
+    const int len = entry & 15;
+    if (in.bits_remaining() < static_cast<std::size_t>(len)) return ParseError::kTruncated;
+    in.consume(len);
+    return entry >> 4;
+  }
 
   bool initialised() const { return !sorted_symbols_.empty(); }
 
+  /// Codes up to this many bits decode with one table lookup.
+  static constexpr int kTableBits = 10;
+
  private:
+  /// Canonical walk, bit by bit, for codes longer than kTableBits (and bit
+  /// patterns that match no code).
+  Result<int> decode_long(BitReader& in) const;
+
   static constexpr int kMaxBits = 15;
+  // table_[next kTableBits stream bits] = symbol << 4 | code length, or 0
+  // when the bits start a longer code or no code at all.
+  std::array<std::uint16_t, 1 << kTableBits> table_ = {};
   // counts_[l]   = number of codes of length l
   // offsets_[l]  = index into sorted_symbols_ of the first code of length l
   // first_code_[l] = canonical value of the first (non-reversed) code of length l

@@ -1,5 +1,7 @@
 #include "codec/inflate.hpp"
 
+#include <cassert>
+#include <cstring>
 #include <vector>
 
 #include "codec/bitstream.hpp"
@@ -46,10 +48,17 @@ ParseStatus inflate_block_body(BitReader& in, Bytes& out, const HuffmanDecoder& 
 
     if (distance > out.size()) return ParseError::kBadValue;
     if (auto s = check_limit(out, length, limits); !s.ok()) return s;
-    // Byte-by-byte copy is mandatory: distance < length means the match
-    // overlaps its own output (RLE-style runs).
-    std::size_t from = out.size() - distance;
-    for (std::size_t k = 0; k < length; ++k) out.push_back(out[from + k]);
+    const std::size_t at = out.size();
+    out.resize(at + length);
+    std::uint8_t* dst = out.data() + at;
+    const std::uint8_t* src = dst - distance;
+    if (distance >= length) {
+      std::memcpy(dst, src, length);
+    } else {
+      // The match overlaps its own output (an RLE-style run): byte order
+      // matters.
+      for (std::size_t k = 0; k < length; ++k) dst[k] = src[k];
+    }
   }
 }
 
@@ -110,6 +119,26 @@ ParseStatus read_dynamic_tables(BitReader& in, HuffmanDecoder& litlen,
   return {};
 }
 
+struct FixedDecoders {
+  HuffmanDecoder litlen;
+  HuffmanDecoder dist;
+};
+
+/// The fixed-Huffman tables are constant; build them once.
+const FixedDecoders& fixed_decoders() {
+  static const FixedDecoders fixed = [] {
+    FixedDecoders d;
+    [[maybe_unused]] const bool ok =
+        d.litlen.init(std::vector<std::uint8_t>(kFixedLitLenLengths.begin(),
+                                                kFixedLitLenLengths.end()))
+            .ok() &&
+        d.dist.init(std::vector<std::uint8_t>(kFixedDistCodes, kFixedDistLength)).ok();
+    assert(ok);
+    return d;
+  }();
+  return fixed;
+}
+
 }  // namespace
 
 Result<Bytes> inflate(BytesView input, const InflateLimits& limits) {
@@ -133,22 +162,13 @@ Result<Bytes> inflate(BytesView input, const InflateLimits& limits) {
       const std::uint16_t nlen = static_cast<std::uint16_t>(*nlen_lo | (*nlen_hi << 8));
       if (static_cast<std::uint16_t>(~len) != nlen) return ParseError::kBadValue;
       if (auto s = check_limit(out, len, limits); !s.ok()) return s.error();
-      for (int k = 0; k < len; ++k) {
-        auto b = in.read(8);
-        if (!b) return b.error();
-        out.push_back(static_cast<std::uint8_t>(*b));
-      }
+      const BytesView stored = in.remaining_bytes();
+      if (stored.size() < len) return ParseError::kTruncated;
+      out.insert(out.end(), stored.begin(), stored.begin() + len);
+      in.consume(8 * len);
     } else if (*btype == 1) {  // fixed Huffman
-      std::vector<std::uint8_t> lit(288);
-      for (int i = 0; i <= 143; ++i) lit[static_cast<std::size_t>(i)] = 8;
-      for (int i = 144; i <= 255; ++i) lit[static_cast<std::size_t>(i)] = 9;
-      for (int i = 256; i <= 279; ++i) lit[static_cast<std::size_t>(i)] = 7;
-      for (int i = 280; i <= 287; ++i) lit[static_cast<std::size_t>(i)] = 8;
-      HuffmanDecoder litlen;
-      HuffmanDecoder dist;
-      if (auto s = litlen.init(lit); !s.ok()) return s.error();
-      if (auto s = dist.init(std::vector<std::uint8_t>(30, 5)); !s.ok()) return s.error();
-      if (auto s = inflate_block_body(in, out, litlen, dist, limits); !s.ok())
+      const FixedDecoders& fixed = fixed_decoders();
+      if (auto s = inflate_block_body(in, out, fixed.litlen, fixed.dist, limits); !s.ok())
         return s.error();
     } else if (*btype == 2) {  // dynamic Huffman
       HuffmanDecoder litlen;

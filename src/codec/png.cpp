@@ -1,6 +1,8 @@
 #include "codec/png.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 
@@ -34,19 +36,39 @@ std::uint8_t paeth(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
   return c;
 }
 
-void unfilter_row(int type, std::uint8_t* row, const std::uint8_t* prior, std::size_t n,
-                  std::size_t bpp) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t a = i >= bpp ? row[i - bpp] : 0;
-    const std::uint8_t b = prior ? prior[i] : 0;
-    const std::uint8_t c = (prior && i >= bpp) ? prior[i - bpp] : 0;
-    switch (type) {
-      case 0: break;
-      case 1: row[i] = static_cast<std::uint8_t>(row[i] + a); break;
-      case 2: row[i] = static_cast<std::uint8_t>(row[i] + b); break;
-      case 3: row[i] = static_cast<std::uint8_t>(row[i] + (a + b) / 2); break;
-      case 4: row[i] = static_cast<std::uint8_t>(row[i] + paeth(a, b, c)); break;
-    }
+/// Undo one scanline's filter (RFC 2083 §6): `src` is the filtered line,
+/// `prior` the unfiltered line above (zeros for the first), `dst` receives
+/// the result and may alias `src`. One loop per filter type.
+void unfilter_row(int type, const std::uint8_t* src, const std::uint8_t* prior,
+                  std::uint8_t* dst, std::size_t n, std::size_t bpp) {
+  if (n == 0) return;
+  const std::size_t lead = std::min(bpp, n);  // bytes with no left neighbour
+  switch (type) {
+    case 0:
+      std::memmove(dst, src, n);
+      break;
+    case 1:
+      std::memmove(dst, src, lead);
+      for (std::size_t i = bpp; i < n; ++i)
+        dst[i] = static_cast<std::uint8_t>(src[i] + dst[i - bpp]);
+      break;
+    case 2:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<std::uint8_t>(src[i] + prior[i]);
+      break;
+    case 3:
+      for (std::size_t i = 0; i < lead; ++i)
+        dst[i] = static_cast<std::uint8_t>(src[i] + prior[i] / 2);
+      for (std::size_t i = bpp; i < n; ++i)
+        dst[i] = static_cast<std::uint8_t>(src[i] + (dst[i - bpp] + prior[i]) / 2);
+      break;
+    case 4:
+      // paeth(0, b, 0) is b.
+      for (std::size_t i = 0; i < lead; ++i) dst[i] = static_cast<std::uint8_t>(src[i] + prior[i]);
+      for (std::size_t i = bpp; i < n; ++i) {
+        dst[i] = static_cast<std::uint8_t>(
+            src[i] + paeth(dst[i - bpp], prior[i], prior[i - bpp]));
+      }
+      break;
   }
 }
 
@@ -192,21 +214,24 @@ Result<Image> png_decode(BytesView data) {
   if (!raw) return raw.error();
   if (raw->size() != expected) return ParseError::kBadValue;
 
+  // RGBA scanlines unfilter straight into the pixel rows; RGB ones in
+  // place, then widen.
+  static_assert(sizeof(Pixel) == 4 && offsetof(Pixel, r) == 0 && offsetof(Pixel, g) == 1 &&
+                    offsetof(Pixel, b) == 2 && offsetof(Pixel, a) == 3,
+                "Pixel must be RGBA8 in memory order");
   Image img(width, height);
-  std::uint8_t* prior = nullptr;
+  std::uint8_t* const pixels = reinterpret_cast<std::uint8_t*>(img.pixels().data());
+  const Bytes zeros(stride, 0);
+  const std::uint8_t* prior = zeros.data();
   for (std::size_t y = 0; y < height; ++y) {
-    std::uint8_t* line = &(*raw)[y * (stride + 1)];
-    const int ftype = *line;
+    std::uint8_t* line = raw->data() + y * (stride + 1);
+    const int ftype = line[0];
     if (ftype > 4) return ParseError::kBadValue;
-    std::uint8_t* row = line + 1;
-    unfilter_row(ftype, row, prior, stride, bpp);
-    for (std::size_t x = 0; x < width; ++x) {
-      Pixel p;
-      p.r = row[x * bpp + 0];
-      p.g = row[x * bpp + 1];
-      p.b = row[x * bpp + 2];
-      p.a = bpp == 4 ? row[x * bpp + 3] : 255;
-      img.set(static_cast<std::int64_t>(x), static_cast<std::int64_t>(y), p);
+    std::uint8_t* row = bpp == 4 ? pixels + y * stride : line + 1;
+    unfilter_row(ftype, line + 1, prior, row, stride, bpp);
+    if (bpp == 3) {
+      Pixel* out = img.pixels().data() + y * width;
+      for (std::size_t x = 0; x < width; ++x) out[x] = {row[3 * x], row[3 * x + 1], row[3 * x + 2], 255};
     }
     prior = row;
   }

@@ -40,6 +40,14 @@ void Participant::request_refresh() {
   send_packet(pli.serialize());
 }
 
+void Participant::set_user_id(std::uint16_t id) {
+  if (id == opts_.user_id) return;
+  opts_.user_id = id;
+  has_floor_ = false;
+  floor_pending_ = false;
+  hid_status_ = HidStatus::kNotAllowed;
+}
+
 void Participant::request_floor() {
   BfcpMessage msg;
   msg.primitive = BfcpPrimitive::kFloorRequest;

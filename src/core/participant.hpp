@@ -107,6 +107,9 @@ class Participant {
   void on_transport_reset();
 
   // ---- floor control ----
+  /// Adopt a new BFCP identity (the AH re-issued this participant's id,
+  /// e.g. on reconnect). Floor state held under the old id is dropped.
+  void set_user_id(std::uint16_t id);
   /// Queue a BFCP FloorRequest for the input floor.
   void request_floor();
   /// Release a held (or pending) floor.

@@ -228,12 +228,14 @@ void SharingSession::reconnect_tcp(Connection& c, TcpLinkConfig link) {
   c.down_tcp = std::make_unique<TcpChannel>(loop_, link.down);
   c.up_tcp = std::make_unique<TcpChannel>(loop_, link.up);
 
-  // Same id while it is free: BFCP floor state and HIP identity survive
-  // (a re-issued id falls back to a fresh one). Re-registering as a TCP
-  // endpoint queues the §4.4 late-join resync (WMI + full refresh), and
-  // the fresh AH-side ParticipantState brings a fresh uplink deframer (no
-  // torn-frame prefix from the old stream).
+  // Same id while it is free: BFCP floor state and HIP identity survive.
+  // A re-issued id falls back to a fresh one, which the participant adopts
+  // as its BFCP user id. Re-registering as a TCP endpoint queues the §4.4
+  // late-join resync (WMI + full refresh), and the fresh AH-side
+  // ParticipantState brings a fresh uplink deframer (no torn-frame prefix
+  // from the old stream).
   c.id = host_.add_participant(tcp_endpoint(c.down_tcp), c.id);
+  c.participant->set_user_id(c.id);
 
   c.down_tcp->set_receiver(
       [p = c.participant.get()](Bytes data) { p->on_stream_bytes(data); });

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "codec/bitstream.hpp"
+#include "codec/huffman.hpp"
 #include "codec/inflate.hpp"
 #include "util/prng.hpp"
 
@@ -187,6 +191,126 @@ TEST(Inflate, ZipBombGuard) {
   auto out = inflate(compressed, {.max_output = 1024});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error(), ParseError::kOverflow);
+}
+
+TEST(Inflate, ZipBombGuardTripsInsideLiteralsAndStoredBlocks) {
+  const Bytes input = random_bytes(4096, 3);
+  for (const int level : {0, 6}) {
+    auto out = inflate(deflate_compress(input, {.level = level}), {.max_output = 4095});
+    ASSERT_FALSE(out.ok()) << "level " << level;
+    EXPECT_EQ(out.error(), ParseError::kOverflow) << "level " << level;
+  }
+}
+
+TEST(Inflate, OutputGrowsWithTheBytesProducedNotTheLimit) {
+  // A limit far beyond any allocatable size must not be reserved up front.
+  const Bytes input = repetitive(10000);
+  auto out = inflate(deflate_compress(input), {.max_output = std::size_t{1} << 50});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, input);
+  EXPECT_LT(out->capacity(), std::size_t{1} << 20);
+}
+
+/// BFINAL=1, BTYPE=10 and a header that sends `litlen` (257..286 entries)
+/// and `dist` (1..30) code lengths one by one: code-length-code symbols
+/// 0..15 are all 4 bits, so symbol s is sent as the 4-bit value s.
+void write_dynamic_header(BitWriter& w, const std::vector<std::uint8_t>& litlen,
+                          const std::vector<std::uint8_t>& dist) {
+  using namespace deflate_tables;
+  w.write(1, 1);
+  w.write(2, 2);
+  w.write(static_cast<std::uint32_t>(litlen.size() - 257), 5);
+  w.write(static_cast<std::uint32_t>(dist.size() - 1), 5);
+  w.write(19 - 4, 4);
+  for (const std::uint8_t sym : kClcOrder) w.write(sym < 16 ? 4 : 0, 3);
+  for (const std::uint8_t l : litlen) w.write(reverse_bits(l, 4), 4);
+  for (const std::uint8_t l : dist) w.write(reverse_bits(l, 4), 4);
+}
+
+/// Literal/length lengths for symbols 0..257 with the given symbol lengths.
+std::vector<std::uint8_t> litlen_lengths(
+    std::initializer_list<std::pair<int, std::uint8_t>> codes) {
+  std::vector<std::uint8_t> l(258, 0);
+  for (const auto& [sym, len] : codes) l[static_cast<std::size_t>(sym)] = len;
+  return l;
+}
+
+TEST(Inflate, OversubscribedDynamicTableIsRejected) {
+  BitWriter w;
+  write_dynamic_header(w, litlen_lengths({{'a', 1}, {'b', 1}, {256, 1}}), {1});
+  w.write(0, 16);
+  auto out = inflate(w.take());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error(), ParseError::kBadValue);
+}
+
+TEST(Inflate, IncompleteDynamicTable) {
+  // 'A' is "0" and end-of-block "10"; nothing starts with "11".
+  const auto litlen = litlen_lengths({{'A', 1}, {256, 2}});
+  const auto codes = canonical_codes(litlen);
+  const auto stream = [&](std::uint32_t tail, int tail_bits) {
+    BitWriter w;
+    write_dynamic_header(w, litlen, {0});
+    w.write(codes['A'], 1);
+    w.write(tail, tail_bits);
+    return w.take();
+  };
+  auto ok = inflate(stream(codes[256], 2));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, ascii("A"));
+
+  // Fifteen bits that match no code.
+  auto bad = inflate(stream(0x7FFF, 15));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error(), ParseError::kBadValue);
+
+  // The stream ends while the walk is still inside the unused "11" range.
+  auto cut = inflate(stream(0x3, 2));
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.error(), ParseError::kTruncated);
+}
+
+TEST(Inflate, OneSymbolDistanceTable) {
+  // 'a' = "0", end-of-block = "10", length code 257 (length 3) = "11"; the
+  // lone distance code 0 (distance 1) is "0" and "1" is unused.
+  const auto litlen = litlen_lengths({{'a', 1}, {256, 2}, {257, 2}});
+  const auto codes = canonical_codes(litlen);
+  const auto stream = [&](std::uint32_t dist_bits, int count) {
+    BitWriter w;
+    write_dynamic_header(w, litlen, {1});
+    w.write(codes['a'], 1);
+    w.write(codes[257], 2);
+    w.write(dist_bits, count);
+    w.write(codes[256], 2);
+    return w.take();
+  };
+  auto ok = inflate(stream(0, 1));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, ascii("aaaa"));
+
+  auto bad = inflate(stream(0x7FFF, 15));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error(), ParseError::kBadValue);
+
+  // Our own encoder sends a one-symbol distance table for a single-byte run.
+  const Bytes run(1000, 'z');
+  auto own = inflate(deflate_compress(run, {.block = DeflateOptions::Block::kDynamic}));
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(*own, run);
+}
+
+TEST(Inflate, MatchWithNoDistanceCodesIsRejected) {
+  // An all-zero distance table is legal until a match needs it.
+  const auto litlen = litlen_lengths({{'a', 1}, {256, 2}, {257, 2}});
+  const auto codes = canonical_codes(litlen);
+  BitWriter w;
+  write_dynamic_header(w, litlen, {0});
+  w.write(codes['a'], 1);
+  w.write(codes[257], 2);
+  w.write(0, 16);
+  auto out = inflate(w.take());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error(), ParseError::kBadValue);
 }
 
 TEST(Inflate, InteropFixedHuffmanReferenceStream) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -116,6 +117,93 @@ TEST(HuffmanRoundTrip, EncodeDecodeRandomSymbols) {
       EXPECT_EQ(*got, expected);
     }
   }
+}
+
+TEST(HuffmanDecoder, CodesLongerThanTheTableDecodeThroughTheWalk) {
+  // Doubling frequencies build a degenerate tree: codes of every length up
+  // to the 15-bit limit, most of them past the one-lookup table.
+  std::vector<std::uint64_t> freqs;
+  for (int i = 0; i < 24; ++i) freqs.push_back(std::uint64_t{1} << i);
+  const auto lengths = build_code_lengths(freqs, 15);
+  const auto codes = canonical_codes(lengths);
+  EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()), 15);
+  HuffmanDecoder dec;
+  ASSERT_TRUE(dec.init(lengths).ok());
+
+  Prng rng(23);
+  std::vector<int> emitted;
+  BitWriter w;
+  for (int k = 0; k < 2000; ++k) {
+    const int sym = static_cast<int>(rng.below(lengths.size()));
+    emitted.push_back(sym);
+    w.write(codes[static_cast<std::size_t>(sym)], lengths[static_cast<std::size_t>(sym)]);
+  }
+  const Bytes data = w.take();
+  BitReader r(data);
+  int long_codes = 0;
+  for (int expected : emitted) {
+    auto got = dec.decode(r);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(*got, expected);
+    if (lengths[static_cast<std::size_t>(expected)] > HuffmanDecoder::kTableBits) ++long_codes;
+  }
+  EXPECT_GT(long_codes, 1000);
+}
+
+/// Symbol k < 15 is k ones then a zero (k + 1 bits); 15 is fifteen ones.
+std::vector<std::uint8_t> staircase_lengths() {
+  std::vector<std::uint8_t> lengths;
+  for (int k = 0; k < 15; ++k) lengths.push_back(static_cast<std::uint8_t>(k + 1));
+  lengths.push_back(15);
+  return lengths;
+}
+
+TEST(HuffmanDecoder, TruncationInsideAShortCode) {
+  HuffmanDecoder d;
+  ASSERT_TRUE(d.init(staircase_lengths()).ok());
+  // Seven 0s (symbol 0), then the first bit of symbol 1 ("10").
+  const Bytes data = {0x80};
+  BitReader r(data);
+  for (int k = 0; k < 7; ++k) ASSERT_EQ(d.decode(r).value(), 0);
+  auto v = d.decode(r);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.error(), ParseError::kTruncated);
+}
+
+TEST(HuffmanDecoder, TruncationInsideALongCode) {
+  HuffmanDecoder d;
+  ASSERT_TRUE(d.init(staircase_lengths()).ok());
+  // Eight 1s: a prefix of every code from 9 bits up. The zero-padded
+  // lookup lands on the 9-bit symbol 8, which does not fit.
+  {
+    const Bytes data = {0xFF};
+    BitReader r(data);
+    auto v = d.decode(r);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.error(), ParseError::kTruncated);
+  }
+  // Four 0s, then twelve 1s: no code fits in the table's ten bits, and the
+  // walk runs out of input at 13.
+  {
+    const Bytes data = {0xF0, 0xFF};
+    BitReader r(data);
+    for (int k = 0; k < 4; ++k) ASSERT_EQ(d.decode(r).value(), 0);
+    auto v = d.decode(r);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.error(), ParseError::kTruncated);
+  }
+}
+
+TEST(HuffmanDecoder, BitsMatchingNoCodeOfAnIncompleteTable) {
+  // Symbols of lengths 1 and 2 leave every pattern starting "11" unused.
+  HuffmanDecoder d;
+  ASSERT_TRUE(d.init({1, 2}).ok());
+  const Bytes data = {0xFE, 0xFF};
+  BitReader r(data);
+  ASSERT_EQ(d.decode(r).value(), 0);
+  auto v = d.decode(r);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.error(), ParseError::kBadValue);
 }
 
 TEST(HuffmanDecoder, GarbageInputFailsCleanly) {

@@ -176,29 +176,42 @@ TEST(SessionResilience, DroppedTcpParticipantIsEvictedThenRevivedByReconnect) {
   EXPECT_EQ(snap.counter("recovery.reconnects"), 1u);
 }
 
-TEST(SessionResilience, ReconnectAfterEvictionKeepsReissuedIdHolder) {
-  AppHostOptions host_opts = small_host();
-  host_opts.stale_after_us = sim_ms(1500);
-  host_opts.evict_after_us = sim_sec(3);
-  SharingSession session(host_opts);
-  AppHost& host = session.host();
-  const WindowId w = host.wm().create({0, 0, 128, 96}, 1);
-  host.capturer().attach(w, std::make_unique<SlideshowApp>(128, 96, 3));
-
-  auto& conn = session.add_tcp_participant({}, fast_tcp());
-  const ParticipantId evicted_id = conn.id;
-  host.start();
-  session.run_for(sim_sec(1));
-  session.drop_tcp(conn);
-  session.run_for(sim_sec(4));  // silence -> stale -> evicted
-  ASSERT_EQ(host.participant_count(), 0u);
-  host.stop();
-
-  // 65,534 join/leave cycles wrap the 16-bit id counter; the next newcomer
-  // gets the evicted connection's id.
-  for (int i = 0; i < 0xFFFE; ++i) {
-    host.remove_participant(host.add_participant(Endpoint{}));
+/// A session whose TCP viewer `conn` goes silent and is evicted, after
+/// which the AH's 16-bit id counter wraps so that the next newcomer is
+/// issued the evicted connection's id.
+struct EvictedViewer {
+  EvictedViewer() : session(options()) {
+    const WindowId w = session.host().wm().create({0, 0, 128, 96}, 1);
+    session.host().capturer().attach(w, std::make_unique<SlideshowApp>(128, 96, 3));
+    conn = &session.add_tcp_participant({}, fast_tcp());
+    evicted_id = conn->id;
+    session.host().start();
+    session.run_for(sim_sec(1));
+    session.drop_tcp(*conn);
+    session.run_for(sim_sec(4));  // silence -> stale -> evicted
+    EXPECT_EQ(session.host().participant_count(), 0u);
+    session.host().stop();
+    // 65,534 join/leave cycles wrap the id counter.
+    for (int i = 0; i < 0xFFFE; ++i) {
+      session.host().remove_participant(session.host().add_participant(Endpoint{}));
+    }
   }
+
+  static AppHostOptions options() {
+    AppHostOptions opts = small_host();
+    opts.stale_after_us = sim_ms(1500);
+    opts.evict_after_us = sim_sec(3);
+    return opts;
+  }
+
+  SharingSession session;
+  SharingSession::Connection* conn = nullptr;
+  ParticipantId evicted_id = 0;
+};
+
+TEST(SessionResilience, ReconnectAfterEvictionKeepsReissuedIdHolder) {
+  EvictedViewer v;
+  AppHost& host = v.session.host();
   std::size_t newcomer_packets = 0;
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUdp;
@@ -207,15 +220,32 @@ TEST(SessionResilience, ReconnectAfterEvictionKeepsReissuedIdHolder) {
     return true;
   };
   const ParticipantId newcomer = host.add_participant(std::move(ep));
-  ASSERT_EQ(newcomer, evicted_id);
+  ASSERT_EQ(newcomer, v.evicted_id);
 
   // The reconnect must not deregister the id's new holder.
-  session.reconnect_tcp(conn, fast_tcp());
-  EXPECT_NE(conn.id, newcomer);
+  v.session.reconnect_tcp(*v.conn, fast_tcp());
+  EXPECT_NE(v.conn->id, newcomer);
   EXPECT_EQ(host.participant_count(), 2u);
   host.on_uplink_packet(newcomer, PictureLossIndication{}.serialize());
   host.tick();
   EXPECT_GT(newcomer_packets, 0u);
+}
+
+TEST(SessionResilience, ReconnectWithFreshIdAdoptsItAsBfcpIdentity) {
+  EvictedViewer v;
+  AppHost& host = v.session.host();
+  ASSERT_EQ(host.add_participant(Endpoint{}), v.evicted_id);
+  v.session.reconnect_tcp(*v.conn, fast_tcp());
+  ASSERT_NE(v.conn->id, v.evicted_id);
+
+  // The AH grants the floor to the transport identity (the fresh id) and
+  // addresses its FloorRequestStatus to it; the participant must accept it.
+  host.start();
+  v.conn->participant->request_floor();
+  v.session.run_for(sim_sec(1));
+  EXPECT_TRUE(v.conn->participant->has_floor());
+  EXPECT_FALSE(v.conn->participant->floor_pending());
+  EXPECT_EQ(v.conn->participant->hid_status(), HidStatus::kAllAllowed);
 }
 
 TEST(SessionResilience, NackRetriesAreBoundedPerSequenceAndEscalateToPli) {
