@@ -6,6 +6,7 @@
 //   * DEFLATE level sweep (LZ77 search depth / lazy matching)
 //   * forced block type: stored vs fixed vs dynamic Huffman
 //   * PNG adaptive filtering on vs off
+//   * level-6 PNG encode of one 128-row AH band per content class
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -102,14 +103,25 @@ void png_filters(benchmark::State& state) {
                   state.counters);
 }
 
+/// One 128-row band (rows 128..255 of a 384-row frame) of `workload` at
+/// `width`, PNG-encoded at level 6 into a reused scratch, as an AH encode
+/// worker does.
+void png_band(benchmark::State& state, const char* workload, std::int64_t width) {
+  const Image band = workload_frame(workload, width, 384).crop({0, 128, width, 128});
+  EncodeScratch scratch;
+  Bytes encoded;
+  for (auto _ : state) {
+    png_encode_into(band, {.deflate = {.level = 6}}, encoded, scratch);
+    benchmark::DoNotOptimize(encoded);
+  }
+  state.counters["bytes"] = static_cast<double>(encoded.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * width * 128 * 4);
+  record_counters("deflate", std::string("E9/png/band/") + workload, state.counters);
+}
+
 BENCHMARK(deflate_levels)
     ->Name("E9/deflate/level")
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(6)
-    ->Arg(9)
+    ->DenseRange(0, 9)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(deflate_block_types)
     ->Name("E9/deflate/block_type")  // 1=stored, 2=fixed, 3=dynamic
@@ -122,6 +134,19 @@ BENCHMARK(png_filters)
     ->Name("E9/png/adaptive_filters")  // 0=off, 1=on
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+// Widths of the perfbench workloads that carry each class.
+BENCHMARK_CAPTURE(png_band, video, "video", 512)
+    ->Name("E9/png/band/video")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band, terminal, "terminal", 512)
+    ->Name("E9/png/band/terminal")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band, document, "document", 800)
+    ->Name("E9/png/band/document")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band, webpage, "webpage", 1024)
+    ->Name("E9/png/band/webpage")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

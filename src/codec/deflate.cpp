@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "codec/bitstream.hpp"
 #include "codec/huffman.hpp"
+#include "util/simd.hpp"
 
 namespace ads {
 
@@ -17,8 +19,7 @@ using namespace deflate_tables;
 constexpr int kWindowSize = 32768;
 constexpr int kMinMatch = 3;
 constexpr int kMaxMatch = 258;
-constexpr int kHashBits = 15;
-constexpr int kHashSize = 1 << kHashBits;
+constexpr std::size_t kHashSize = std::size_t{1} << simd::kHash3Bits;
 constexpr int kEndOfBlock = 256;
 constexpr int kNumLitLen = 286;  // literal/length alphabet size
 
@@ -27,14 +28,6 @@ struct Token {
   std::uint16_t length_or_literal;
   std::uint16_t dist;
 };
-
-std::uint32_t hash3(const std::uint8_t* p) {
-  // Multiplicative hash of 3 bytes into kHashBits.
-  const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
-                          static_cast<std::uint32_t>(p[1]) << 8 |
-                          static_cast<std::uint32_t>(p[2]) << 16;
-  return (v * 0x9E3779B1u) >> (32 - kHashBits);
-}
 
 struct SearchParams {
   int max_chain;
@@ -79,46 +72,96 @@ struct Match {
   int dist = 0;
 };
 
-/// Hash-chain LZ77 tokeniser. The chain tables and token list are borrowed
-/// from the caller's scratch so repeated invocations reuse their capacity.
-class Lz77 {
+/// Grow-only array whose contents are neither initialised nor kept when it
+/// grows: every use overwrites what it reads.
+template <typename T>
+class Buffer {
  public:
-  Lz77(BytesView input, SearchParams params, std::vector<int>& head,
-       std::vector<int>& prev)
-      : in_(input), params_(params), head_(head), prev_(prev) {
-    head_.assign(kHashSize, -1);
-    prev_.assign(input.size(), -1);
+  T* grown(std::size_t n) {
+    if (capacity_ < n) {
+      data_ = std::make_unique_for_overwrite<T[]>(n);
+      capacity_ = n;
+    }
+    return data_.get();
   }
 
-  void tokenize(std::vector<Token>& tokens) {
+ private:
+  std::unique_ptr<T[]> data_;
+  std::size_t capacity_ = 0;
+};
+
+/// Working arrays of the match-candidate index, kept in DeflateScratch so
+/// repeated calls reuse their capacity.
+struct MatchIndexScratch {
+  Buffer<std::uint16_t> hash;   ///< hash3 of each position
+  Buffer<std::uint32_t> slot;   ///< each position's slot in `order`
+  Buffer<std::uint32_t> order;  ///< positions grouped by bucket, ascending
+  Buffer<std::uint16_t> seen;   ///< buckets in order of first occurrence
+  std::vector<std::uint32_t> count;  ///< per-bucket tally; all zero between calls
+};
+
+/// The `order` slot in front of each bucket. Any position minus it wraps
+/// past the window, so the candidate walk stops there.
+constexpr std::uint32_t kBucketEnd = 0xFFFFFFFF;
+
+/// Positions the index build handles at once inside a run of one bucket.
+constexpr std::uint32_t kBlock = 16;
+
+/// True when all kBlock hashes at `h` equal `bucket` (four 8-byte compares).
+bool block_in_bucket(const std::uint16_t* h, std::uint32_t bucket) {
+  const std::uint64_t pattern = 0x0001000100010001ull * bucket;
+  std::uint64_t diff = 0;
+  for (std::uint32_t k = 0; k < kBlock; k += 4) {
+    std::uint64_t w;
+    std::memcpy(&w, h + k, 8);
+    diff |= w ^ pattern;
+  }
+  return diff == 0;
+}
+
+/// LZ77 tokeniser over a candidate index built once per input.
+///
+/// The probe at position p walks the earlier positions q < p with
+/// hash3(q) == hash3(p), most recent first, up to max_chain of them and no
+/// further back than the 32 KiB window. Those are exactly the positions an
+/// insert-as-you-go hash chain holds when p is probed: every position before
+/// p, and none after it, is inserted before p is probed, on the greedy, lazy
+/// and look-ahead paths alike. So the index needs no inserts: `order` lists
+/// each bucket's positions in ascending order behind a kBucketEnd slot, and
+/// the candidates of p are the slots just below slot[p], read as one
+/// contiguous run.
+class Lz77 {
+ public:
+  Lz77(BytesView input, SearchParams params, MatchIndexScratch& s)
+      : in_(input), params_(params) {
+    build_index(s);
+  }
+
+  void tokenize(std::vector<Token>& tokens) const {
     tokens.clear();
     tokens.reserve(in_.size() / 3 + 16);
     const std::size_t n = in_.size();
     std::size_t i = 0;
-    // Longest match at i on the current chains. Each position is probed
-    // once: a lazy look-ahead that wins is carried into the next step.
+    // Longest match at i. Each position is probed once: a lazy look-ahead
+    // that wins is carried into the next step.
     Match match = find_match(0);
     while (i < n) {
       if (params_.lazy && match.len >= kMinMatch && match.len < params_.nice_length &&
           i + 1 < n) {
         // Peek at i+1; if strictly better there, emit in_[i] as a literal.
-        insert(i);
         const Match next = find_match(i + 1);
         if (next.len > match.len) {
           tokens.push_back({in_[i], 0});
           ++i;
-          // Nothing was inserted since the peek, so it is the match at i.
           match = next;
           continue;
         }
-        // Match at i wins; i is already inserted.
-        emit_match(tokens, i, match, /*first_inserted=*/true);
-        i += static_cast<std::size_t>(match.len);
-      } else if (match.len >= kMinMatch) {
-        emit_match(tokens, i, match, false);
+      }
+      if (match.len >= kMinMatch) {
+        tokens.push_back(
+            {static_cast<std::uint16_t>(match.len), static_cast<std::uint16_t>(match.dist)});
         i += static_cast<std::size_t>(match.len);
       } else {
-        insert(i);
         tokens.push_back({in_[i], 0});
         ++i;
       }
@@ -127,17 +170,92 @@ class Lz77 {
   }
 
  private:
+  /// Bucket-sorts the positions that have a full trigram: hash pass, rank
+  /// of each position within its bucket, bucket starts, one scatter.
+  void build_index(MatchIndexScratch& s) {
+    const std::size_t m = in_.size() >= kMinMatch ? in_.size() - (kMinMatch - 1) : 0;
+    const std::size_t max_buckets = std::min(m, kHashSize);
+    // Everything is allocated before `count` is touched, so it is back to
+    // all zero whenever this returns.
+    std::uint16_t* const hash = s.hash.grown(m);
+    slot_ = s.slot.grown(m);
+    order_ = s.order.grown(m + max_buckets);
+    // One slot of slack: the rank pass stores each bucket change before it
+    // knows whether the bucket is new.
+    std::uint16_t* const seen = s.seen.grown(max_buckets + 1);
+    if (s.count.empty()) s.count.resize(kHashSize);
+    std::uint32_t* const count = s.count.data();
+    if (m == 0) return;
+    simd::hash3_run(in_.data(), m, hash);
+
+    // Rank (into slot_ for now): the bucket's tally so far. Within a run
+    // of one bucket it is counted in a register, kBlock positions at a
+    // time where it can be; `count` is touched only where the bucket
+    // changes. A bucket whose tally reads zero there is new.
+    std::uint32_t bucket = hash[0];
+    std::uint32_t r = 0;
+    std::size_t distinct = 0;
+    seen[distinct++] = static_cast<std::uint16_t>(bucket);
+    for (std::size_t p = 0; p < m;) {
+      const std::uint32_t h = hash[p];
+      if (h != bucket) {
+        count[bucket] = r;
+        bucket = h;
+        r = count[h];
+        seen[distinct] = static_cast<std::uint16_t>(h);
+        distinct += r == 0;
+      } else if (p + kBlock <= m && block_in_bucket(hash + p, h)) {
+        for (std::uint32_t k = 0; k < kBlock; ++k) slot_[p + k] = r + k;
+        r += kBlock;
+        p += kBlock;
+        continue;
+      }
+      slot_[p++] = r++;
+    }
+    count[bucket] = r;
+
+    // Buckets take consecutive ranges of `order` in first-occurrence
+    // order, so this pass costs the number of buckets used, not all
+    // 32768. `count` now holds each bucket's first slot.
+    std::uint32_t next = 0;
+    for (std::size_t k = 0; k < distinct; ++k) {
+      const std::uint16_t b = seen[k];
+      order_[next++] = kBucketEnd;
+      const std::uint32_t size = count[b];
+      count[b] = next;
+      next += size;
+    }
+
+    // Scatter: slot = bucket start + rank. kBlock positions whose ranks
+    // are consecutive in one bucket fill consecutive slots.
+    for (std::size_t p = 0; p < m;) {
+      const std::uint32_t h = hash[p];
+      const std::uint32_t first = count[h] + slot_[p];
+      if (p + kBlock <= m && hash[p + kBlock - 1] == h &&
+          slot_[p + kBlock - 1] == slot_[p] + (kBlock - 1)) {
+        for (std::uint32_t k = 0; k < kBlock; ++k) {
+          order_[first + k] = static_cast<std::uint32_t>(p) + k;
+          slot_[p + k] = first + k;
+        }
+        p += kBlock;
+      } else {
+        order_[first] = static_cast<std::uint32_t>(p);
+        slot_[p++] = first;
+      }
+    }
+    for (std::size_t k = 0; k < distinct; ++k) count[seen[k]] = 0;
+  }
+
   Match find_match(std::size_t pos) const {
     Match best;
     const std::size_t n = in_.size();
     if (pos + kMinMatch > n) return best;
     const int limit = static_cast<int>(std::min<std::size_t>(kMaxMatch, n - pos));
     const std::uint8_t* const here = &in_[pos];
-    int candidate = head_[hash3(here)];
-    int chain = params_.max_chain;
-    while (candidate >= 0 && chain-- > 0) {
-      const std::size_t cpos = static_cast<std::size_t>(candidate);
-      if (pos - cpos > kWindowSize) break;
+    const std::uint32_t* cand = order_ + slot_[pos];
+    for (int chain = params_.max_chain; chain > 0; --chain) {
+      const std::size_t cpos = *--cand;
+      if (pos - cpos > kWindowSize) break;  // also kBucketEnd
       const std::uint8_t* const there = &in_[cpos];
       // Only a candidate that also matches at offset best.len can be
       // longer; best.len < limit keeps this probe inside the input.
@@ -148,30 +266,14 @@ class Lz77 {
           if (len >= params_.nice_length || len == limit) break;
         }
       }
-      candidate = prev_[cpos];
     }
     return best;
   }
 
-  void insert(std::size_t pos) {
-    if (pos + kMinMatch > in_.size()) return;
-    const std::uint32_t h = hash3(&in_[pos]);
-    prev_[pos] = head_[h];
-    head_[h] = static_cast<int>(pos);
-  }
-
-  void emit_match(std::vector<Token>& tokens, std::size_t pos, Match m,
-                  bool first_inserted) {
-    tokens.push_back(
-        {static_cast<std::uint16_t>(m.len), static_cast<std::uint16_t>(m.dist)});
-    const std::size_t start = first_inserted ? pos + 1 : pos;
-    for (std::size_t p = start; p < pos + static_cast<std::size_t>(m.len); ++p) insert(p);
-  }
-
   BytesView in_;
   SearchParams params_;
-  std::vector<int>& head_;
-  std::vector<int>& prev_;
+  std::uint32_t* slot_ = nullptr;
+  std::uint32_t* order_ = nullptr;
 };
 
 struct CodeSet {
@@ -385,8 +487,7 @@ const CodeSet& fixed_codes() {
 }  // namespace
 
 struct DeflateScratch::Impl {
-  std::vector<int> head;
-  std::vector<int> prev;
+  MatchIndexScratch index;
   std::vector<Token> tokens;
   std::vector<std::uint64_t> lit_freq;
   std::vector<std::uint64_t> dist_freq;
@@ -431,7 +532,7 @@ void deflate_compress_into(BytesView input, const DeflateOptions& opts, Bytes& o
 
   const SearchParams params = params_for_level(level);
   std::vector<Token>& tokens = scratch.impl->tokens;
-  Lz77(input, params, scratch.impl->head, scratch.impl->prev).tokenize(tokens);
+  Lz77(input, params, scratch.impl->index).tokenize(tokens);
 
   // Candidate 1: fixed Huffman.
   const CodeSet& fixed = fixed_codes();

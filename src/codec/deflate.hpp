@@ -1,6 +1,6 @@
 // DEFLATE compressor (RFC 1951), implemented from scratch.
 //
-// Pipeline: LZ77 tokenisation with hash-chain match search (optionally
+// Pipeline: LZ77 tokenisation with hash-bucket match search (optionally
 // lazy), then per-stream Huffman coding. The encoder emits whichever of
 // {stored, fixed-Huffman, dynamic-Huffman} blocks is smallest for the data.
 // Shared tables (length/distance code bases) live in this header so the
@@ -30,8 +30,8 @@ struct DeflateOptions {
 /// only), anything above 9 as 9.
 int deflate_clamp_level(int level);
 
-/// Reusable compressor state (hash chains, token list, frequency tables,
-/// staging buffers). One scratch per thread: reusing it across calls makes
+/// Reusable compressor state (match-candidate index, token list, frequency
+/// tables, staging buffers). One scratch per thread: reusing it across calls makes
 /// the steady-state encode path allocation-free for same-or-smaller inputs.
 struct DeflateScratch {
   DeflateScratch();

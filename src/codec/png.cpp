@@ -13,6 +13,11 @@
 namespace ads {
 namespace {
 
+// Encoder and decoder both treat RGBA rows as PNG scanlines.
+static_assert(sizeof(Pixel) == 4 && offsetof(Pixel, r) == 0 && offsetof(Pixel, g) == 1 &&
+                  offsetof(Pixel, b) == 2 && offsetof(Pixel, a) == 3,
+              "Pixel must be RGBA8 in memory order");
+
 constexpr std::array<std::uint8_t, 8> kSignature = {0x89, 'P', 'N', 'G', '\r', '\n', 0x1A,
                                                     '\n'};
 
@@ -88,18 +93,22 @@ void png_encode_into(const Image& img, const PngOptions& opts, Bytes& dest,
   const std::size_t bpp = opts.rgba ? 4 : 3;
   const std::size_t stride = width * bpp;
 
-  // Serialise pixel rows.
-  Bytes& raster = scratch.staging;
-  raster.resize(height * stride);
-  for (std::size_t y = 0; y < height; ++y) {
-    const auto row = img.row(static_cast<std::int64_t>(y));
-    std::uint8_t* out = &raster[y * stride];
-    for (std::size_t x = 0; x < width; ++x) {
-      out[x * bpp + 0] = row[x].r;
-      out[x * bpp + 1] = row[x].g;
-      out[x * bpp + 2] = row[x].b;
-      if (opts.rgba) out[x * bpp + 3] = row[x].a;
+  // RGBA scanlines are the pixel rows themselves; RGB ones are serialised
+  // into staging with alpha dropped.
+  const std::uint8_t* raster = reinterpret_cast<const std::uint8_t*>(img.pixels().data());
+  if (!opts.rgba) {
+    Bytes& rgb = scratch.staging;
+    rgb.resize(height * stride);
+    for (std::size_t y = 0; y < height; ++y) {
+      const auto row = img.row(static_cast<std::int64_t>(y));
+      std::uint8_t* out = &rgb[y * stride];
+      for (std::size_t x = 0; x < width; ++x) {
+        out[x * 3 + 0] = row[x].r;
+        out[x * 3 + 1] = row[x].g;
+        out[x * 3 + 2] = row[x].b;
+      }
     }
+    raster = rgb.data();
   }
 
   // Filter: each scanline is prefixed with its filter type byte.
@@ -108,8 +117,8 @@ void png_encode_into(const Image& img, const PngOptions& opts, Bytes& dest,
   Bytes& trial = scratch.row;
   trial.resize(stride);
   for (std::size_t y = 0; y < height; ++y) {
-    const std::uint8_t* row = &raster[y * stride];
-    const std::uint8_t* prior = y > 0 ? &raster[(y - 1) * stride] : nullptr;
+    const std::uint8_t* row = raster + y * stride;
+    const std::uint8_t* prior = y > 0 ? row - stride : nullptr;
     std::uint8_t* dst = &filtered[y * (stride + 1)];
     if (!opts.adaptive_filters || stride == 0) {
       dst[0] = 0;
@@ -216,9 +225,6 @@ Result<Image> png_decode(BytesView data) {
 
   // RGBA scanlines unfilter straight into the pixel rows; RGB ones in
   // place, then widen.
-  static_assert(sizeof(Pixel) == 4 && offsetof(Pixel, r) == 0 && offsetof(Pixel, g) == 1 &&
-                    offsetof(Pixel, b) == 2 && offsetof(Pixel, a) == 3,
-                "Pixel must be RGBA8 in memory order");
   Image img(width, height);
   std::uint8_t* const pixels = reinterpret_cast<std::uint8_t*>(img.pixels().data());
   const Bytes zeros(stride, 0);

@@ -28,7 +28,7 @@ namespace ads {
 /// AH's parallel band pipeline run allocation-free in steady state.
 struct EncodeScratch {
   DeflateScratch deflate;
-  Bytes staging;     ///< raw raster rows (PNG) / coefficient stream (DCT)
+  Bytes staging;     ///< RGB raster rows (PNG) / coefficient stream (DCT)
   Bytes filtered;    ///< PNG filtered scanlines
   Bytes row;         ///< PNG per-row filter trial buffer
   Bytes compressed;  ///< zlib/deflate output staging

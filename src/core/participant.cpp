@@ -367,7 +367,13 @@ void Participant::schedule_nack() {
 void Participant::deliver(const RtpPacket& pkt) {
   auto msg = demux_.feed(pkt.payload, pkt.marker);
   if (!msg.ok()) {
-    ++stats_.decode_errors;
+    // A continuation whose first fragment was lost (or dropped by a demux
+    // reset after a skipped gap) is loss fallout, not a malformed payload.
+    if (msg.error() == ParseError::kBadState) {
+      ++stats_.orphan_fragments;
+    } else {
+      ++stats_.decode_errors;
+    }
     return;
   }
   if (msg->has_value()) apply(std::move(**msg), pkt);

@@ -167,7 +167,8 @@ class Participant {
     std::uint64_t move_rectangles = 0;
     std::uint64_t wmi_received = 0;
     std::uint64_t pointer_updates = 0;
-    std::uint64_t decode_errors = 0;
+    std::uint64_t decode_errors = 0;      ///< malformed or undecodable payloads
+    std::uint64_t orphan_fragments = 0;   ///< continuations whose start was lost
     std::uint64_t nacks_sent = 0;
     std::uint64_t plis_sent = 0;
     std::uint64_t gaps_skipped = 0;

@@ -93,6 +93,7 @@ void SharingSession::publish_net_metrics() {
     part.wmi_received += s.wmi_received;
     part.pointer_updates += s.pointer_updates;
     part.decode_errors += s.decode_errors;
+    part.orphan_fragments += s.orphan_fragments;
     part.nacks_sent += s.nacks_sent;
     part.plis_sent += s.plis_sent;
     part.gaps_skipped += s.gaps_skipped;
@@ -150,6 +151,7 @@ void SharingSession::publish_net_metrics() {
   met.counter("participant.wmi_received").set(part.wmi_received);
   met.counter("participant.pointer_updates").set(part.pointer_updates);
   met.counter("participant.decode_errors").set(part.decode_errors);
+  met.counter("participant.orphan_fragments").set(part.orphan_fragments);
   met.counter("participant.nacks_sent").set(part.nacks_sent);
   met.counter("participant.plis_sent").set(part.plis_sent);
   met.counter("participant.gaps_skipped").set(part.gaps_skipped);

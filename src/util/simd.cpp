@@ -125,6 +125,10 @@ std::uint64_t png_abs_sum_scalar(const std::uint8_t* data, std::size_t n) {
   return s;
 }
 
+void hash3_run_scalar(const std::uint8_t* data, std::size_t n, std::uint16_t* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint16_t>(hash3(data + i));
+}
+
 void fdct8x8_scalar(const double in[64], double out[64], const double basis[64],
                     const double basis_t[64]) {
   (void)basis_t;
@@ -460,6 +464,35 @@ std::uint64_t png_abs_sum_avx2(const std::uint8_t* data, std::size_t n) {
   return l[0] + l[1] + l[2] + l[3] + png_abs_sum_scalar(data + i, n - i);
 }
 
+// Trigram hash, 16 positions per step: each 128-bit lane byte-shuffles its
+// own copy of a 16-byte load into four zero-extended 3-byte windows (lane 0
+// positions +0..3, lane 1 +4..7), then the same 32-bit multiply and shift
+// as hash3. The second load reads bytes i+8..i+23, so the loop stops while
+// i + 24 <= n + 2; the tail runs the scalar loop.
+ADS_TARGET_AVX2
+void hash3_run_avx2(const std::uint8_t* data, std::size_t n, std::uint16_t* out) {
+  const __m256i gather =
+      _mm256_setr_epi8(0, 1, 2, -1, 1, 2, 3, -1, 2, 3, 4, -1, 3, 4, 5, -1,  //
+                       4, 5, 6, -1, 5, 6, 7, -1, 6, 7, 8, -1, 7, 8, 9, -1);
+  const __m256i mul = _mm256_set1_epi32(static_cast<int>(0x9E3779B1u));
+  constexpr int kShift = 32 - kHash3Bits;
+  std::size_t i = 0;
+  for (; i + 22 <= n; i += 16) {
+    const __m256i a = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i)));
+    const __m256i b = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i + 8)));
+    const __m256i ha =
+        _mm256_srli_epi32(_mm256_mullo_epi32(_mm256_shuffle_epi8(a, gather), mul), kShift);
+    const __m256i hb =
+        _mm256_srli_epi32(_mm256_mullo_epi32(_mm256_shuffle_epi8(b, gather), mul), kShift);
+    // packus works per lane (a0..3 b0..3 | a4..7 b4..7); 0xD8 restores order.
+    const __m256i packed = _mm256_permute4x64_epi64(_mm256_packus_epi32(ha, hb), 0xD8);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), packed);
+  }
+  hash3_run_scalar(data + i, n - i, out + i);
+}
+
 ADS_TARGET_AVX2
 void fdct8x8_avx2(const double in[64], double out[64], const double basis[64],
                   const double basis_t[64]) {
@@ -618,6 +651,7 @@ struct Kernels {
   void (*filter)(int, const std::uint8_t*, const std::uint8_t*, std::size_t,
                  std::size_t, std::uint8_t*) = &png_filter_row_scalar;
   std::uint64_t (*abs_sum)(const std::uint8_t*, std::size_t) = &png_abs_sum_scalar;
+  void (*hash3)(const std::uint8_t*, std::size_t, std::uint16_t*) = &hash3_run_scalar;
   void (*fdct)(const double[64], double[64], const double[64], const double[64]) =
       &fdct8x8_scalar;
   void (*quantise)(const double[64], const int[64], const int[64], int[64]) =
@@ -637,6 +671,7 @@ struct Kernels {
       fnv4 = &fnv4_absorb_avx2;
       filter = &png_filter_row_avx2;
       abs_sum = &png_abs_sum_avx2;
+      hash3 = &hash3_run_avx2;
       fdct = &fdct8x8_avx2;
       quantise = &dct_quantise_avx2;
       halve = &box_halve_row_avx2;
@@ -690,6 +725,26 @@ void png_filter_row(int type, const std::uint8_t* row, const std::uint8_t* prior
 
 std::uint64_t png_abs_sum(const std::uint8_t* data, std::size_t n) {
   return kernels().abs_sum(data, n);
+}
+
+void hash3_run(const std::uint8_t* data, std::size_t n, std::uint16_t* out) {
+  kernels().hash3(data, n, out);
+}
+
+void hash3_run_at(Level level, const std::uint8_t* data, std::size_t n,
+                  std::uint16_t* out) {
+  if (static_cast<int>(level) > static_cast<int>(active_level()))
+    level = active_level();
+#if ADS_SIMD_X86
+  switch (level) {
+    case Level::kAvx2: hash3_run_avx2(data, n, out); return;
+    case Level::kSse42:
+    case Level::kScalar: break;
+  }
+#else
+  (void)level;
+#endif
+  hash3_run_scalar(data, n, out);
 }
 
 void fdct8x8(const double in[64], double out[64], const double basis[64],

@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernels for the measured hot loops: Adler-32 and
 // CRC-32 absorption (util/checksum), tile hashing (image/damage), PNG filter
-// selection/apply (codec/png), the forward DCT + quantise (codec/dct) and
-// the box-downscale row average (transcode's FrameScaler).
+// selection/apply (codec/png), the DEFLATE matcher's trigram hash pass
+// (codec/deflate), the forward DCT + quantise (codec/dct) and the
+// box-downscale row average (transcode's FrameScaler).
 //
 // Contract: every dispatched kernel is bit-identical to its `_scalar`
 // reference on all inputs — vector paths keep each output element's
@@ -76,6 +77,27 @@ void png_filter_row_scalar(int type, const std::uint8_t* row,
 std::uint64_t png_abs_sum(const std::uint8_t* data, std::size_t n);
 /// Scalar reference for png_abs_sum.
 std::uint64_t png_abs_sum_scalar(const std::uint8_t* data, std::size_t n);
+
+/// Bits of the DEFLATE matcher's trigram hash (32768 buckets).
+inline constexpr int kHash3Bits = 15;
+
+/// The DEFLATE matcher's hash of the three bytes at `p`: their
+/// little-endian 24-bit value times 0x9E3779B1, top kHash3Bits bits.
+inline std::uint32_t hash3(const std::uint8_t* p) {
+  const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                          static_cast<std::uint32_t>(p[1]) << 8 |
+                          static_cast<std::uint32_t>(p[2]) << 16;
+  return (v * 0x9E3779B1u) >> (32 - kHash3Bits);
+}
+
+/// out[i] = hash3(data + i) for every i < n; reads n + 2 bytes of `data`.
+void hash3_run(const std::uint8_t* data, std::size_t n, std::uint16_t* out);
+/// Scalar reference for hash3_run.
+void hash3_run_scalar(const std::uint8_t* data, std::size_t n, std::uint16_t* out);
+/// Test hook: run hash3_run's tier-`level` implementation (clamped to
+/// active_level()).
+void hash3_run_at(Level level, const std::uint8_t* data, std::size_t n,
+                  std::uint16_t* out);
 
 /// 8×8 forward DCT. `basis` is the separable cos basis t[u][x] row-major;
 /// `basis_t` its transpose t[x][u] (the vector path broadcasts inputs and

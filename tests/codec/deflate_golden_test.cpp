@@ -5,8 +5,15 @@
 // moves one (a different lazy policy, chain halving, another hash) fails
 // here and has to re-baseline the table on purpose. Every stream must also
 // round-trip through inflate().
+//
+// Besides screen content, four crafted corpora pin the edges of the match
+// search: the 32 KiB window, the per-level candidate cap, hash collisions
+// (which use up candidates too) and a lazy look-ahead past the last
+// trigram.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -58,6 +65,72 @@ Bytes cyclic(std::size_t n, Prng& rng) {
   return out;
 }
 
+/// The matcher's trigram hash (`hash3` in util/simd.hpp) of the
+/// little-endian 24-bit value `v`, restated so the crafted inputs below do
+/// not depend on the code under test.
+std::uint32_t trigram_hash(std::uint32_t v) { return (v * 0x9E3779B1u) >> 17; }
+
+std::uint32_t trigram_at(const Bytes& b, std::size_t i) {
+  return b[i] | static_cast<std::uint32_t>(b[i + 1]) << 8 |
+         static_cast<std::uint32_t>(b[i + 2]) << 16;
+}
+
+Bytes letters(std::size_t n, Prng& rng) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>('a' + rng.below(26));
+  return out;
+}
+
+/// A 258-byte block, a zero run, and the block again at distance `dist`
+/// from its only earlier copy. The block's bytes are nonzero, so the run
+/// shares none of its trigrams.
+Bytes window_edge(std::size_t dist, Prng& rng) {
+  Bytes out(258);
+  for (auto& b : out) b = static_cast<std::uint8_t>(1 + rng.below(255));
+  const Bytes block = out;
+  out.resize(dist, 0);
+  out.insert(out.end(), block.begin(), block.end());
+  return out;
+}
+
+/// A 64-byte target, then `decoys` nearer positions in the bucket of its
+/// first trigram, then a separator and the target again: the earlier copy
+/// is candidate decoys + 1 of the second copy's first probe. Each decoy is
+/// three bytes in that bucket followed by a non-letter (its trigram
+/// itself, or a colliding one).
+Bytes behind_decoys(const std::vector<std::array<std::uint8_t, 3>>& decoys,
+                    const Bytes& target) {
+  Bytes out = target;
+  for (const auto& d : decoys) {
+    out.insert(out.end(), d.begin(), d.end());
+    out.push_back('#');
+  }
+  out.push_back('!');
+  out.insert(out.end(), target.begin(), target.end());
+  return out;
+}
+
+/// `count` copies of the target's first trigram.
+std::vector<std::array<std::uint8_t, 3>> same_trigram(const Bytes& target,
+                                                      std::size_t count) {
+  return std::vector<std::array<std::uint8_t, 3>>(count, {target[0], target[1], target[2]});
+}
+
+/// `count` distinct trigrams that are not the target's first one but hash
+/// into its bucket; their first byte differs from the target's, so each
+/// fails the byte check at offset 0.
+std::vector<std::array<std::uint8_t, 3>> colliding_trigrams(const Bytes& target,
+                                                            std::size_t count) {
+  const std::uint32_t want = trigram_hash(trigram_at(target, 0));
+  std::vector<std::array<std::uint8_t, 3>> out;
+  for (std::uint32_t v = 0; out.size() < count; ++v) {
+    if ((v & 0xFF) == target[0] || trigram_hash(v) != want) continue;
+    out.push_back({static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+                   static_cast<std::uint8_t>(v >> 16)});
+  }
+  return out;
+}
+
 const std::vector<Corpus>& corpora() {
   static const std::vector<Corpus> all = [] {
     std::vector<Corpus> c;
@@ -92,6 +165,44 @@ const std::vector<Corpus>& corpora() {
       small.inputs.push_back(cyclic(n, rng));
     }
     c.push_back(std::move(small));
+
+    // The only earlier copy at distance 32768 must be used, at 32769 not.
+    c.push_back({"window", {window_edge(32768, rng), window_edge(32769, rng)}});
+
+    // The earlier copy is the max_chain-th candidate (found) or the
+    // (max_chain + 1)-th (missed) at levels 4, 6 and 9.
+    const Bytes target = letters(64, rng);
+    Corpus cap{"chain_cap", {}};
+    for (std::size_t chain : {32, 128, 4096}) {
+      for (std::size_t decoys : {chain - 1, chain}) {
+        cap.inputs.push_back(behind_decoys(same_trigram(target, decoys), target));
+      }
+    }
+    c.push_back(std::move(cap));
+
+    // As above with distinct trigrams that collide in the hash, at levels
+    // 1, 2 and 3.
+    Corpus collisions{"collisions", {}};
+    for (std::size_t chain : {4, 8, 16}) {
+      for (std::size_t decoys : {chain - 1, chain}) {
+        collisions.inputs.push_back(
+            behind_decoys(colliding_trigrams(target, decoys), target));
+      }
+    }
+    c.push_back(std::move(collisions));
+
+    // Inputs that end in a copy of their first t bytes. The match found at
+    // n - t has its lazy look-ahead at n - t + 1: for t = 3 that is one of
+    // the last two positions, which have no trigram left to probe; for
+    // t > 3 it still has one.
+    Corpus tail{"tail", {}};
+    for (std::size_t t = 3; t <= 6; ++t) {
+      Bytes in = letters(24, rng);
+      const Bytes head(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(t));
+      in.insert(in.end(), head.begin(), head.end());
+      tail.inputs.push_back(std::move(in));
+    }
+    c.push_back(std::move(tail));
     return c;
   }();
   return all;
@@ -269,6 +380,114 @@ constexpr Golden kGolden[] = {
     {"small", 9, Block::kAuto, 6017, 0x948c2d10505ed5b9ull},
     {"small", 9, Block::kFixed, 6017, 0x948c2d10505ed5b9ull},
     {"small", 9, Block::kDynamic, 8023, 0x9eb48b572345c56dull},
+    {"window", 1, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 1, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 1, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 2, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 2, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 2, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 3, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 3, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 3, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 4, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 4, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 4, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 5, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 5, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 5, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 6, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 6, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 6, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 7, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 7, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 7, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 8, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 8, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 8, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"window", 9, Block::kAuto, 988, 0x67de91698d2e13c6ull},
+    {"window", 9, Block::kFixed, 1241, 0x03353f84e8de6b16ull},
+    {"window", 9, Block::kDynamic, 988, 0x67de91698d2e13c6ull},
+    {"chain_cap", 1, Block::kAuto, 506, 0x5f219f11f57d65f4ull},
+    {"chain_cap", 1, Block::kFixed, 666, 0x3151978c085d8bc8ull},
+    {"chain_cap", 1, Block::kDynamic, 506, 0x5f219f11f57d65f4ull},
+    {"chain_cap", 2, Block::kAuto, 506, 0x5f219f11f57d65f4ull},
+    {"chain_cap", 2, Block::kFixed, 666, 0x3151978c085d8bc8ull},
+    {"chain_cap", 2, Block::kDynamic, 506, 0x5f219f11f57d65f4ull},
+    {"chain_cap", 3, Block::kAuto, 506, 0x5f219f11f57d65f4ull},
+    {"chain_cap", 3, Block::kFixed, 666, 0x3151978c085d8bc8ull},
+    {"chain_cap", 3, Block::kDynamic, 506, 0x5f219f11f57d65f4ull},
+    {"chain_cap", 4, Block::kAuto, 499, 0xfb1231ee27366069ull},
+    {"chain_cap", 4, Block::kFixed, 661, 0x5d9377877e76cab2ull},
+    {"chain_cap", 4, Block::kDynamic, 499, 0xfb1231ee27366069ull},
+    {"chain_cap", 5, Block::kAuto, 498, 0x15a8d64a1598d01eull},
+    {"chain_cap", 5, Block::kFixed, 660, 0x539883c44fb6a8f0ull},
+    {"chain_cap", 5, Block::kDynamic, 498, 0x15a8d64a1598d01eull},
+    {"chain_cap", 6, Block::kAuto, 498, 0x2743058ac71c6b46ull},
+    {"chain_cap", 6, Block::kFixed, 659, 0xc01880da99d6622full},
+    {"chain_cap", 6, Block::kDynamic, 498, 0x2743058ac71c6b46ull},
+    {"chain_cap", 7, Block::kAuto, 498, 0x437f40bd80e4cd69ull},
+    {"chain_cap", 7, Block::kFixed, 658, 0xccdcb5c2a6eaff52ull},
+    {"chain_cap", 7, Block::kDynamic, 498, 0x437f40bd80e4cd69ull},
+    {"chain_cap", 8, Block::kAuto, 498, 0x437f40bd80e4cd69ull},
+    {"chain_cap", 8, Block::kFixed, 658, 0xccdcb5c2a6eaff52ull},
+    {"chain_cap", 8, Block::kDynamic, 498, 0x437f40bd80e4cd69ull},
+    {"chain_cap", 9, Block::kAuto, 498, 0x2a642e70e6ec1c7cull},
+    {"chain_cap", 9, Block::kFixed, 657, 0xdec386f5b991fde5ull},
+    {"chain_cap", 9, Block::kDynamic, 498, 0x2a642e70e6ec1c7cull},
+    {"collisions", 1, Block::kAuto, 639, 0x396e46825687a1c4ull},
+    {"collisions", 1, Block::kFixed, 639, 0x396e46825687a1c4ull},
+    {"collisions", 1, Block::kDynamic, 670, 0x47948afdc8abe2b3ull},
+    {"collisions", 2, Block::kAuto, 637, 0xf8fdddc4d16c86ddull},
+    {"collisions", 2, Block::kFixed, 637, 0xf8fdddc4d16c86ddull},
+    {"collisions", 2, Block::kDynamic, 669, 0x867da9511b81cff9ull},
+    {"collisions", 3, Block::kAuto, 635, 0xdba0cbb409452427ull},
+    {"collisions", 3, Block::kFixed, 635, 0xdba0cbb409452427ull},
+    {"collisions", 3, Block::kDynamic, 667, 0xe1e616fe098dc1a6ull},
+    {"collisions", 4, Block::kAuto, 634, 0x659e64fab753928aull},
+    {"collisions", 4, Block::kFixed, 634, 0x659e64fab753928aull},
+    {"collisions", 4, Block::kDynamic, 666, 0x91edace9519b4f23ull},
+    {"collisions", 5, Block::kAuto, 634, 0x659e64fab753928aull},
+    {"collisions", 5, Block::kFixed, 634, 0x659e64fab753928aull},
+    {"collisions", 5, Block::kDynamic, 666, 0x91edace9519b4f23ull},
+    {"collisions", 6, Block::kAuto, 634, 0x659e64fab753928aull},
+    {"collisions", 6, Block::kFixed, 634, 0x659e64fab753928aull},
+    {"collisions", 6, Block::kDynamic, 666, 0x91edace9519b4f23ull},
+    {"collisions", 7, Block::kAuto, 634, 0x659e64fab753928aull},
+    {"collisions", 7, Block::kFixed, 634, 0x659e64fab753928aull},
+    {"collisions", 7, Block::kDynamic, 666, 0x91edace9519b4f23ull},
+    {"collisions", 8, Block::kAuto, 634, 0x659e64fab753928aull},
+    {"collisions", 8, Block::kFixed, 634, 0x659e64fab753928aull},
+    {"collisions", 8, Block::kDynamic, 666, 0x91edace9519b4f23ull},
+    {"collisions", 9, Block::kAuto, 634, 0x659e64fab753928aull},
+    {"collisions", 9, Block::kFixed, 634, 0x659e64fab753928aull},
+    {"collisions", 9, Block::kDynamic, 666, 0x91edace9519b4f23ull},
+    {"tail", 1, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 1, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 1, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 2, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 2, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 2, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 3, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 3, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 3, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 4, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 4, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 4, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 5, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 5, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 5, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 6, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 6, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 6, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 7, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 7, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 7, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 8, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 8, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 8, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
+    {"tail", 9, Block::kAuto, 112, 0x6bf24166d25edf1dull},
+    {"tail", 9, Block::kFixed, 112, 0x6bf24166d25edf1dull},
+    {"tail", 9, Block::kDynamic, 137, 0x3a9efca3871d9f5bull},
 };
 // clang-format on
 
@@ -319,6 +538,26 @@ TEST(DeflateGolden, EveryLevelAndBlockModeMatchesCommittedBytes) {
     }
   }
   EXPECT_EQ(checked, std::size(kGolden));
+}
+
+const Corpus& corpus(std::string_view name) {
+  for (const Corpus& c : corpora()) {
+    if (c.name == name) return c;
+  }
+  ADD_FAILURE() << "no corpus " << name;
+  return corpora().front();
+}
+
+// The window edge in plain terms: the copy at distance 32768 costs a few
+// bytes at every level, the one at 32769 is sent as 258 literals.
+TEST(DeflateGolden, CopyAtWindowEdgeIsUsedOnlyWithinTheWindow) {
+  const Corpus& window = corpus("window");
+  ASSERT_EQ(window.inputs.size(), 2u);
+  for (int level = 1; level <= 9; ++level) {
+    const std::size_t inside = deflate_compress(window.inputs[0], {.level = level}).size();
+    const std::size_t outside = deflate_compress(window.inputs[1], {.level = level}).size();
+    EXPECT_GT(outside, inside + 200) << "level " << level;
+  }
 }
 
 }  // namespace

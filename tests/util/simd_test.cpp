@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <vector>
 
@@ -147,6 +148,46 @@ TEST(SimdPngAbsSum, MatchesScalarIncludingMinus128) {
       }
     }
   }
+}
+
+// The DEFLATE trigram hash: every tier against scalar hash3 for every
+// position count 0..64 at every start offset 0..15. Each case runs on an
+// exact-size copy of its n + 2 input bytes (ASan catches an over-read) and
+// checks that nothing past out[n - 1] is written.
+TEST(SimdHash3, EveryTierMatchesScalarHash3) {
+  Prng rng(0x4A53);
+  const auto buf = random_bytes(rng, 16 + 64 + 2);
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kSse42, simd::Level::kAvx2}) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      for (std::size_t n = 0; n <= 64; ++n) {
+        const std::vector<std::uint8_t> in(buf.begin(),
+                                           buf.begin() + static_cast<std::ptrdiff_t>(align + n + 2));
+        std::vector<std::uint16_t> out(n + 1, 0xFFFF);
+        simd::hash3_run_at(level, in.data() + align, n, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], simd::hash3(in.data() + align + i))
+              << simd::level_name(level) << " align=" << align << " n=" << n << " i=" << i;
+        }
+        ASSERT_EQ(out[n], 0xFFFF) << simd::level_name(level) << " n=" << n;
+      }
+    }
+  }
+  // The dispatched entry point, on a run long enough for every vector loop.
+  std::vector<std::uint16_t> a(buf.size() - 2);
+  std::vector<std::uint16_t> b(a.size());
+  simd::hash3_run(buf.data(), a.size(), a.data());
+  simd::hash3_run_scalar(buf.data(), b.size(), b.data());
+  EXPECT_EQ(a, b);
+}
+
+TEST(SimdHash3, IsFifteenBitsOfTheMultiplicativeHash) {
+  const std::uint8_t zeros[3] = {0, 0, 0};
+  EXPECT_EQ(simd::hash3(zeros), 0u);
+  const std::uint8_t abc[3] = {'a', 'b', 'c'};
+  EXPECT_EQ(simd::hash3(abc), (0x636261u * 0x9E3779B1u) >> 17);
+  const std::uint8_t ones[3] = {0xFF, 0xFF, 0xFF};
+  EXPECT_LT(simd::hash3(ones), 1u << simd::kHash3Bits);
 }
 
 TEST(SimdDct, ForwardTransformBitIdentical) {
