@@ -2,10 +2,11 @@
 // frame preparation throughput.
 //
 // Part 1 sweeps the damage-tile size (8..64 px) on each workload and times
-// one DamageTracker update — the per-frame fixed cost of finding what
-// changed.
-// Part 2 times a full AH tick (app paint → composite → damage → encode →
-// fragment) per workload, giving the maximum capture rate the AH sustains.
+// diff_rects on two consecutive frames — the per-frame fixed cost of
+// finding what changed, which ScreenCapturer::damage() pays every tick.
+// Part 2 times a full AH tick (app paint → composite → scroll moves →
+// damage → encode → fragment) per workload, giving the maximum capture
+// rate the AH sustains.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -13,6 +14,7 @@
 #include "bench_common.hpp"
 #include "capture/screen_capturer.hpp"
 #include "codec/registry.hpp"
+#include "image/damage.hpp"
 #include "remoting/region_update.hpp"
 
 namespace {
@@ -22,12 +24,12 @@ using namespace ads::bench;
 
 void damage_detection(benchmark::State& state, const std::string& workload) {
   const std::int64_t tile = state.range(0);
-  auto frames = workload_frames(workload, 640, 480, 24);
-  DamageTracker tracker(tile);
+  const auto frames = workload_frames(workload, 640, 480, 24);
   std::size_t i = 0;
   std::int64_t last_damage_area = 0;
   for (auto _ : state) {
-    auto damage = tracker.update(frames[i % frames.size()]);
+    const std::size_t k = 1 + i % (frames.size() - 1);
+    auto damage = diff_rects(frames[k - 1], frames[k], tile);
     last_damage_area = 0;
     for (const auto& r : damage) last_damage_area += r.area();
     benchmark::DoNotOptimize(damage);
@@ -52,8 +54,10 @@ void full_tick(benchmark::State& state, const std::string& workload) {
   std::uint64_t bytes = 0;
   std::uint64_t packets = 0;
   for (auto _ : state) {
+    // The AH's per-tick calls (AppHost::tick with use_move_rectangle).
     const CaptureResult result = cap.capture();
-    for (const Rect& r : result.damage) {
+    cap.detect_moves();
+    for (const Rect& r : cap.damage()) {
       RegionUpdate msg;
       msg.content_pt = static_cast<std::uint8_t>(ContentPt::kPng);
       msg.left = static_cast<std::uint32_t>(r.left);

@@ -1,7 +1,9 @@
 // Screen capture substitute: composites the window manager's windows (each
 // backed by an AppPainter) into a desktop framebuffer, blanks everything
 // outside the visible shared region ("must blank all the nonshared
-// windows", §2), and extracts damage rectangles via tile hashing.
+// windows", §2), and reports what changed since the previous tick as
+// scroll moves and tile damage — the move and dirty rectangles a real AH
+// gets from the OS.
 #pragma once
 
 #include <map>
@@ -9,7 +11,6 @@
 #include <vector>
 
 #include "capture/apps.hpp"
-#include "image/damage.hpp"
 #include "image/image.hpp"
 #include "wm/window_manager.hpp"
 
@@ -18,10 +19,21 @@ namespace ads {
 struct CaptureResult {
   /// The shared view: desktop-sized, non-shared areas blanked.
   const Image* frame = nullptr;
-  /// Changed areas since the previous capture (desktop coordinates).
-  std::vector<Rect> damage;
 };
 
+/// A vertical scroll inside one shared window (§5.2.3): the reference's
+/// pixels in `source` reappear unchanged at `dest` in the current view.
+struct ScrollMove {
+  WindowId window = 0;
+  Rect source;
+  Point dest;
+
+  friend bool operator==(const ScrollMove&, const ScrollMove&) = default;
+};
+
+/// Each tick runs capture(), then optionally detect_moves(), then damage().
+/// Both compare the shared view against a reference: the view as of the
+/// last damage() call, with the moves found since then applied.
 class ScreenCapturer {
  public:
   ScreenCapturer(WindowManager& wm, std::int64_t width, std::int64_t height,
@@ -35,13 +47,21 @@ class ScreenCapturer {
   /// Advance all attached applications one tick and recomposite.
   CaptureResult capture();
 
-  /// Force the next capture to report full damage (PLI refresh, §5.3.1).
-  void force_full_damage() { damage_.reset(); }
+  /// Find each shared window's vertical scroll against the reference. A
+  /// scroll is kept only when the reference's source rows equal the view's
+  /// destination rows; each kept move is applied to the reference, so
+  /// later windows and damage() see it. Finds nothing when there is no
+  /// reference of the view's size.
+  std::vector<ScrollMove> detect_moves();
+
+  /// The view's changed areas against the reference at `damage_tile`
+  /// granularity, or the whole view when there is no reference of its size
+  /// (first call, after a resize). Then makes the view the reference.
+  std::vector<Rect> damage();
 
   /// Resize the host desktop (display-mode change). Both framebuffers are
-  /// reallocated; the DamageTracker's resize fast path reports the whole new
-  /// frame as damage on the next capture. No-op on a non-positive or
-  /// unchanged size.
+  /// reallocated, so the next damage() reports the whole new view. No-op
+  /// on a non-positive or unchanged size.
   void set_screen_size(std::int64_t width, std::int64_t height);
 
   const Image& last_frame() const { return shared_view_; }
@@ -52,12 +72,14 @@ class ScreenCapturer {
 
  private:
   void composite();
+  bool have_reference() const;
 
   WindowManager& wm_;
   std::map<WindowId, std::unique_ptr<AppPainter>> apps_;
   Image desktop_;      ///< all windows, as the AH user sees them
   Image shared_view_;  ///< blanked view exported to participants
-  DamageTracker damage_;
+  Image reference_;    ///< what participants hold; see the class comment
+  std::int64_t damage_tile_;
   std::uint64_t tick_ = 0;
 };
 

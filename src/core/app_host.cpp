@@ -6,8 +6,6 @@
 #include <string>
 
 #include "hip/hip_map.hpp"
-#include "image/damage.hpp"
-#include "image/scroll_detect.hpp"
 #include "rtp/rtcp.hpp"
 #include "util/logging.hpp"
 
@@ -501,9 +499,9 @@ const transcode::OutputGeometry* AppHost::participant_geometry(
 void AppHost::set_screen_size(std::int64_t width, std::int64_t height) {
   capturer_.set_screen_size(width, height);
   // Keep the validated options in sync with the live framebuffer; the next
-  // tick()'s frame-size watches handle the rest (full damage via the
-  // DamageTracker resize path, snapshot invalidation in snapshot_stage, and
-  // the re-clamped pointer overlay resend).
+  // tick()'s frame-size watches handle the rest (full damage from the
+  // capturer, snapshot invalidation in snapshot_stage, and the re-clamped
+  // pointer overlay resend).
   opts_.screen_width = capturer_.width();
   opts_.screen_height = capturer_.height();
 }
@@ -1115,48 +1113,30 @@ void AppHost::tick() {
     for (auto& [id, p] : participants_) p.needs_wmi = true;
   }
 
-  // Scroll pass (§5.2.3): find per-window vertical scrolls against the
-  // previously exported frame, verify the replay is pixel-exact, and apply
-  // the move to previous_frame_ so the residual diff below shrinks to the
+  // Scroll pass (§5.2.3): the capturer's verified per-window scrolls, each
+  // already applied to its reference so the damage below shrinks to the
   // newly exposed strip.
   std::vector<MoveRectangle> scrolls;
-  const bool have_previous = !previous_frame_.empty() &&
-                             previous_frame_.width() == frame.width() &&
-                             previous_frame_.height() == frame.height();
-  if (opts_.use_move_rectangle && have_previous) {
+  if (opts_.use_move_rectangle) {
     telemetry::ScopedSpan span(tel_->trace, "ah.scroll_detect");
-    for (const Window& w : wm_.shared_windows()) {
-      const Rect area = intersect(w.frame, frame.bounds());
-      auto match = detect_scroll(previous_frame_, frame, area);
-      if (!match) continue;
-      const Rect dest = match->source.translated(0, match->dy);
-      Image replay = previous_frame_;
-      replay.move_rect(match->source, {dest.left, dest.top});
-      if (hash_rect(replay, dest) != hash_rect(frame, dest)) continue;
-
+    for (const ScrollMove& m : capturer_.detect_moves()) {
       MoveRectangle mr;
-      mr.window_id = w.id;
-      mr.source_left = static_cast<std::uint32_t>(match->source.left);
-      mr.source_top = static_cast<std::uint32_t>(match->source.top);
-      mr.width = static_cast<std::uint32_t>(match->source.width);
-      mr.height = static_cast<std::uint32_t>(match->source.height);
-      mr.dest_left = static_cast<std::uint32_t>(dest.left);
-      mr.dest_top = static_cast<std::uint32_t>(dest.top);
+      mr.window_id = m.window;
+      mr.source_left = static_cast<std::uint32_t>(m.source.left);
+      mr.source_top = static_cast<std::uint32_t>(m.source.top);
+      mr.width = static_cast<std::uint32_t>(m.source.width);
+      mr.height = static_cast<std::uint32_t>(m.source.height);
+      mr.dest_left = static_cast<std::uint32_t>(m.dest.x);
+      mr.dest_top = static_cast<std::uint32_t>(m.dest.y);
       scrolls.push_back(mr);
-      previous_frame_ = std::move(replay);
     }
   }
 
-  // Residual damage against (post-move) previous frame.
+  // Residual damage against the capturer's post-move reference.
   std::vector<Rect> damage;
   {
     telemetry::ScopedSpan span(tel_->trace, "ah.damage");
-    if (have_previous) {
-      damage = diff_rects(previous_frame_, frame, opts_.damage_tile);
-    } else if (!frame.empty()) {
-      damage = {frame.bounds()};
-    }
-    previous_frame_ = frame;
+    damage = capturer_.damage();
   }
 
   // Flash-crowd snapshot + record stage: refresh-window/bundle maintenance

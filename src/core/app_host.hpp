@@ -220,8 +220,8 @@ class AppHost {
   const transcode::OutputGeometry* participant_geometry(ParticipantId id) const;
 
   /// Host display-mode change: resize the desktop framebuffer. The next tick
-  /// reports full damage (DamageTracker resize fast path), invalidates every
-  /// snapshot bundle and re-sends a re-clamped pointer overlay to everyone.
+  /// reports the whole new frame as damage, invalidates every snapshot
+  /// bundle and re-sends a re-clamped pointer overlay to everyone.
   void set_screen_size(std::int64_t width, std::int64_t height);
 
   /// Begin the periodic capture/transmit loop on the event loop.
@@ -512,8 +512,7 @@ class AppHost {
   std::int64_t last_frame_w_ = 0;
   std::int64_t last_frame_h_ = 0;
 
-  // Scroll detection needs the previous exported frame.
-  Image previous_frame_;
+  // WindowManagerInfo trigger (§5.2.1): the wm revision last announced.
   std::uint64_t last_wmi_revision_ = ~0ull;
 
   // Snapshot geometry watch (invalidate bundles on a resize) and session

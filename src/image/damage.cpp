@@ -55,62 +55,4 @@ std::vector<Rect> diff_rects(const Image& before, const Image& after,
   return region.rects();
 }
 
-std::vector<Rect> DamageTracker::update(const Image& frame) {
-  const std::int64_t cols = (frame.width() + tile_ - 1) / tile_;
-  const std::int64_t rows = (frame.height() + tile_ - 1) / tile_;
-
-  // Resize (or first frame) fast path: everything is damage by definition,
-  // so skip the per-tile compare/merge entirely — just (re)build the hash
-  // grid for the next tick and report the whole frame. assign() reuses the
-  // existing allocation whenever the new grid is no larger.
-  const bool fresh = hashes_.empty() || width_ != frame.width() ||
-                     height_ != frame.height();
-  cols_ = cols;
-  rows_ = rows;
-  width_ = frame.width();
-  height_ = frame.height();
-  if (fresh) {
-    hashes_.assign(static_cast<std::size_t>(cols * rows), 0);
-    for (std::int64_t ty = 0; ty < rows; ++ty) {
-      for (std::int64_t tx = 0; tx < cols; ++tx) {
-        hashes_[static_cast<std::size_t>(ty * cols + tx)] =
-            hash_rect(frame, Rect{tx * tile_, ty * tile_, tile_, tile_});
-      }
-    }
-    return frame.empty() ? std::vector<Rect>{} : std::vector<Rect>{frame.bounds()};
-  }
-
-  // Steady state: rehash each tile, compare against (and overwrite) the
-  // stored hash in place, and merge horizontal runs of dirty tiles as we
-  // go; Region::simplify then stitches vertically aligned bands. When
-  // nothing changed, this path performs no heap allocation at all.
-  Region region;
-  bool any_dirty = false;
-  for (std::int64_t ty = 0; ty < rows; ++ty) {
-    std::int64_t run_start = -1;
-    for (std::int64_t tx = 0; tx <= cols; ++tx) {
-      bool dirty = false;
-      if (tx < cols) {
-        const std::uint64_t h =
-            hash_rect(frame, Rect{tx * tile_, ty * tile_, tile_, tile_});
-        std::uint64_t& stored = hashes_[static_cast<std::size_t>(ty * cols + tx)];
-        dirty = h != stored;
-        stored = h;
-      }
-      if (dirty && run_start < 0) run_start = tx;
-      if (!dirty && run_start >= 0) {
-        any_dirty = true;
-        Rect r{run_start * tile_, ty * tile_, (tx - run_start) * tile_, tile_};
-        region.add(intersect(r, frame.bounds()));
-        run_start = -1;
-      }
-    }
-  }
-  if (!any_dirty) return {};
-  region.simplify();
-  return region.rects();
-}
-
-void DamageTracker::reset() { hashes_.clear(); }
-
 }  // namespace ads

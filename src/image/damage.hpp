@@ -1,7 +1,7 @@
 // Damage detection: the AH-side substitute for an OS damage/mirror-driver
-// interface. The framebuffer is divided into fixed-size tiles; each tile is
-// hashed every capture tick and tiles whose hash changed are merged into
-// dirty rectangles, which become RegionUpdate messages.
+// interface. Two frames are divided into fixed-size tiles; tiles whose hash
+// differs are merged into dirty rectangles, which become RegionUpdate
+// messages. ScreenCapturer::damage() runs this once per capture tick.
 #pragma once
 
 #include <cstdint>
@@ -23,32 +23,5 @@ std::uint64_t hash_rect(const Image& img, const Rect& r);
 /// Differently-sized images report the union bound as fully damaged.
 std::vector<Rect> diff_rects(const Image& before, const Image& after,
                              std::int64_t tile_size = 32);
-
-class DamageTracker {
- public:
-  /// `tile_size` is the detection granularity in pixels (power of two not
-  /// required). Smaller tiles find tighter damage bounds at higher hash cost.
-  explicit DamageTracker(std::int64_t tile_size = 32) : tile_(tile_size) {}
-
-  std::int64_t tile_size() const { return tile_; }
-
-  /// Compare `frame` against the previously observed frame and return the
-  /// changed area as a set of disjoint rectangles (merged per tile row and
-  /// simplified). The first call reports the whole frame as damaged.
-  /// Updates the stored tile hashes.
-  std::vector<Rect> update(const Image& frame);
-
-  /// Forget all state; the next update() reports full damage. Used when the
-  /// AH must produce a full refresh (PLI) regardless of actual changes.
-  void reset();
-
- private:
-  std::int64_t tile_;
-  std::int64_t cols_ = 0;
-  std::int64_t rows_ = 0;
-  std::int64_t width_ = 0;
-  std::int64_t height_ = 0;
-  std::vector<std::uint64_t> hashes_;
-};
 
 }  // namespace ads

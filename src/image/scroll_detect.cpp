@@ -3,24 +3,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "image/damage.hpp"
+
 namespace ads {
-namespace {
-
-std::uint64_t hash_row(const Image& img, std::int64_t y, std::int64_t left,
-                       std::int64_t width) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  auto row = img.row(y).subspan(static_cast<std::size_t>(left),
-                                static_cast<std::size_t>(width));
-  for (const Pixel& p : row) {
-    const std::uint32_t v = static_cast<std::uint32_t>(p.r) << 24 |
-                            static_cast<std::uint32_t>(p.g) << 16 |
-                            static_cast<std::uint32_t>(p.b) << 8 | p.a;
-    h = (h ^ v) * 0x100000001B3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::optional<ScrollMatch> detect_scroll(const Image& before, const Image& after,
                                          const Rect& area,
@@ -32,14 +17,14 @@ std::optional<ScrollMatch> detect_scroll(const Image& before, const Image& after
   std::unordered_map<std::uint64_t, std::vector<std::int64_t>> old_rows;
   old_rows.reserve(static_cast<std::size_t>(c.height));
   for (std::int64_t y = c.top; y < c.bottom(); ++y) {
-    old_rows[hash_row(before, y, c.left, c.width)].push_back(y);
+    old_rows[hash_rect(before, Rect{c.left, y, c.width, 1})].push_back(y);
   }
 
   // Vote for displacements. A row identical in both frames votes for 0 as
   // well as other candidates; the dy==0 votes are discarded at the end.
   std::unordered_map<std::int64_t, std::int64_t> votes;
   for (std::int64_t y = c.top; y < c.bottom(); ++y) {
-    const std::uint64_t h = hash_row(after, y, c.left, c.width);
+    const std::uint64_t h = hash_rect(after, Rect{c.left, y, c.width, 1});
     auto it = old_rows.find(h);
     if (it == old_rows.end()) continue;
     for (std::int64_t old_y : it->second) {

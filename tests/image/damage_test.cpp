@@ -6,9 +6,9 @@
 #include <cstdlib>
 #include <new>
 
-// TU-wide allocation counter so tests can assert the steady-state
-// DamageTracker path is allocation-free (the tracker runs every frame tick;
-// a per-tick allocation would be a regression the compiler can't catch).
+// TU-wide allocation counter so tests can assert the unchanged-frame
+// diff_rects path is allocation-free (the AH diffs every frame tick; a
+// per-tick allocation would be a regression the compiler can't catch).
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -38,67 +38,40 @@ bool covers(const std::vector<Rect>& rects, Point p) {
   return false;
 }
 
-TEST(DamageTracker, FirstFrameIsFullyDamaged) {
-  DamageTracker tracker(32);
-  Image frame(100, 80, kBlack);
-  auto damage = tracker.update(frame);
-  EXPECT_EQ(total_area(damage), 100 * 80);
+TEST(DiffRects, UnchangedFrameReportsNothing) {
+  const Image frame(100, 80, kBlack);
+  EXPECT_TRUE(diff_rects(frame, frame, 32).empty());
 }
 
-TEST(DamageTracker, UnchangedFrameReportsNothing) {
-  DamageTracker tracker(32);
-  Image frame(100, 80, kBlack);
-  tracker.update(frame);
-  EXPECT_TRUE(tracker.update(frame).empty());
-}
-
-TEST(DamageTracker, SinglePixelChangeFoundWithinOneTile) {
-  DamageTracker tracker(32);
-  Image frame(128, 128, kBlack);
-  tracker.update(frame);
-  frame.set(70, 40, kWhite);
-  auto damage = tracker.update(frame);
+TEST(DiffRects, SinglePixelChangeFoundWithinOneTile) {
+  const Image before(128, 128, kBlack);
+  Image after = before;
+  after.set(70, 40, kWhite);
+  auto damage = diff_rects(before, after, 32);
   ASSERT_FALSE(damage.empty());
   EXPECT_TRUE(covers(damage, {70, 40}));
   // Damage granularity is one tile.
   EXPECT_LE(total_area(damage), 32 * 32);
 }
 
-TEST(DamageTracker, DamageCoversAllChanges) {
-  DamageTracker tracker(16);
-  Image frame(200, 200, kBlack);
-  tracker.update(frame);
-  frame.fill_rect({10, 10, 50, 5}, kWhite);
-  frame.fill_rect({150, 180, 30, 10}, kWhite);
-  auto damage = tracker.update(frame);
+TEST(DiffRects, DamageCoversAllChanges) {
+  const Image before(200, 200, kBlack);
+  Image after = before;
+  after.fill_rect({10, 10, 50, 5}, kWhite);
+  after.fill_rect({150, 180, 30, 10}, kWhite);
+  auto damage = diff_rects(before, after, 16);
   EXPECT_TRUE(covers(damage, {10, 10}));
   EXPECT_TRUE(covers(damage, {59, 14}));
   EXPECT_TRUE(covers(damage, {150, 180}));
   EXPECT_TRUE(covers(damage, {179, 189}));
 }
 
-TEST(DamageTracker, ResizeTriggersFullDamage) {
-  DamageTracker tracker(32);
-  tracker.update(Image(100, 100, kBlack));
-  auto damage = tracker.update(Image(200, 100, kBlack));
-  EXPECT_EQ(total_area(damage), 200 * 100);
-}
-
-TEST(DamageTracker, ResetForcesFullDamage) {
-  DamageTracker tracker(32);
-  Image frame(64, 64, kBlack);
-  tracker.update(frame);
-  tracker.reset();
-  EXPECT_EQ(total_area(tracker.update(frame)), 64 * 64);
-}
-
-TEST(DamageTracker, EdgeTilesClippedToFrame) {
+TEST(DiffRects, EdgeTilesClippedToFrame) {
   // 100 is not a multiple of 32; edge tiles must not extend past bounds.
-  DamageTracker tracker(32);
-  Image frame(100, 100, kBlack);
-  tracker.update(frame);
-  frame.set(99, 99, kWhite);
-  auto damage = tracker.update(frame);
+  const Image before(100, 100, kBlack);
+  Image after = before;
+  after.set(99, 99, kWhite);
+  auto damage = diff_rects(before, after, 32);
   ASSERT_FALSE(damage.empty());
   for (const auto& r : damage) {
     EXPECT_LE(r.right(), 100);
@@ -106,77 +79,57 @@ TEST(DamageTracker, EdgeTilesClippedToFrame) {
   }
 }
 
-TEST(DamageTracker, AdjacentDirtyTilesMerge) {
-  DamageTracker tracker(32);
-  Image frame(128, 128, kBlack);
-  tracker.update(frame);
-  frame.fill_rect({0, 0, 128, 32}, kWhite);  // full top band: 4 tiles
-  auto damage = tracker.update(frame);
+TEST(DiffRects, AdjacentDirtyTilesMerge) {
+  const Image before(128, 128, kBlack);
+  Image after = before;
+  after.fill_rect({0, 0, 128, 32}, kWhite);  // full top band: 4 tiles
+  auto damage = diff_rects(before, after, 32);
   ASSERT_EQ(damage.size(), 1u);
   EXPECT_EQ(damage[0], (Rect{0, 0, 128, 32}));
 }
 
-TEST(DamageTracker, UnchangedFrameAllocatesNothing) {
-  DamageTracker tracker(32);
-  Image frame(256, 192, kBlack);
-  tracker.update(frame);
-  tracker.update(frame);  // warm: return-value vector machinery settled
+TEST(DiffRects, SizeMismatchReportsUnionBound) {
+  // Same pixel content, different geometry: the union bound, not a diff.
+  const Image a(100, 100, kBlack);
+  const Image taller(100, 120, kBlack);
+  auto damage = diff_rects(a, taller, 16);
+  ASSERT_EQ(damage.size(), 1u);
+  EXPECT_EQ(damage[0], taller.bounds());
 
-  const std::uint64_t before = g_allocations.load();
-  const auto damage = tracker.update(frame);
-  const std::uint64_t after = g_allocations.load();
+  // Each image wider in one axis: the bound covers both.
+  damage = diff_rects(Image(200, 50, kBlack), Image(60, 90, kBlack), 32);
+  ASSERT_EQ(damage.size(), 1u);
+  EXPECT_EQ(damage[0], (Rect{0, 0, 200, 90}));
+}
+
+TEST(DiffRects, EmptyFrameReportsNoDamage) {
+  EXPECT_TRUE(diff_rects(Image(), Image(), 32).empty());
+}
+
+TEST(DiffRects, UnchangedFrameAllocatesNothing) {
+  const Image before(256, 192, kBlack);
+  const Image after = before;
+  diff_rects(before, after, 32);  // warm: return-value machinery settled
+
+  const std::uint64_t allocations = g_allocations.load();
+  const auto damage = diff_rects(before, after, 32);
+  const std::uint64_t now = g_allocations.load();
   EXPECT_TRUE(damage.empty());
-  EXPECT_EQ(after - before, 0u) << "steady-state no-change update allocated";
-}
-
-TEST(DamageTracker, ShrinkingResizeReusesHashStorage) {
-  DamageTracker tracker(32);
-  tracker.update(Image(256, 256, kBlack));  // 8x8 hash grid
-
-  // Shrinking fits in the existing grid allocation: the resize fast path
-  // must rebuild hashes in place (assign) rather than reallocate.
-  Image smaller(128, 128, kWhite);
-  const std::uint64_t before = g_allocations.load();
-  const auto damage = tracker.update(smaller);
-  const std::uint64_t after = g_allocations.load();
-  ASSERT_EQ(damage.size(), 1u);
-  EXPECT_EQ(damage[0], smaller.bounds());
-  // Only the returned one-rect vector may allocate.
-  EXPECT_LE(after - before, 1u);
-
-  // And the rebuilt grid is immediately consistent: no phantom damage.
-  EXPECT_TRUE(tracker.update(smaller).empty());
-}
-
-TEST(DamageTracker, ResizeReportsFullDamageNotDiff) {
-  DamageTracker tracker(16);
-  Image a(100, 100, kBlack);
-  tracker.update(a);
-  // Same pixel content, different geometry: still full damage.
-  Image b(100, 120, kBlack);
-  auto damage = tracker.update(b);
-  ASSERT_EQ(damage.size(), 1u);
-  EXPECT_EQ(damage[0], b.bounds());
-}
-
-TEST(DamageTracker, EmptyFrameReportsNoDamage) {
-  DamageTracker tracker(32);
-  EXPECT_TRUE(tracker.update(Image()).empty());
+  EXPECT_EQ(now - allocations, 0u) << "no-change diff allocated";
 }
 
 class DamageTileSizes : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(DamageTileSizes, DetectsChangeAtAnyGranularity) {
-  DamageTracker tracker(GetParam());
-  Image frame(130, 70, kBlack);
-  tracker.update(frame);
-  frame.fill_rect({40, 30, 20, 10}, kWhite);
-  auto damage = tracker.update(frame);
+  const Image before(130, 70, kBlack);
+  Image after = before;
+  after.fill_rect({40, 30, 20, 10}, kWhite);
+  auto damage = diff_rects(before, after, GetParam());
   EXPECT_TRUE(covers(damage, {40, 30}));
   EXPECT_TRUE(covers(damage, {59, 39}));
   // Everything reported must lie within bounds.
   for (const auto& r : damage) {
-    EXPECT_TRUE(frame.bounds().contains(r));
+    EXPECT_TRUE(after.bounds().contains(r));
   }
 }
 
