@@ -37,7 +37,7 @@ AgeStats run_pipeline(std::uint64_t bandwidth_bps, std::size_t backlog_limit) {
   host_opts.screen_height = 240;
   host_opts.frame_interval_us = sim_ms(100);
   host_opts.codec = ContentPt::kPng;
-  host_opts.tcp_backlog_limit = backlog_limit;
+  host_opts.link.backlog_limit = backlog_limit;
   SharingSession session(host_opts);
   AppHost& host = session.host();
 

@@ -129,8 +129,8 @@ void broadcast(benchmark::State& state) {
     opts.encoded_cache_bytes = 0;
     if (spread) {
       opts.codec = ContentPt::kDct;
-      opts.adaptation.enabled = true;
-      opts.adaptation.decrease_holdoff_us = sim_ms(100);
+      opts.link.adaptation.enabled = true;
+      opts.link.adaptation.decrease_holdoff_us = sim_ms(100);
     }
     AppHost host(loop, opts);
     const WindowId w = host.wm().create({0, 0, 320, 240}, 1);

@@ -36,8 +36,8 @@ RunStats run_pipeline(std::uint64_t rate_bps) {
   host_opts.screen_width = 320;
   host_opts.screen_height = 240;
   host_opts.frame_interval_us = sim_ms(100);
-  host_opts.udp_rate_bps = rate_bps;
-  host_opts.udp_burst_bytes = 16 * 1024;
+  host_opts.link.rate_bps = rate_bps;
+  host_opts.link.burst_bytes = 16 * 1024;
   SharingSession session(host_opts);
   AppHost& host = session.host();
   const WindowId movie = host.wm().create({16, 16, 256, 192}, 1);
@@ -127,18 +127,18 @@ E16Stats run_e16(int profile, std::uint64_t static_rate_bps, bool adaptive) {
   host_opts.screen_height = 240;
   host_opts.frame_interval_us = sim_ms(100);
   if (adaptive) {
-    host_opts.adaptation.enabled = true;
-    host_opts.adaptation.min_rate_bps = 200'000;
-    host_opts.adaptation.max_rate_bps = 8'000'000;
-    host_opts.adaptation.initial_rate_bps = 4'000'000;
-    host_opts.adaptation.additive_increase_bps = 500'000;
+    host_opts.link.adaptation.enabled = true;
+    host_opts.link.adaptation.min_rate_bps = 200'000;
+    host_opts.link.adaptation.max_rate_bps = 8'000'000;
+    host_opts.link.adaptation.initial_rate_bps = 4'000'000;
+    host_opts.link.adaptation.additive_increase_bps = 500'000;
     // Converge fast: halve on congestion (classic AIMD) and let the tighter
     // RR cadence below deliver the signal twice a second.
-    host_opts.adaptation.multiplicative_decrease = 0.5;
-    host_opts.adaptation.decrease_holdoff_us = sim_ms(400);
+    host_opts.link.adaptation.multiplicative_decrease = 0.5;
+    host_opts.link.adaptation.decrease_holdoff_us = sim_ms(400);
   } else {
-    host_opts.udp_rate_bps = static_rate_bps;
-    host_opts.udp_burst_bytes = 16 * 1024;
+    host_opts.link.rate_bps = static_rate_bps;
+    host_opts.link.burst_bytes = 16 * 1024;
   }
   SharingSession session(host_opts);
   AppHost& host = session.host();

@@ -15,7 +15,8 @@ import re
 import sys
 from pathlib import Path
 
-CHECKED_DIRS = ["src/core", "src/net", "src/relay", "src/snapshot", "src/transcode"]
+CHECKED_DIRS = ["src/core", "src/net", "src/rate", "src/relay", "src/snapshot",
+                "src/transcode"]
 
 TYPE_RE = re.compile(r"^(template\s*<[^>]*>\s*)?(struct|class|enum(\s+class)?)\s+(\w+)")
 # A function-ish member: optionally-qualified return type, name, open paren.

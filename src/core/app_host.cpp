@@ -86,6 +86,11 @@ MoveRectangle mr_to_output(const transcode::OutputGeometry& g, const Rect& fb,
   return out;
 }
 
+/// Metric prefix of one participant's rate.p<id>.* gauges.
+std::string rate_prefix(ParticipantId id) {
+  return "rate.p" + std::to_string(id) + ".";
+}
+
 }  // namespace
 
 AppHostOptions AppHost::validated(AppHostOptions opts) {
@@ -101,17 +106,8 @@ AppHostOptions AppHost::validated(AppHostOptions opts) {
   // Clamp merely-nonsensical combinations to the nearest workable value.
   if (opts.damage_tile <= 0) opts.damage_tile = 32;
   if (opts.region_band_rows < 0) opts.region_band_rows = 0;
-  // A rate-controlled UDP participant whose burst cannot cover one MTU
-  // would never pass the §4.3 gate and stall forever.
-  if ((opts.udp_rate_bps > 0 || opts.adaptation.enabled) &&
-      opts.udp_burst_bytes < opts.mtu_payload) {
-    opts.udp_burst_bytes = opts.mtu_payload;
-  }
-  auto& a = opts.adaptation;
-  if (a.min_rate_bps > a.max_rate_bps) std::swap(a.min_rate_bps, a.max_rate_bps);
-  a.initial_rate_bps = std::clamp(a.initial_rate_bps, a.min_rate_bps, a.max_rate_bps);
-  if (a.max_fps_divisor < 1) a.max_fps_divisor = 1;
-  if (a.backlog_window < 1) a.backlog_window = 1;
+  // The §4.3 gate asks for one MTU, so the bucket must hold one.
+  opts.link = rate::LinkOptions::validated(opts.link, opts.mtu_payload);
   opts.snapshot = snapshot::SnapshotService::validated(std::move(opts.snapshot));
   return opts;
 }
@@ -223,19 +219,19 @@ void AppHost::publish_metrics() {
   m.counter("rtx.evictions").set(rtx_evictions);
   m.gauge("rtx.cached_packets").set(static_cast<std::int64_t>(rtx_cached));
 
-  if (opts_.adaptation.enabled) {
+  if (opts_.link.adaptation.enabled) {
     std::uint64_t increases = retired_.rate.increases;
     std::uint64_t decreases = retired_.rate.decreases;
     std::uint64_t q_changes = retired_.rate.quality_changes;
     std::uint64_t fps_changes = retired_.rate.fps_changes;
     for (const auto& [id, p] : participants_) {
-      const rate::ControllerStats& rs = p.rate_ctrl.stats();
+      const rate::ControllerStats& rs = p.link.controller_stats();
       increases += rs.increases;
       decreases += rs.decreases;
       q_changes += rs.quality_changes;
       fps_changes += rs.fps_changes;
-      const rate::OperatingPoint& op = p.rate_ctrl.current();
-      const std::string prefix = "rate.p" + std::to_string(id) + ".";
+      const rate::OperatingPoint& op = p.link.operating_point();
+      const std::string prefix = rate_prefix(id);
       m.gauge(prefix + "budget_bps")
           .set(static_cast<std::int64_t>(op.rate_bps));
       m.gauge(prefix + "quality_step").set(op.quality_step);
@@ -318,21 +314,12 @@ ParticipantId AppHost::add_participant(Endpoint endpoint,
   const bool reuse = reuse_id != 0 && participants_.count(reuse_id) == 0 &&
                      member_alias_.count(reuse_id) == 0;
   const ParticipantId id = reuse ? reuse_id : allocate_id();
-  const bool udp = endpoint.kind == Endpoint::Kind::kUdp;
-  // With adaptation on, the controller's initial budget seeds the bucket;
-  // the static udp_rate_bps only applies to the non-adaptive path.
-  const std::uint64_t rate_bps =
-      !udp ? 0
-           : (opts_.adaptation.enabled ? opts_.adaptation.initial_rate_bps
-                                       : opts_.udp_rate_bps);
   ParticipantState& p =
       participants_
-          .try_emplace(id, std::move(endpoint), kRemotingPayloadType, opts_.seed,
-                       opts_.retransmission_cache, rate_bps, opts_.udp_burst_bytes,
-                       udp ? rate::Transport::kUdp : rate::Transport::kTcp,
-                       opts_.adaptation)
+          .try_emplace(id, std::move(endpoint), opts_.link, kRemotingPayloadType,
+                       opts_.seed, opts_.retransmission_cache)
           .first->second;
-  if (!udp) {
+  if (p.link.tcp()) {
     // §4.4: "The AH prepares and transmits the windows' state information
     // and image of the whole shared region to the new participant, right
     // after the TCP connection establishment."
@@ -381,19 +368,26 @@ void AppHost::sweep_liveness() {
 void AppHost::remove_participant(ParticipantId id) {
   auto it = participants_.find(id);
   if (it == participants_.end()) return;
-  // Erasing the state reclaims the token bucket, retransmission cache,
-  // egress carry and uplink deframer; its lifetime counters live on in
-  // retired_ so the rtx.* and rate.* sums stay monotone.
+  // Erasing the state reclaims the link (bucket, controller, egress carry),
+  // retransmission cache and uplink deframer; its lifetime counters live on
+  // in retired_ so the rtx.* and rate.* sums stay monotone.
   const ParticipantState& p = it->second;
   retired_.rtx_hits += p.cache.hits();
   retired_.rtx_misses += p.cache.misses();
   retired_.rtx_evictions += p.cache.evictions();
-  const rate::ControllerStats& rs = p.rate_ctrl.stats();
+  const rate::ControllerStats& rs = p.link.controller_stats();
   retired_.rate.increases += rs.increases;
   retired_.rate.decreases += rs.decreases;
   retired_.rate.quality_changes += rs.quality_changes;
   retired_.rate.fps_changes += rs.fps_changes;
   participants_.erase(it);
+  // The collector no longer visits this id: withdraw its gauges.
+  if (opts_.link.adaptation.enabled) {
+    const std::string prefix = rate_prefix(id);
+    for (const char* gauge : {"budget_bps", "quality_step", "fps_divisor"}) {
+      tel_->metrics.gauge(prefix + gauge).set(0);
+    }
+  }
 }
 
 ParticipantId AppHost::add_member_alias(ParticipantId group) {
@@ -406,15 +400,15 @@ const ReportBlock* AppHost::last_receiver_report(ParticipantId id) const {
   auto alias = member_alias_.find(id);
   const ParticipantId key = alias == member_alias_.end() ? id : alias->second;
   auto it = participants_.find(key);
-  if (it == participants_.end() || !it->second.last_rr) return nullptr;
-  return &*it->second.last_rr;
+  if (it == participants_.end() || !it->second.link.last_report()) return nullptr;
+  return &*it->second.link.last_report();
 }
 
 const rate::OperatingPoint* AppHost::participant_operating_point(
     ParticipantId id) const {
   auto it = participants_.find(id);
   if (it == participants_.end()) return nullptr;
-  return &it->second.rate_ctrl.current();
+  return &it->second.link.operating_point();
 }
 
 void AppHost::start() {
@@ -554,16 +548,14 @@ void AppHost::transmit_view(ParticipantState& p, const PacketView& v, SimTime no
       break;
   }
 
-  if (!p.egress.tcp()) {
-    p.cache.put(v);  // shares the payload buffer: 16 header bytes + a ref
-    p.bucket.consume(v.wire_size(), now);
-  }
-  stats_.payload_bytes_copied += p.egress.send(v);
+  // The cache shares the payload buffer: 16 header bytes + a ref.
+  if (!p.link.tcp()) p.cache.put(v);
+  stats_.payload_bytes_copied += p.link.send(v, now);
 }
 
 void AppHost::finish_turn(ParticipantState& p) {
   ++p.frames_sent;
-  stats_.payload_bytes_copied += p.egress.flush();
+  stats_.payload_bytes_copied += p.link.egress().flush();
 }
 
 void AppHost::send_payload(ParticipantState& p, Bytes payload, bool marker,
@@ -670,10 +662,9 @@ std::vector<Rect> AppHost::packetize_regions(
     ParticipantState& p, const std::vector<Rect>& queue,
     const std::function<const BandStream&(std::size_t)>& stream_for) {
   const SimTime now = loop_.now();
-  const bool rate_limited = !p.egress.tcp() && !p.bucket.unlimited();
   std::vector<Rect> leftover;
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (rate_limited && p.bucket.available(now) <= 0) {
+    if (p.link.exhausted(now)) {
       // Budget exhausted mid-frame: carry the rest into the next tick.
       leftover.insert(leftover.end(), queue.begin() + static_cast<std::ptrdiff_t>(i),
                       queue.end());
@@ -695,7 +686,7 @@ bool AppHost::pre_send(ParticipantState& p,
                        const std::vector<Rect>& damage, bool& was_current,
                        transcode::OutputGeometry& geom) {
   // Flush any carried-over TCP bytes first.
-  p.egress.drain_carry();
+  p.link.egress().drain_carry();
 
   // Resolve this tick's output geometry (follow mode re-anchors to the
   // topmost shared window). A moved source rect queues the newly-streamed
@@ -726,50 +717,35 @@ bool AppHost::pre_send(ParticipantState& p,
   // Accumulate this tick's damage for everyone.
   for (const Rect& r : damage) p.pending.add(r);
 
-  // ads::rate control interval: feed this tick's backlog observation
-  // (TCP), run the AIMD update, and re-target the token bucket (UDP).
-  // With adaptation disabled update() is a no-op returning the static
-  // operating point.
-  if (opts_.adaptation.enabled) {
-    if (p.egress.tcp()) {
-      p.rate_ctrl.on_backlog_sample(p.egress.backlog(), loop_.now());
-    }
-    const rate::OperatingPoint& op = p.rate_ctrl.update(loop_.now());
-    if (!p.egress.tcp()) p.bucket.set_rate(op.rate_bps, loop_.now());
-    // Frame-interval scaling: send this participant's frame only every
-    // Nth capture tick. Damage (and scrolled areas, which cannot be
-    // replayed later) keeps accumulating as pending.
-    if (op.fps_divisor > 1 &&
-        tick_count_ % static_cast<std::uint64_t>(op.fps_divisor) != 0) {
-      ++stats_.frames_skipped_fps;
-      for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
-      return false;
-    }
+  // ads::rate control interval (a no-op with adaptation off). Frame-interval
+  // scaling: send this participant's frame only every Nth capture tick.
+  // Damage (and scrolled areas, which cannot be replayed later) keeps
+  // accumulating as pending.
+  const rate::OperatingPoint& op = p.link.adapt(loop_.now());
+  if (opts_.link.adaptation.enabled && op.fps_divisor > 1 &&
+      tick_count_ % static_cast<std::uint64_t>(op.fps_divisor) != 0) {
+    ++stats_.frames_skipped_fps;
+    for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
+    return false;
   }
 
   // §7 backlog policy: if this TCP participant still has unsent bytes,
   // skip its frame — pending damage keeps accumulating and the latest
   // state is sent when the pipe drains ("a viewer usually only needs to
   // see the final state of the image"). The §4.3 UDP rate-control bucket
-  // applies the same policy to UDP participants.
-  bool skip = false;
-  if (p.egress.tcp() && opts_.tcp_backlog_limit > 0 &&
-      p.egress.backlog() > opts_.tcp_backlog_limit) {
-    skip = true;
+  // applies the same policy to UDP participants (only TCP links backlog,
+  // only UDP links are rate-limited).
+  if (p.link.backlogged()) {
     ++stats_.frames_skipped_backlog;
-  }
-  if (!p.egress.tcp() && !p.bucket.unlimited() &&
-      p.bucket.available(loop_.now()) < static_cast<double>(opts_.mtu_payload)) {
-    skip = true;
+  } else if (p.link.short_of(opts_.mtu_payload, loop_.now())) {
     ++stats_.frames_skipped_rate;
+  } else {
+    return true;
   }
-  if (skip) {
-    // Scrolled areas cannot be replayed later (the participant missed
-    // the base); convert them to pending damage.
-    for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
-    return false;
-  }
-  return true;
+  // Scrolled areas cannot be replayed later (the participant missed the
+  // base); convert them to pending damage.
+  for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
+  return false;
 }
 
 void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
@@ -808,16 +784,16 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
     sp.p = &p;
     sp.geom = geom;
     sp.pt = codec_for(p);
-    if (opts_.adaptation.enabled && sp.pt == ContentPt::kDct) {
-      sp.params.dct_quality = p.rate_ctrl.current().dct_quality;
-    }
+    const rate::OperatingPoint& op = p.link.operating_point();
+    const bool adaptive_dct =
+        opts_.link.adaptation.enabled && sp.pt == ContentPt::kDct;
+    if (adaptive_dct) sp.params.dct_quality = op.dct_quality;
     // The cohort key extends the operating point with the output geometry:
     // scale rung plus the resolved host-space source rect (pre_send just
     // refreshed p.geometry_src = source_rect(geom, fb)). Identity viewers
     // all resolve to {0, fb}, so they keep sharing one cohort as before.
     sp.key = CohortKey{static_cast<std::uint8_t>(sp.pt),
-                       p.rate_ctrl.current().quality_key(
-                           opts_.adaptation.enabled && sp.pt == ContentPt::kDct),
+                       op.quality_key(adaptive_dct),
                        opts_.mtu_payload,
                        geom.scale_shift,
                        {p.geometry_src.left, p.geometry_src.top,
@@ -1171,7 +1147,7 @@ void AppHost::tick() {
       sr.octet_count = static_cast<std::uint32_t>(p.sender.bytes_sent());
       ++stats_.srs_sent;
       // On TCP the SR queues behind any carried media tail, never inside it.
-      stats_.payload_bytes_copied += p.egress.send_control(sr.serialize());
+      stats_.payload_bytes_copied += p.link.egress().send_control(sr.serialize());
     }
   }
 }
@@ -1241,14 +1217,7 @@ void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
   if (std::holds_alternative<ReceiverReport>(msg)) {
     const auto& rr = std::get<ReceiverReport>(msg);
     ++stats_.rrs_received;
-    if (!rr.blocks.empty()) {
-      const ReportBlock& block = rr.blocks.front();
-      p.last_rr = block;
-      if (opts_.adaptation.enabled) {
-        p.rate_ctrl.on_receiver_report(block.fraction_lost, block.jitter,
-                                       loop_.now());
-      }
-    }
+    if (!rr.blocks.empty()) p.link.on_report(rr.blocks.front(), loop_.now());
     return;
   }
   if (!std::holds_alternative<GenericNack>(msg)) return;
@@ -1258,17 +1227,14 @@ void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
   for (std::uint16_t seq : std::get<GenericNack>(msg).requested_sequences()) {
     // Retransmissions count against the §4.3 rate budget too; a depleted
     // bucket defers the repair (the participant re-NACKs).
-    if (!p.bucket.unlimited() && p.bucket.available(loop_.now()) <= 0) {
-      break;
-    }
+    if (p.link.exhausted(loop_.now())) break;
     const PacketView* cached = p.cache.get(seq);
     if (cached == nullptr) continue;
     // For a multicast group the repair goes to the whole group, healing
     // every member that lost the packet on its own last hop.
     ++stats_.retransmissions_sent;
     stats_.bytes_sent += cached->wire_size();
-    p.bucket.consume(cached->wire_size(), loop_.now());
-    stats_.payload_bytes_copied += p.egress.send_now(*cached);
+    stats_.payload_bytes_copied += p.link.send_now(*cached, loop_.now());
   }
 }
 
@@ -1338,7 +1304,8 @@ void AppHost::handle_bfcp(ParticipantId from, BytesView packet) {
         alias == member_alias_.end() ? response.user_id : alias->second;
     auto it = participants_.find(target);
     if (it == participants_.end()) continue;
-    stats_.payload_bytes_copied += it->second.egress.send_control(response.serialize());
+    stats_.payload_bytes_copied +=
+        it->second.link.egress().send_control(response.serialize());
   }
 }
 

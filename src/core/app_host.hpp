@@ -33,8 +33,7 @@
 #include "hip/messages.hpp"
 #include "net/egress.hpp"
 #include "net/event_loop.hpp"
-#include "net/rate_limiter.hpp"
-#include "rate/rate_controller.hpp"
+#include "rate/link.hpp"
 #include "remoting/message.hpp"
 #include "remoting/region_update.hpp"
 #include "rtp/framing.hpp"
@@ -72,22 +71,10 @@ struct AppHostOptions {
   bool pointer_messages = true;
   /// Answer NACKs with retransmissions (SDP "retransmissions" parameter).
   bool retransmissions = true;
-  /// §7 backlog policy for TCP participants: skip a participant's frame
-  /// while its send-buffer backlog exceeds this many bytes. 0 disables the
-  /// policy (naive send-everything — the behaviour §7 warns against).
-  std::size_t tcp_backlog_limit = 4096;
-  /// §4.3 rate control for UDP participants: per-participant token bucket
-  /// in bits/s (0 = unlimited). A frame is skipped (damage accumulates)
-  /// while the bucket cannot cover one MTU.
-  std::uint64_t udp_rate_bps = 0;
-  std::size_t udp_burst_bytes = 64 * 1024;
-  /// Closed-loop per-participant adaptation (ads::rate): when enabled, an
-  /// AIMD controller per participant consumes RTCP RR loss/jitter (UDP) or
-  /// send-buffer backlog trend (TCP) and re-targets that participant's
-  /// token-bucket rate, DCT quality rung and frame-interval divisor every
-  /// tick — the static udp_rate_bps above becomes merely the pre-adaptation
-  /// seed. Fully deterministic under the virtual clock.
-  rate::AdaptationOptions adaptation;
+  /// Per-participant send policy (rate::Link): a frame is skipped, and its
+  /// damage kept pending, while the §7 backlog gate or the §4.3 bucket (one
+  /// MTU) refuses it. Adaptation also sets the DCT rung and fps divisor.
+  rate::LinkOptions link;
   /// Tall damage rectangles are split into horizontal bands of at most this
   /// many rows before encoding, bounding the size of a single RegionUpdate
   /// so rate control and interface queues see smooth bursts. 0 disables.
@@ -143,9 +130,10 @@ class AppHost {
 
   /// Validate and normalise options: rejects impossible settings
   /// (frame_interval_us == 0, non-positive screen dimensions, zero MTU)
-  /// with std::invalid_argument, and clamps merely nonsensical ones (a UDP
-  /// burst smaller than one MTU with rate control on, negative band rows,
-  /// inverted adaptation rate bounds) to the nearest workable value.
+  /// with std::invalid_argument, and clamps merely nonsensical ones
+  /// (negative band rows, and the link options through
+  /// rate::LinkOptions::validated with one MTU as the packet size) to the
+  /// nearest workable value.
   static AppHostOptions validated(AppHostOptions opts);
 
   /// The window manager whose shared windows this AH exports.
@@ -168,8 +156,9 @@ class AppHost {
   /// all 65,535 ids are live.
   ParticipantId add_participant(Endpoint endpoint, ParticipantId reuse_id = 0);
   /// Deregister a participant and reclaim all its per-participant state;
-  /// its rtx.* and rate.* totals live on, so those counters stay monotone.
-  /// The liveness sweep evicts through here too.
+  /// its rtx.* and rate.* totals live on, so those counters stay monotone,
+  /// and its rate.p<id>.* gauges are withdrawn to 0. The liveness sweep
+  /// evicts through here too.
   void remove_participant(ParticipantId id);
   /// Number of currently registered participants.
   std::size_t participant_count() const { return participants_.size(); }
@@ -198,7 +187,7 @@ class AppHost {
   const ReportBlock* last_receiver_report(ParticipantId id) const;
 
   /// Current ads::rate operating point for a participant (nullptr for
-  /// unknown ids). Meaningful only when options().adaptation.enabled.
+  /// unknown ids). Meaningful only when options().link.adaptation.enabled.
   const rate::OperatingPoint* participant_operating_point(ParticipantId id) const;
 
   /// Per-participant codec override — the outcome of §5.2.2 media-type
@@ -337,17 +326,14 @@ class AppHost {
 
  private:
   struct ParticipantState {
-    Egress egress;             ///< transport, TCP carry and UDP TX batch
+    rate::Link link;  ///< transport plus the §7/§4.3 gates and adaptation
     RtpSender sender;          ///< per-participant remoting RTP stream
     RetransmissionCache cache;
-    TokenBucket bucket;        ///< §4.3 UDP rate control
-    rate::RateController rate_ctrl;  ///< ads::rate closed-loop adaptation
     bool needs_full_refresh = false;
     bool needs_wmi = false;
     Region pending;            ///< damage not yet delivered (backlog skips)
     std::uint64_t frames_sent = 0;
     StreamDeframer uplink_deframer;  ///< TCP uplink reassembly
-    std::optional<ReportBlock> last_rr;
     std::optional<ContentPt> codec;  ///< negotiated override (else AH default)
     SimTime last_uplink_us = 0;      ///< liveness: any uplink traffic
     bool stale = false;              ///< silent past stale_after_us
@@ -364,12 +350,9 @@ class AppHost {
     transcode::OutputGeometry geometry;
     Rect geometry_src;
 
-    ParticipantState(Endpoint ep, std::uint8_t pt, std::uint64_t seed,
-                     std::size_t cache_size, std::uint64_t rate_bps,
-                     std::size_t burst, rate::Transport transport,
-                     const rate::AdaptationOptions& adapt)
-        : egress(std::move(ep)), sender(pt, seed), cache(cache_size),
-          bucket(rate_bps, burst), rate_ctrl(transport, adapt) {}
+    ParticipantState(Endpoint ep, const rate::LinkOptions& link_opts,
+                     std::uint8_t pt, std::uint64_t seed, std::size_t cache_size)
+        : link(std::move(ep), link_opts), sender(pt, seed), cache(cache_size) {}
   };
 
   /// Per-participant counters of participants that have left, so the
@@ -395,9 +378,10 @@ class AppHost {
   /// payload_bytes_copied). `content` is consumed.
   BandStream make_band_stream(const Rect& r, ContentPt pt, Bytes content,
                               const transcode::OutputGeometry& geom);
-  /// Account for and hand one packet to the participant's egress (UDP
-  /// packets also enter the retransmission cache and the §4.3 bucket). UDP
-  /// packets leave at the end of the distribute turn (finish_turn).
+  /// Account for and hand one packet to the participant's link, which
+  /// charges its §4.3 bucket (UDP packets also enter the retransmission
+  /// cache). UDP packets leave at the end of the distribute turn
+  /// (finish_turn).
   void transmit_view(ParticipantState& p, const PacketView& v, SimTime now);
   /// End one participant's distribute turn: count the frame and flush the
   /// egress's UDP batch.

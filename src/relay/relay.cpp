@@ -18,12 +18,8 @@ RelayOptions RelayNode::validated(RelayOptions opts) {
   if (opts.nack_flush_us == 0) opts.nack_flush_us = 1;
   opts.nack_holdoff_us = std::max(opts.nack_holdoff_us, opts.nack_flush_us);
   if (opts.retransmission_cache < 16) opts.retransmission_cache = 16;
-  if (opts.leg_rate_bps != 0 && opts.leg_burst_bytes < 1500) {
-    opts.leg_burst_bytes = 1500;
-  }
-  if (opts.adaptation.min_rate_bps > opts.adaptation.max_rate_bps) {
-    std::swap(opts.adaptation.min_rate_bps, opts.adaptation.max_rate_bps);
-  }
+  // A leg's bucket must hold one MTU-sized packet of the upstream stream.
+  opts.link = rate::LinkOptions::validated(opts.link, 1500);
   if (opts.probe_interval_us == 0) opts.probe_interval_us = 1;
   if (opts.probe_count < 1) opts.probe_count = 1;
   if (opts.watchdog_jitter < 0.0) opts.watchdog_jitter = 0.0;
@@ -68,24 +64,19 @@ LegId RelayNode::add_leg(Endpoint endpoint, LegConfig cfg) {
     throw std::invalid_argument("RelayNode: leg count would exceed max_legs");
   }
   const LegId id = next_leg_id_++;
-  const bool udp = endpoint.kind == Endpoint::Kind::kUdp;
-  // With adaptation on, the controller's initial budget seeds the bucket
-  // (mirrors AppHost::add_participant); the static leg_rate_bps applies to
-  // the non-adaptive path.
-  const std::uint64_t rate_bps =
-      !udp ? 0
-           : cfg.rate_bps.value_or(opts_.adaptation.enabled
-                                       ? opts_.adaptation.initial_rate_bps
-                                       : opts_.leg_rate_bps);
-  legs_.try_emplace(id, std::move(endpoint), rate_bps,
-                    cfg.burst_bytes.value_or(opts_.leg_burst_bytes),
-                    udp ? rate::Transport::kUdp : rate::Transport::kTcp,
-                    opts_.adaptation);
+  rate::LinkOptions link = opts_.link;
+  if (cfg.rate_bps) link.rate_bps = *cfg.rate_bps;
+  if (cfg.burst_bytes) link.burst_bytes = *cfg.burst_bytes;
+  legs_.try_emplace(id, std::move(endpoint), link);
   return id;
 }
 
 void RelayNode::remove_leg(LegId id) {
-  legs_.erase(id);
+  auto it = legs_.find(id);
+  if (it == legs_.end()) return;
+  // The collector no longer visits this leg: withdraw its gauges.
+  publish_leg(id, it->second, /*withdrawn=*/true);
+  legs_.erase(it);
   for (auto* table : {&pending_nack_, &requested_upstream_}) {
     for (auto& [seq, pending] : *table) pending.waiters.erase(id);
   }
@@ -93,13 +84,8 @@ void RelayNode::remove_leg(LegId id) {
 
 const ReportBlock* RelayNode::leg_last_rr(LegId id) const {
   auto it = legs_.find(id);
-  if (it == legs_.end() || !it->second.last_rr) return nullptr;
-  return &*it->second.last_rr;
-}
-
-const rate::OperatingPoint* RelayNode::leg_operating_point(LegId id) const {
-  auto it = legs_.find(id);
-  return it == legs_.end() ? nullptr : &it->second.rate_ctrl.current();
+  if (it == legs_.end() || !it->second.link.last_report()) return nullptr;
+  return &*it->second.link.last_report();
 }
 
 // ----- upstream ingest ------------------------------------------------
@@ -163,12 +149,8 @@ std::size_t RelayNode::on_upstream_batch(std::span<const PacketView> pkts) {
 void RelayNode::on_upstream_stream(BytesView data) {
   upstream_deframer_.feed(data);
   while (auto packet = upstream_deframer_.next()) {
-    dispatch_upstream(std::move(*packet));
+    on_upstream_datagram(std::move(*packet));
   }
-}
-
-void RelayNode::dispatch_upstream(Bytes datagram) {
-  on_upstream_datagram(std::move(datagram));
 }
 
 void RelayNode::ingest_media(const PacketView& v) {
@@ -241,7 +223,7 @@ void RelayNode::ingest_media(const PacketView& v) {
     for (LegId id : wait->second.waiters) {
       auto leg = legs_.find(id);
       if (leg != legs_.end()) {
-        stats_.payload_bytes_copied += leg->second.egress.flush();
+        stats_.payload_bytes_copied += leg->second.link.egress().flush();
       }
     }
     requested_upstream_.erase(wait);
@@ -254,7 +236,7 @@ void RelayNode::ingest_media(const PacketView& v) {
   }
 
   for (auto& [id, leg] : legs_) forward_to_leg(leg, v);
-  for (auto& [id, leg] : legs_) stats_.payload_bytes_copied += leg.egress.flush();
+  for (auto& [id, leg] : legs_) stats_.payload_bytes_copied += leg.link.egress().flush();
 
   // The relay NACKs upstream for its own reception gaps too — a loss on the
   // upstream link would otherwise starve the whole subtree.
@@ -265,30 +247,23 @@ void RelayNode::ingest_media(const PacketView& v) {
 
 void RelayNode::forward_to_leg(LegState& leg, const PacketView& v) {
   const SimTime now = loop_.now();
-  if (leg.egress.tcp()) {
-    // §7 backlog gate, per packet: a slow leaf sheds its own traffic. The
-    // viewer's NACK→PLI ladder recovers the gap from the relay's cache.
-    if (opts_.leg_backlog_limit != 0 &&
-        leg.egress.backlog() > opts_.leg_backlog_limit) {
-      ++leg.drops_backlog;
-      ++stats_.leg_drops_backlog;
-      return;
-    }
-    stats_.forwarded_bytes += v.framed_size();
-  } else {
-    // UDP leg: §4.3 token bucket, per packet.
-    if (!leg.bucket.unlimited() &&
-        leg.bucket.available(now) < static_cast<double>(v.wire_size())) {
-      ++leg.drops_rate;
-      ++stats_.leg_drops_rate;
-      return;
-    }
-    leg.bucket.consume(v.wire_size(), now);
-    stats_.forwarded_bytes += v.wire_size();
+  // §7 backlog gate (TCP legs) and §4.3 token bucket (UDP legs), per
+  // packet: a slow leaf sheds its own traffic. The viewer's NACK→PLI ladder
+  // recovers the gap from the relay's cache.
+  if (leg.link.backlogged()) {
+    ++leg.drops_backlog;
+    ++stats_.leg_drops_backlog;
+    return;
   }
+  if (leg.link.short_of(v.wire_size(), now)) {
+    ++leg.drops_rate;
+    ++stats_.leg_drops_rate;
+    return;
+  }
+  stats_.forwarded_bytes += leg.link.tcp() ? v.framed_size() : v.wire_size();
   ++leg.forwarded;
   ++stats_.forwarded_packets;
-  stats_.payload_bytes_copied += leg.egress.send(v);
+  stats_.payload_bytes_copied += leg.link.send(v, now);
 }
 
 void RelayNode::forward_control(BytesView packet) {
@@ -296,7 +271,7 @@ void RelayNode::forward_control(BytesView packet) {
   // TCP legs frame it behind their carry, ungated: control packets are
   // tiny, and the §7 gate is for media — feedback must keep flowing.
   for (auto& [id, leg] : legs_) {
-    stats_.payload_bytes_copied += leg.egress.send_control(packet);
+    stats_.payload_bytes_copied += leg.link.egress().send_control(packet);
   }
 }
 
@@ -342,15 +317,6 @@ void RelayNode::on_leg_packet(LegId from, BytesView packet) {
   }
 }
 
-void RelayNode::on_leg_stream(LegId from, BytesView data) {
-  auto it = legs_.find(from);
-  if (it == legs_.end()) return;
-  it->second.uplink_deframer.feed(data);
-  while (auto packet = it->second.uplink_deframer.next()) {
-    on_leg_packet(from, *packet);
-  }
-}
-
 void RelayNode::handle_leg_rtcp(LegId from, LegState& leg, BytesView packet) {
   auto msgs = parse_rtcp_compound(packet);
   if (!msgs.ok()) return;
@@ -358,13 +324,7 @@ void RelayNode::handle_leg_rtcp(LegId from, LegState& leg, BytesView packet) {
     if (std::holds_alternative<ReceiverReport>(msg)) {
       const auto& rr = std::get<ReceiverReport>(msg);
       ++stats_.rrs_received;
-      if (!rr.blocks.empty()) {
-        leg.last_rr = rr.blocks.front();
-        if (opts_.adaptation.enabled) {
-          leg.rate_ctrl.on_receiver_report(leg.last_rr->fraction_lost,
-                                           leg.last_rr->jitter, loop_.now());
-        }
-      }
+      if (!rr.blocks.empty()) leg.link.on_report(rr.blocks.front(), loop_.now());
     } else if (std::holds_alternative<PictureLossIndication>(msg)) {
       ++stats_.plis_received;
       handle_leg_pli();
@@ -376,7 +336,7 @@ void RelayNode::handle_leg_rtcp(LegId from, LegState& leg, BytesView packet) {
         handle_leg_nack_seq(from, leg, seq);
       }
       // Repairs served from the cache go out as one batch.
-      stats_.payload_bytes_copied += leg.egress.flush();
+      stats_.payload_bytes_copied += leg.link.egress().flush();
     }
   }
 }
@@ -582,15 +542,7 @@ void RelayNode::report_tick() {
   // Per-leg closed loop: the §7 backlog sample (TCP, carry included) or the
   // accumulated RR signal (UDP) retargets that leg's bucket. Quality/fps
   // outputs are meaningless without an encoder and stay unused.
-  if (opts_.adaptation.enabled) {
-    for (auto& [id, leg] : legs_) {
-      if (leg.egress.tcp()) {
-        leg.rate_ctrl.on_backlog_sample(leg.egress.backlog(), now);
-      }
-      const rate::OperatingPoint& op = leg.rate_ctrl.update(now);
-      if (!leg.egress.tcp()) leg.bucket.set_rate(op.rate_bps, now);
-    }
-  }
+  for (auto& [id, leg] : legs_) leg.link.adapt(now);
 
   // Worst-case RR summary upstream, with any pending NACK riding along in
   // the same compound datagram. An orphaned node has no parent to report
@@ -630,8 +582,8 @@ ReportBlock RelayNode::aggregate_report() {
   // same forwarded stream (same SSRC/sequence space), so min over extended
   // highest sequence is meaningful.
   for (const auto& [id, leg] : legs_) {
-    if (!leg.last_rr) continue;
-    const ReportBlock& b = *leg.last_rr;
+    if (!leg.link.last_report()) continue;
+    const ReportBlock& b = *leg.link.last_report();
     agg.fraction_lost = std::max(agg.fraction_lost, b.fraction_lost);
     agg.cumulative_lost = std::max(agg.cumulative_lost, b.cumulative_lost);
     agg.jitter = std::max(agg.jitter, b.jitter);
@@ -828,24 +780,26 @@ void RelayNode::publish_metrics() {
   m.gauge(f + "detect_us").set(static_cast<std::int64_t>(detect_latency_us_));
   m.gauge(f + "resync_us").set(static_cast<std::int64_t>(resync_duration_us_));
   m.gauge(p + "legs").set(static_cast<std::int64_t>(legs_.size()));
-  for (const auto& [id, leg] : legs_) {
-    const std::string lp = p + "leg" + std::to_string(id) + ".";
-    // A stopped node withdraws its per-leg gauges (zero, not last-known):
-    // stale backlog/rate readings from a quiesced forwarder would steer
-    // upstream adaptation on fiction.
-    if (leg.egress.tcp()) {
-      m.gauge(lp + "backlog")
-          .set(stopped_ ? 0 : static_cast<std::int64_t>(leg.egress.backlog()));
-    }
-    if (!leg.egress.tcp() && !leg.bucket.unlimited()) {
-      m.gauge(lp + "rate_bps")
-          .set(stopped_ ? 0
-                        : static_cast<std::int64_t>(leg.bucket.rate_bps()));
-    }
-    m.counter(lp + "forwarded").set(leg.forwarded);
-    m.counter(lp + "drops_backlog").set(leg.drops_backlog);
-    m.counter(lp + "drops_rate").set(leg.drops_rate);
+  for (const auto& [id, leg] : legs_) publish_leg(id, leg, stopped_);
+}
+
+void RelayNode::publish_leg(LegId id, const LegState& leg, bool withdrawn) {
+  auto& m = tel_->metrics;
+  const std::string lp = opts_.metrics_prefix + "leg" + std::to_string(id) + ".";
+  // A withdrawn leg's gauges read zero, not last-known: stale backlog/rate
+  // readings from a quiesced forwarder would steer upstream adaptation on
+  // fiction.
+  if (leg.link.tcp()) {
+    m.gauge(lp + "backlog")
+        .set(withdrawn ? 0 : static_cast<std::int64_t>(leg.link.backlog()));
   }
+  if (leg.link.rate_bps() != 0) {
+    m.gauge(lp + "rate_bps")
+        .set(withdrawn ? 0 : static_cast<std::int64_t>(leg.link.rate_bps()));
+  }
+  m.counter(lp + "forwarded").set(leg.forwarded);
+  m.counter(lp + "drops_backlog").set(leg.drops_backlog);
+  m.counter(lp + "drops_rate").set(leg.drops_rate);
 }
 
 }  // namespace ads::relay

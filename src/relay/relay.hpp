@@ -24,10 +24,11 @@
 // and BFCP uplink packets pass through upward unchanged.
 //
 // Data plane policy is per leg, so a slow leaf degrades its own leg and
-// never the tree: the §7 backlog gate for TCP legs, a §4.3 token bucket
-// (optionally retargeted by a per-leg ads::rate controller) for UDP legs.
-// A relay has no encoder, so the controller's quality/fps outputs are
-// ignored; only its rate output actuates the bucket.
+// never the tree: each leg holds one rate::Link, the same policy the AH
+// applies per participant — the §7 backlog gate for TCP legs, a §4.3 token
+// bucket (optionally retargeted by the link's ads::rate controller) for
+// UDP legs. A relay has no encoder, so the controller's quality/fps
+// outputs are ignored; only its rate output actuates the bucket.
 //
 // Self-healing: the node watches its upstream for media/SR silence on the
 // virtual clock (same escalation shape as the participant starvation
@@ -53,8 +54,7 @@
 #include "buf/buf.hpp"
 #include "net/egress.hpp"
 #include "net/event_loop.hpp"
-#include "net/rate_limiter.hpp"
-#include "rate/rate_controller.hpp"
+#include "rate/link.hpp"
 #include "rtp/framing.hpp"
 #include "rtp/packet_classify.hpp"
 #include "rtp/packet_view.hpp"
@@ -100,19 +100,10 @@ struct RelayOptions {
   /// Local retransmission store serving subtree NACKs without an upstream
   /// round trip. Packets, not bytes; clamped to at least 16.
   std::size_t retransmission_cache = 4096;
-  /// §7 backlog gate for TCP legs: drop a packet for a leg whose send
-  /// backlog exceeds this many bytes (0 disables — the behaviour §7 warns
-  /// against).
-  std::size_t leg_backlog_limit = 64 * 1024;
-  /// §4.3 token bucket seed for UDP legs, bits/s (0 = unlimited). Per-leg
-  /// overrides via LegConfig.
-  std::uint64_t leg_rate_bps = 0;
-  /// Bucket depth for UDP legs; clamped to at least one MTU-ish packet
-  /// (1500 bytes) when a rate is set.
-  std::size_t leg_burst_bytes = 64 * 1024;
-  /// Closed-loop per-leg adaptation (ads::rate). Only the rate output is
-  /// actuated — a relay cannot re-encode, so quality/fps are ignored.
-  rate::AdaptationOptions adaptation;
+  /// Per-leg send policy (rate::Link): a packet the §7 backlog gate or the
+  /// §4.3 bucket refuses is dropped for that leg. LegConfig overrides rate
+  /// and burst per leg; adaptation actuates only the rate (no encoder).
+  rate::LinkOptions link{.backlog_limit = 64 * 1024};
   /// Shared observability sink; null = the node owns a private Telemetry.
   telemetry::Telemetry* telemetry = nullptr;
   /// Prefix for this node's metrics (multi-relay sessions give each node a
@@ -138,11 +129,14 @@ struct RelayOptions {
   double watchdog_jitter = 0.25;
 };
 
-/// Per-leg policy overrides supplied at add_leg() time.
+/// Per-leg policy overrides supplied at add_leg() time, applied to a copy
+/// of RelayOptions::link.
 struct LegConfig {
-  /// Token-bucket rate for this leg (bits/s); unset = RelayOptions default.
+  /// Static token-bucket rate for this leg (bits/s), used only with
+  /// adaptation off; unset = RelayOptions::link.rate_bps.
   std::optional<std::uint64_t> rate_bps;
-  /// Bucket depth for this leg (bytes); unset = RelayOptions default.
+  /// Bucket depth for this leg (bytes), taken as given (not clamped);
+  /// unset = RelayOptions::link.burst_bytes.
   std::optional<std::size_t> burst_bytes;
 };
 
@@ -158,8 +152,9 @@ class RelayNode {
 
   /// Validate and normalise options: rejects impossible settings (zero
   /// max_legs, zero report interval) with std::invalid_argument and clamps
-  /// nonsensical ones (zero nack flush, holdoff below flush, a rate-limited
-  /// leg burst below one packet, a zero retransmission cache).
+  /// nonsensical ones (zero nack flush, holdoff below flush, a zero
+  /// retransmission cache, and the link options through
+  /// rate::LinkOptions::validated with a 1500-byte packet).
   static RelayOptions validated(RelayOptions opts);
 
   /// The validated options this node runs with.
@@ -190,7 +185,8 @@ class RelayNode {
   /// Register a downstream leg (a viewer's link or a child relay's
   /// upstream). Throws std::invalid_argument past options().max_legs.
   LegId add_leg(Endpoint endpoint, LegConfig cfg = {});
-  /// Deregister a leg and reclaim its state.
+  /// Deregister a leg and reclaim its state. Its backlog/rate gauges are
+  /// withdrawn to 0 (its counters stay: they are lifetime totals).
   void remove_leg(LegId id);
   /// Number of registered legs.
   std::size_t leg_count() const { return legs_.size(); }
@@ -198,8 +194,6 @@ class RelayNode {
   /// Uplink packet from a leg: RTCP terminates here (NACK/PLI/RR
   /// aggregation); RTP (HIP) and BFCP pass through upward verbatim.
   void on_leg_packet(LegId from, BytesView packet);
-  /// TCP leg uplink variant: raw RFC 4571-framed stream bytes.
-  void on_leg_stream(LegId from, BytesView data);
 
   /// Begin the periodic aggregation/adaptation interval on the event loop.
   void start();
@@ -262,9 +256,6 @@ class RelayNode {
 
   /// Last Receiver Report block a leg sent (nullptr before the first).
   const ReportBlock* leg_last_rr(LegId id) const;
-  /// The leg's ads::rate operating point (meaningful when adaptation is
-  /// enabled; nullptr for unknown legs).
-  const rate::OperatingPoint* leg_operating_point(LegId id) const;
   /// The SSRC this relay reports with (RTCP sender identity).
   std::uint32_t ssrc() const { return ssrc_; }
   /// Upstream media SSRC once learned (0 before the first media packet).
@@ -333,19 +324,13 @@ class RelayNode {
 
  private:
   struct LegState {
-    Egress egress;  ///< transport, TCP carry and one forward turn's batch
-    TokenBucket bucket;
-    rate::RateController rate_ctrl;
-    std::optional<ReportBlock> last_rr;
-    StreamDeframer uplink_deframer;  ///< TCP leg uplink reassembly
+    rate::Link link;  ///< transport plus the §7/§4.3 gates and adaptation
     std::uint64_t forwarded = 0;
     std::uint64_t drops_backlog = 0;
     std::uint64_t drops_rate = 0;
 
-    LegState(Endpoint ep, std::uint64_t rate_bps, std::size_t burst,
-             rate::Transport transport, const rate::AdaptationOptions& adapt)
-        : egress(std::move(ep)), bucket(rate_bps, burst),
-          rate_ctrl(transport, adapt) {}
+    LegState(Endpoint ep, const rate::LinkOptions& opts)
+        : link(std::move(ep), opts) {}
   };
 
   /// A sequence the subtree is missing: which legs asked (or everyone, for
@@ -356,8 +341,6 @@ class RelayNode {
     SimTime requested_at = 0;
   };
 
-  /// Dispatch one upstream packet that arrived as owned bytes.
-  void dispatch_upstream(Bytes datagram);
   /// Bookkeeping + cache + fan-out for one ingested media view.
   void ingest_media(const PacketView& v);
   /// Queue one media packet onto a leg, honouring that leg's §7/§4.3 gates
@@ -394,6 +377,10 @@ class RelayNode {
   ReportBlock aggregate_report();
   /// Snapshot-time collector publishing Stats under the metrics prefix.
   void publish_metrics();
+  /// Publish one leg's counters and its backlog (TCP) and rate
+  /// (rate-limited) gauges, the gauges as 0 when `withdrawn` (stopped node,
+  /// departed leg).
+  void publish_leg(LegId id, const LegState& leg, bool withdrawn);
   /// Reset every per-epoch upstream structure: receiver/probation state,
   /// the retransmission cache, pending NACK/PLI holdoff windows, SR state
   /// and the learned SSRC. Shared by SSRC-change detection, failover

@@ -155,13 +155,13 @@ TEST(ChaosConvergence, TcpStallAndCollapseReconverge) {
 
 AppHostOptions adaptive_host() {
   AppHostOptions opts = chaos_host();
-  opts.adaptation.enabled = true;
-  opts.adaptation.min_rate_bps = 200'000;
-  opts.adaptation.max_rate_bps = 50'000'000;
-  opts.adaptation.initial_rate_bps = 20'000'000;
+  opts.link.adaptation.enabled = true;
+  opts.link.adaptation.min_rate_bps = 200'000;
+  opts.link.adaptation.max_rate_bps = 50'000'000;
+  opts.link.adaptation.initial_rate_bps = 20'000'000;
   // Probe back up fast enough that post-restore budgets clear the VideoApp
   // demand within a bounded test window.
-  opts.adaptation.additive_increase_bps = 1'000'000;
+  opts.link.adaptation.additive_increase_bps = 1'000'000;
   return opts;
 }
 

@@ -30,8 +30,8 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
   opts.screen_height = 240;
   opts.frame_interval_us = sim_ms(100);
   // Generous buckets: chaos here is loss/PLI pressure, not rate skips.
-  opts.udp_rate_bps = 200'000'000;
-  opts.udp_burst_bytes = 4 * 1024 * 1024;
+  opts.link.rate_bps = 200'000'000;
+  opts.link.burst_bytes = 4 * 1024 * 1024;
   AppHost host(loop, opts);
 
   const WindowId w = host.wm().create({0, 0, 320, 240}, 1);

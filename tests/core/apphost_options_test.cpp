@@ -16,8 +16,8 @@ TEST(AppHostOptions, DefaultsAreValidAndUnchanged) {
   EXPECT_EQ(v.frame_interval_us, opts.frame_interval_us);
   EXPECT_EQ(v.screen_width, opts.screen_width);
   EXPECT_EQ(v.damage_tile, opts.damage_tile);
-  EXPECT_EQ(v.udp_burst_bytes, opts.udp_burst_bytes);
-  EXPECT_EQ(v.tcp_backlog_limit, opts.tcp_backlog_limit);
+  EXPECT_EQ(v.link.burst_bytes, opts.link.burst_bytes);
+  EXPECT_EQ(v.link.backlog_limit, opts.link.backlog_limit);
 }
 
 TEST(AppHostOptions, ZeroFrameIntervalThrows) {
@@ -61,43 +61,43 @@ TEST(AppHostOptions, RateControlledBurstCoversOneMtu) {
   // A burst that cannot cover a single MTU would gate every frame forever;
   // with §4.3 rate control (or adaptation) active it is raised to the MTU.
   AppHostOptions opts;
-  opts.udp_rate_bps = 1'000'000;
-  opts.udp_burst_bytes = 100;
-  EXPECT_EQ(AppHost::validated(opts).udp_burst_bytes, opts.mtu_payload);
+  opts.link.rate_bps = 1'000'000;
+  opts.link.burst_bytes = 100;
+  EXPECT_EQ(AppHost::validated(opts).link.burst_bytes, opts.mtu_payload);
 
   AppHostOptions adaptive;
-  adaptive.adaptation.enabled = true;
-  adaptive.udp_burst_bytes = 1;
-  EXPECT_EQ(AppHost::validated(adaptive).udp_burst_bytes, adaptive.mtu_payload);
+  adaptive.link.adaptation.enabled = true;
+  adaptive.link.burst_bytes = 1;
+  EXPECT_EQ(AppHost::validated(adaptive).link.burst_bytes, adaptive.mtu_payload);
 
   // Without any rate control the tiny burst is inert and left alone.
   AppHostOptions unlimited;
-  unlimited.udp_burst_bytes = 100;
-  EXPECT_EQ(AppHost::validated(unlimited).udp_burst_bytes, 100u);
+  unlimited.link.burst_bytes = 100;
+  EXPECT_EQ(AppHost::validated(unlimited).link.burst_bytes, 100u);
 }
 
 TEST(AppHostOptions, SmallTcpBacklogLimitIsPreserved) {
   // Deliberately tight §7 limits (smaller than one MTU) are a legitimate
   // configuration — validation must not second-guess them.
   AppHostOptions opts;
-  opts.tcp_backlog_limit = 1024;
-  EXPECT_EQ(AppHost::validated(opts).tcp_backlog_limit, 1024u);
+  opts.link.backlog_limit = 1024;
+  EXPECT_EQ(AppHost::validated(opts).link.backlog_limit, 1024u);
 }
 
 TEST(AppHostOptions, AdaptationBoundsAreNormalised) {
   AppHostOptions opts;
-  opts.adaptation.enabled = true;
-  opts.adaptation.min_rate_bps = 8'000'000;
-  opts.adaptation.max_rate_bps = 1'000'000;
-  opts.adaptation.initial_rate_bps = 64'000'000;
-  opts.adaptation.max_fps_divisor = 0;
-  opts.adaptation.backlog_window = 0;
+  opts.link.adaptation.enabled = true;
+  opts.link.adaptation.min_rate_bps = 8'000'000;
+  opts.link.adaptation.max_rate_bps = 1'000'000;
+  opts.link.adaptation.initial_rate_bps = 64'000'000;
+  opts.link.adaptation.max_fps_divisor = 0;
+  opts.link.adaptation.backlog_window = 0;
   const AppHostOptions v = AppHost::validated(opts);
-  EXPECT_EQ(v.adaptation.min_rate_bps, 1'000'000u);
-  EXPECT_EQ(v.adaptation.max_rate_bps, 8'000'000u);
-  EXPECT_EQ(v.adaptation.initial_rate_bps, 8'000'000u);
-  EXPECT_EQ(v.adaptation.max_fps_divisor, 1);
-  EXPECT_EQ(v.adaptation.backlog_window, 1);
+  EXPECT_EQ(v.link.adaptation.min_rate_bps, 1'000'000u);
+  EXPECT_EQ(v.link.adaptation.max_rate_bps, 8'000'000u);
+  EXPECT_EQ(v.link.adaptation.initial_rate_bps, 8'000'000u);
+  EXPECT_EQ(v.link.adaptation.max_fps_divisor, 1);
+  EXPECT_EQ(v.link.adaptation.backlog_window, 1);
 }
 
 TEST(AppHostOptions, ConstructorStoresValidatedOptions) {

@@ -73,8 +73,8 @@ GoldenResult run_golden(std::optional<std::size_t> solo = std::nullopt) {
   opts.screen_height = 240;
   // Refill below one MTU per tick: UDP viewers hit §4.3 rate skips and
   // carry packetise leftovers across ticks.
-  opts.udp_rate_bps = 80'000;
-  opts.udp_burst_bytes = 16 * 1024;
+  opts.link.rate_bps = 80'000;
+  opts.link.burst_bytes = 16 * 1024;
   opts.region_band_rows = 64;
   opts.frame_interval_us = sim_ms(100);
   opts.sr_interval_us = sim_ms(500);

@@ -117,7 +117,7 @@ TEST(MoveRectEligibility, LaggingParticipantWithRedamagedRegionGetsNoStaleMove) 
 
   // The bottom tile changes while the §7 gate holds `lag` back.
   phase = 1;
-  lag.backlog = opts.tcp_backlog_limit + 1;
+  lag.backlog = opts.link.backlog_limit + 1;
   host.tick();
   const std::uint64_t skips = host.stats().frames_skipped_backlog;
   ASSERT_GE(skips, 1u);

@@ -1,10 +1,12 @@
 // Participant lifecycle under churn: 16-bit ids never wrap into live state,
-// the allocator refuses cleanly once every id is live, and the AH's
-// aggregate counters never run backwards when a participant leaves.
+// the allocator refuses cleanly once every id is live, the AH's aggregate
+// counters never run backwards when a participant leaves, and a departed
+// participant's gauges are withdrawn.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "capture/apps.hpp"
@@ -79,7 +81,7 @@ TEST(ParticipantLifecycle, CountersNeverRunBackwardsWhenParticipantLeaves) {
   EventLoop loop;
   AppHostOptions opts = small_host();
   opts.retransmission_cache = 16;  // a few ticks of sends evict
-  opts.adaptation.enabled = true;
+  opts.link.adaptation.enabled = true;
   AppHost host(loop, opts);
   const WindowId w = host.wm().create({0, 0, 160, 120}, 1);
   host.capturer().attach(w, std::make_unique<VideoApp>(160, 120, 5));
@@ -115,6 +117,30 @@ TEST(ParticipantLifecycle, CountersNeverRunBackwardsWhenParticipantLeaves) {
   for (const auto& [name, value] : before.counters) {
     EXPECT_GE(after.counter(name), value) << name;
   }
+}
+
+TEST(ParticipantLifecycle, DepartedParticipantWithdrawsItsRateGauges) {
+  // The rate.p<id>.* gauges describe a live participant's operating point;
+  // once it leaves (removal or liveness eviction) they read 0, not the last
+  // budget — even when it was the last participant.
+  EventLoop loop;
+  AppHostOptions opts = small_host();
+  opts.link.adaptation.enabled = true;
+  AppHost host(loop, opts);
+  std::vector<std::uint16_t> seqs;
+  const ParticipantId id = host.add_participant(recording_endpoint(seqs));
+  host.tick();
+  const std::string prefix = "rate.p" + std::to_string(id) + ".";
+  const telemetry::Snapshot live = host.telemetry().snapshot();
+  ASSERT_EQ(live.gauge(prefix + "budget_bps"), 2'000'000);
+  ASSERT_EQ(live.gauge(prefix + "quality_step"), 2);
+
+  host.remove_participant(id);
+  ASSERT_EQ(host.participant_count(), 0u);
+  const telemetry::Snapshot gone = host.telemetry().snapshot();
+  EXPECT_EQ(gone.gauge(prefix + "budget_bps", -1), 0);
+  EXPECT_EQ(gone.gauge(prefix + "quality_step", -1), 0);
+  EXPECT_EQ(gone.gauge(prefix + "fps_divisor", -1), 0);
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ TEST(PointerFlow, BacklogSkippedParticipantStillGetsPointerUpdate) {
   host.tick();  // late-join WMI + full refresh + initial pointer
 
   // The §7 gate holds the participant back while the pointer moves.
-  scripted_backlog = host.options().tcp_backlog_limit + 1;
+  scripted_backlog = host.options().link.backlog_limit + 1;
   host.set_pointer({55, 66});
   host.tick();
   host.tick();

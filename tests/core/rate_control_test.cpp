@@ -12,8 +12,8 @@ AppHostOptions host_opts(std::uint64_t udp_rate_bps) {
   opts.screen_width = 320;
   opts.screen_height = 240;
   opts.frame_interval_us = sim_ms(100);
-  opts.udp_rate_bps = udp_rate_bps;
-  opts.udp_burst_bytes = 16 * 1024;
+  opts.link.rate_bps = udp_rate_bps;
+  opts.link.burst_bytes = 16 * 1024;
   return opts;
 }
 

@@ -86,7 +86,7 @@ TEST(SessionEdge, TinyTcpBufferNeverTearsFrames) {
   // Byte-starved stream: constant partial writes exercise the stream_carry
   // path; RFC 4571 framing must never desynchronise.
   AppHostOptions opts = small_host();
-  opts.tcp_backlog_limit = 1024;
+  opts.link.backlog_limit = 1024;
   SharingSession session(opts);
   AppHost& host = session.host();
   const WindowId w = host.wm().create({10, 10, 128, 96}, 1);

@@ -118,7 +118,7 @@ TEST(SessionTcp, WindowCloseRemovesRecordAtParticipant) {
 TEST(SessionTcp, SlowLinkSkipsFramesInsteadOfLagging) {
   // §7: backlog-aware AH drops stale frames for a slow TCP participant.
   AppHostOptions host_opts = small_host();
-  host_opts.tcp_backlog_limit = 2048;
+  host_opts.link.backlog_limit = 2048;
   host_opts.codec = ContentPt::kRaw;  // bulky updates to saturate the pipe
   SharingSession session(host_opts);
   const WindowId w = session.host().wm().create({0, 0, 200, 150}, 1);

@@ -47,21 +47,38 @@ TEST(RelayOptions, TinyRetransmissionCacheClamped) {
 
 TEST(RelayOptions, RateLimitedBurstClampedToOnePacket) {
   RelayOptions opts;
-  opts.leg_rate_bps = 1'000'000;
-  opts.leg_burst_bytes = 100;  // below one MTU: nothing could ever send
-  EXPECT_EQ(RelayNode::validated(opts).leg_burst_bytes, 1500u);
+  opts.link.rate_bps = 1'000'000;
+  opts.link.burst_bytes = 100;  // below one MTU: nothing could ever send
+  EXPECT_EQ(RelayNode::validated(opts).link.burst_bytes, 1500u);
   // Unlimited legs keep whatever burst was configured.
-  opts.leg_rate_bps = 0;
-  opts.leg_burst_bytes = 100;
-  EXPECT_EQ(RelayNode::validated(opts).leg_burst_bytes, 100u);
+  opts.link.rate_bps = 0;
+  opts.link.burst_bytes = 100;
+  EXPECT_EQ(RelayNode::validated(opts).link.burst_bytes, 100u);
 }
 
 TEST(RelayOptions, SwappedAdaptationClampIsReordered) {
   RelayOptions opts;
-  opts.adaptation.min_rate_bps = 5'000'000;
-  opts.adaptation.max_rate_bps = 1'000'000;
+  opts.link.adaptation.min_rate_bps = 5'000'000;
+  opts.link.adaptation.max_rate_bps = 1'000'000;
   const RelayOptions v = RelayNode::validated(opts);
-  EXPECT_LE(v.adaptation.min_rate_bps, v.adaptation.max_rate_bps);
+  EXPECT_LE(v.link.adaptation.min_rate_bps, v.link.adaptation.max_rate_bps);
+}
+
+TEST(RelayOptions, AdaptationBoundsAreNormalised) {
+  // The same link validation as AppHostOptions.AdaptationBoundsAreNormalised.
+  RelayOptions opts;
+  opts.link.adaptation.enabled = true;
+  opts.link.adaptation.min_rate_bps = 8'000'000;
+  opts.link.adaptation.max_rate_bps = 1'000'000;
+  opts.link.adaptation.initial_rate_bps = 64'000'000;
+  opts.link.adaptation.max_fps_divisor = 0;
+  opts.link.adaptation.backlog_window = 0;
+  const RelayOptions v = RelayNode::validated(opts);
+  EXPECT_EQ(v.link.adaptation.min_rate_bps, 1'000'000u);
+  EXPECT_EQ(v.link.adaptation.max_rate_bps, 8'000'000u);
+  EXPECT_EQ(v.link.adaptation.initial_rate_bps, 8'000'000u);
+  EXPECT_EQ(v.link.adaptation.max_fps_divisor, 1);
+  EXPECT_EQ(v.link.adaptation.backlog_window, 1);
 }
 
 TEST(RelayOptions, DefaultsAreAlreadyValid) {
