@@ -38,6 +38,29 @@ Endpoint tcp_endpoint(const std::unique_ptr<TcpChannel>& ch) {
   return ep;
 }
 
+/// Add one UDP channel's lifetime stats into `into` (null adds nothing).
+void add_stats(UdpChannel::Stats& into, const UdpChannel* ch) {
+  if (ch == nullptr) return;
+  const UdpChannel::Stats& s = ch->stats();
+  into.sent += s.sent;
+  into.delivered += s.delivered;
+  into.lost += s.lost;
+  into.queue_dropped += s.queue_dropped;
+  into.duplicated += s.duplicated;
+  into.bytes_delivered += s.bytes_delivered;
+}
+
+/// Add one TCP channel's lifetime stats into `into` (null adds nothing).
+void add_stats(TcpChannel::Stats& into, const TcpChannel* ch) {
+  if (ch == nullptr) return;
+  const TcpChannel::Stats& s = ch->stats();
+  into.bytes_offered += s.bytes_offered;
+  into.bytes_accepted += s.bytes_accepted;
+  into.bytes_delivered += s.bytes_delivered;
+  into.partial_writes += s.partial_writes;
+  into.bytes_lost_on_drop += s.bytes_lost_on_drop;
+}
+
 }  // namespace
 
 SharingSession::SharingSession(AppHostOptions host_opts)
@@ -64,25 +87,6 @@ void SharingSession::publish_net_metrics() {
   UdpChannel::Stats udp = retired_udp_;
   TcpChannel::Stats tcp = retired_tcp_;
   Participant::Stats part;
-  const auto add_udp = [&udp](const UdpChannel* ch) {
-    if (ch == nullptr) return;
-    const UdpChannel::Stats& s = ch->stats();
-    udp.sent += s.sent;
-    udp.delivered += s.delivered;
-    udp.lost += s.lost;
-    udp.queue_dropped += s.queue_dropped;
-    udp.duplicated += s.duplicated;
-    udp.bytes_delivered += s.bytes_delivered;
-  };
-  const auto add_tcp = [&tcp](const TcpChannel* ch) {
-    if (ch == nullptr) return;
-    const TcpChannel::Stats& s = ch->stats();
-    tcp.bytes_offered += s.bytes_offered;
-    tcp.bytes_accepted += s.bytes_accepted;
-    tcp.bytes_delivered += s.bytes_delivered;
-    tcp.partial_writes += s.partial_writes;
-    tcp.bytes_lost_on_drop += s.bytes_lost_on_drop;
-  };
   const auto add_part = [&part](const Participant* p) {
     if (p == nullptr) return;
     const Participant::Stats& s = p->stats();
@@ -107,28 +111,28 @@ void SharingSession::publish_net_metrics() {
   };
 
   for (const auto& c : connections_) {
-    add_udp(c->down_udp.get());
-    add_udp(c->up_udp.get());
-    add_tcp(c->down_tcp.get());
-    add_tcp(c->up_tcp.get());
+    add_stats(udp, c->down_udp.get());
+    add_stats(udp, c->up_udp.get());
+    add_stats(tcp, c->down_tcp.get());
+    add_stats(tcp, c->up_tcp.get());
     add_part(c->participant.get());
   }
   for (const auto& mc : multicast_) {
     for (std::size_t i = 0; i < mc->group->member_count(); ++i) {
-      add_udp(&mc->group->member(i));
+      add_stats(udp, &mc->group->member(i));
     }
     for (const auto& m : mc->members) {
-      add_udp(m->up.get());
+      add_stats(udp, m->up.get());
       add_part(m->participant.get());
     }
   }
   for (const auto& r : relays_) {
-    add_udp(r->down.get());
-    add_udp(r->up.get());
+    add_stats(udp, r->down.get());
+    add_stats(udp, r->up.get());
   }
   for (const auto& v : relay_viewers_) {
-    add_udp(v->down.get());
-    add_udp(v->up.get());
+    add_stats(udp, v->down.get());
+    add_stats(udp, v->up.get());
     add_part(v->participant.get());
   }
 
@@ -170,36 +174,18 @@ void SharingSession::publish_net_metrics() {
   met.counter("recovery.relay_failovers").set(relay_failovers_);
 }
 
-void SharingSession::retire_udp(const UdpChannel* ch) {
-  if (ch == nullptr) return;
-  const UdpChannel::Stats& s = ch->stats();
-  retired_udp_.sent += s.sent;
-  retired_udp_.delivered += s.delivered;
-  retired_udp_.lost += s.lost;
-  retired_udp_.queue_dropped += s.queue_dropped;
-  retired_udp_.duplicated += s.duplicated;
-  retired_udp_.bytes_delivered += s.bytes_delivered;
-}
-
-void SharingSession::retire_stats(Connection& c) {
-  const auto fold_udp = [this](const UdpChannel* ch) { retire_udp(ch); };
-  const auto fold_tcp = [this](const TcpChannel* ch) {
-    if (ch == nullptr) return;
-    const TcpChannel::Stats& s = ch->stats();
-    retired_tcp_.bytes_offered += s.bytes_offered;
-    retired_tcp_.bytes_accepted += s.bytes_accepted;
-    retired_tcp_.bytes_delivered += s.bytes_delivered;
-    retired_tcp_.partial_writes += s.partial_writes;
-    retired_tcp_.bytes_lost_on_drop += s.bytes_lost_on_drop;
-  };
-  fold_udp(c.down_udp.get());
-  fold_udp(c.up_udp.get());
-  fold_tcp(c.down_tcp.get());
-  fold_tcp(c.up_tcp.get());
+void SharingSession::resolve(UdpChannelOptions& ch) {
+  if (ch.seed == 1) ch.seed = ++link_seed_;
+  ch.telemetry = &host_.telemetry();
 }
 
 void SharingSession::teardown_links(Connection& c) {
-  retire_stats(c);
+  // Fold the channels' stats into the retired totals first, so net.*
+  // counters never run backwards when a link dies.
+  add_stats(retired_udp_, c.down_udp.get());
+  add_stats(retired_udp_, c.up_udp.get());
+  add_stats(retired_tcp_, c.down_tcp.get());
+  add_stats(retired_tcp_, c.up_tcp.get());
   // Channel destructors cancel in-flight deliveries (weak-ptr tokens) and
   // withdraw their share of the net.tcp.backlog gauge.
   c.down_udp.reset();
@@ -254,10 +240,8 @@ SharingSession::Connection& SharingSession::add_udp_participant(
   Connection* c = conn.get();
 
   opts.transport = ParticipantOptions::Transport::kUdp;
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
+  resolve(link.down);
+  resolve(link.up);
 
   c->down_udp = std::make_unique<UdpChannel>(loop_, link.down);
   c->up_udp = std::make_unique<UdpChannel>(loop_, link.up);
@@ -378,32 +362,7 @@ bool SharingSession::relay_in_subtree(const RelayHandle& candidate,
 
 SharingSession::RelayHandle& SharingSession::add_relay(
     relay::RelayOptions opts, UdpLinkConfig link) {
-  auto handle = std::make_unique<RelayHandle>();
-  RelayHandle* r = handle.get();
-
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
-  // Distinct per-node identity and metrics namespace within one session.
-  opts.telemetry = &host_.telemetry();
-  opts.metrics_prefix = "relay.r" + std::to_string(relays_.size() + 1) + ".";
-  opts.seed ^= (relays_.size() + 1) << 20;
-  // The resolved configs survive in the handle so a cold restart rebuilds
-  // the same deterministic node and channels.
-  r->opts = opts;
-  r->link = link;
-
-  r->down = std::make_unique<UdpChannel>(loop_, link.down);
-  r->up = std::make_unique<UdpChannel>(loop_, link.up);
-  r->node = std::make_unique<relay::RelayNode>(loop_, std::move(opts));
-
-  attach_relay_upstream(*r);
-  wire_relay(r);
-  r->node->start();
-
-  relays_.push_back(std::move(handle));
-  return *relays_.back();
+  return make_relay(nullptr, std::move(opts), link, {});
 }
 
 SharingSession::RelayHandle& SharingSession::add_relay_child(
@@ -412,17 +371,24 @@ SharingSession::RelayHandle& SharingSession::add_relay_child(
   if (parent.depth + 1 > kMaxRelayDepth) {
     throw std::invalid_argument("SharingSession: relay cascade too deep");
   }
+  return make_relay(&parent, std::move(opts), link, leg);
+}
+
+SharingSession::RelayHandle& SharingSession::make_relay(
+    RelayHandle* parent, relay::RelayOptions opts, UdpLinkConfig link,
+    relay::LegConfig leg) {
   auto handle = std::make_unique<RelayHandle>();
   RelayHandle* r = handle.get();
-  r->parent = &parent;
+  r->parent = parent;
 
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
+  resolve(link.down);
+  resolve(link.up);
+  // Distinct per-node identity and metrics namespace within one session.
   opts.telemetry = &host_.telemetry();
   opts.metrics_prefix = "relay.r" + std::to_string(relays_.size() + 1) + ".";
   opts.seed ^= (relays_.size() + 1) << 20;
+  // The resolved configs survive in the handle so a cold restart rebuilds
+  // the same deterministic node and channels.
   r->opts = opts;
   r->link = link;
   r->leg_cfg = leg;
@@ -447,10 +413,8 @@ SharingSession::RelayViewer& SharingSession::add_relay_viewer(
   v->relay = &relay;
 
   opts.transport = ParticipantOptions::Transport::kUdp;
-  if (link.down.seed == 1) link.down.seed = ++link_seed_;
-  if (link.up.seed == 1) link.up.seed = ++link_seed_;
-  link.down.telemetry = &host_.telemetry();
-  link.up.telemetry = &host_.telemetry();
+  resolve(link.down);
+  resolve(link.up);
   v->leg_cfg = leg;
 
   v->down = std::make_unique<UdpChannel>(loop_, link.down);
@@ -554,8 +518,8 @@ void SharingSession::crash_relay(RelayHandle& r) {
   } else if (r.upstream_id != 0) {
     host_.remove_participant(r.upstream_id);
   }
-  retire_udp(r.down.get());
-  retire_udp(r.up.get());
+  add_stats(retired_udp_, r.down.get());
+  add_stats(retired_udp_, r.up.get());
   // Node destruction publishes one final stopped-state snapshot (per-leg
   // backlog/rate gauges read zero while the node is down) and withdraws
   // the collector. Channel destructors cancel in-flight deliveries via
@@ -624,10 +588,8 @@ SharingSession::MulticastMember& SharingSession::add_multicast_member(
     UdpChannelOptions up) {
   auto member = std::make_unique<MulticastMember>();
   opts.transport = ParticipantOptions::Transport::kUdp;
-  if (down.seed == 1) down.seed = ++link_seed_;
-  if (up.seed == 1) up.seed = ++link_seed_;
-  down.telemetry = &host_.telemetry();
-  up.telemetry = &host_.telemetry();
+  resolve(down);
+  resolve(up);
 
   UdpChannel& down_channel = mc.group->add_member(down);
   member->up = std::make_unique<UdpChannel>(loop_, up);

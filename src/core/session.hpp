@@ -242,14 +242,17 @@ class SharingSession {
   /// Collector: sums every channel's / participant's ad-hoc Stats structs
   /// into net.udp.*, net.tcp.* and participant.* counters at snapshot time.
   void publish_net_metrics();
-  /// Fold a channel's cumulative stats into the retired totals before the
-  /// channel is destroyed (eviction/reconnect), so net.* counters never run
-  /// backwards when a link dies.
-  void retire_stats(Connection& c);
-  /// Fold one UDP channel's stats into the retired totals (relay crash).
-  void retire_udp(const UdpChannel* ch);
-  /// Tear down a connection's channels (both transports); the Participant
-  /// object survives with its replica and stats.
+  /// Resolve one link direction: draw its seed from the session's link
+  /// seed sequence when left at the default (1), and point it at the
+  /// session telemetry.
+  void resolve(UdpChannelOptions& ch);
+  /// Build, attach, wire and start one relay under `parent` (nullptr = the
+  /// AH). add_relay and add_relay_child both come through here.
+  RelayHandle& make_relay(RelayHandle* parent, relay::RelayOptions opts,
+                          UdpLinkConfig link, relay::LegConfig leg);
+  /// Tear down a connection's channels (both transports), folding their
+  /// stats into the retired totals; the Participant object survives with
+  /// its replica and stats.
   void teardown_links(Connection& c);
   /// Install `r`'s channel receivers and node callbacks. Receivers read
   /// r->parent / r->leg / r->upstream_id at delivery time, so re-parenting
