@@ -17,8 +17,8 @@
 //
 // Every operation returns the bytes it staged (copied into a buffer the
 // egress owns); callers add them to their own payload_bytes_copied. Policy
-// (§7 backlog gates, §4.3 token buckets, drops and stats) stays with the
-// callers.
+// (§7 backlog gates, §4.3 token buckets) lives in rate::Link, which wraps
+// one Egress; drops and stats stay with the callers.
 #pragma once
 
 #include <cstddef>
