@@ -145,12 +145,6 @@ void broadcast(benchmark::State& state) {
         ++datagrams;
         return true;
       };
-      // View-aware endpoints: the zero-copy batch path is what ships, so the
-      // bench measures it (the send_datagram fallback stays for reference).
-      ep.send_packet = [&datagrams](const PacketView&) {
-        ++datagrams;
-        return true;
-      };
       ep.send_packet_batch = [&datagrams](std::span<const PacketView> batch) {
         datagrams += batch.size();
         return batch.size();

@@ -62,12 +62,6 @@ struct RelayTree {
 Endpoint viewer_endpoint(Viewer* v) {
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUdp;
-  ep.send_packet = [v](const PacketView& pkt) {
-    ++v->packets;
-    v->bytes += pkt.wire_size();
-    v->last_seq = pkt.sequence();
-    return true;
-  };
   ep.send_packet_batch = [v](std::span<const PacketView> pkts) {
     for (const PacketView& pkt : pkts) {
       ++v->packets;
@@ -96,10 +90,6 @@ relay::RelayNode* build_node(EventLoop& loop, RelayTree& tree, int level,
       relay::RelayNode* child = build_node(loop, tree, level + 1, depth, degree);
       Endpoint ep;
       ep.kind = Endpoint::Kind::kUdp;
-      ep.send_packet = [child](const PacketView& v) {
-        child->on_upstream_packet(v);
-        return true;
-      };
       ep.send_packet_batch = [child](std::span<const PacketView> pkts) {
         return child->on_upstream_batch(pkts);
       };
@@ -175,10 +165,6 @@ void relay_scaleout(benchmark::State& state) {
       tree.root = build_node(loop, tree, 1, depth, degree);
       Endpoint ep;
       ep.kind = Endpoint::Kind::kUdp;
-      ep.send_packet = [&staged_views](const PacketView& v) {
-        staged_views.push_back(v);
-        return true;
-      };
       ep.send_packet_batch = [&staged_views](std::span<const PacketView> pkts) {
         staged_views.insert(staged_views.end(), pkts.begin(), pkts.end());
         return pkts.size();

@@ -210,7 +210,9 @@ void cohort(benchmark::State& state) {
     for (int i = 0; i < 5; ++i) {
       Endpoint ep;
       ep.kind = Endpoint::Kind::kUdp;
-      ep.send_datagram = [](BytesView) { return true; };
+      ep.send_packet_batch = [](std::span<const PacketView> pkts) {
+        return pkts.size();
+      };
       ids.push_back(host.add_participant(std::move(ep)));
     }
     host.set_participant_geometry(ids[2], {1, {}, false});

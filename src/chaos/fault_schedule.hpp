@@ -90,7 +90,8 @@ class FaultSchedule {
                   GilbertElliott ge = {}, double restore_loss = 0.0);
 
   /// Link rate collapses to `collapsed_bps` during the window, then
-  /// restores to `restore_bps`.
+  /// restores to `restore_bps`. A rate of 0 means unlimited, as on the
+  /// channels; a dead link is blackout() (UDP) or stall() (TCP).
   void bandwidth_collapse(UdpChannel& link, SimTime start, SimTime duration,
                           std::uint64_t collapsed_bps, std::uint64_t restore_bps);
   void bandwidth_collapse(TcpChannel& link, SimTime start, SimTime duration,

@@ -555,7 +555,7 @@ void AppHost::transmit_view(ParticipantState& p, const PacketView& v, SimTime no
 
 void AppHost::finish_turn(ParticipantState& p) {
   ++p.frames_sent;
-  stats_.payload_bytes_copied += p.link.egress().flush();
+  p.link.egress().flush();
 }
 
 void AppHost::send_payload(ParticipantState& p, Bytes payload, bool marker,

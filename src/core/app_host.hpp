@@ -272,10 +272,10 @@ class AppHost {
     std::uint64_t fanout_encodes_unique = 0;  ///< bands encoded once per cohort
     std::uint64_t fanout_encodes_shared = 0;  ///< band encodes saved by sharing
     // Zero-copy datapath accounting (docs/DATAPATH.md). payload_bytes_copied
-    // counts sender-side staging copies only: band-stream serialisation, TCP
-    // carry staging, and fallback per-packet serialisation for endpoints
-    // without the view callbacks. Transport-level materialisation of a
-    // delivered datagram is the wire (the NIC-DMA analogue), not a copy.
+    // counts sender-side staging copies only: band-stream serialisation and
+    // TCP carry staging (the unaccepted suffix of a partial write).
+    // Transport-level materialisation of a delivered datagram is the wire
+    // (the NIC-DMA analogue), not a copy.
     std::uint64_t packets_built = 0;          ///< header-plus-view packets assembled
     std::uint64_t payload_bytes_copied = 0;   ///< staging copies, in bytes
     std::uint64_t band_streams_built = 0;     ///< fragment streams serialised once

@@ -17,9 +17,6 @@ Endpoint udp_endpoint(const std::unique_ptr<Channel>& ch) {
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUdp;
   ep.send_datagram = [&ch](BytesView d) { return ch ? ch->send(d) : false; };
-  ep.send_packet = [&ch](const PacketView& pkt) {
-    return ch ? ch->send_packet(pkt) : false;
-  };
   ep.send_packet_batch = [&ch](std::span<const PacketView> pkts) {
     return ch ? ch->send_batch(pkts) : std::size_t{0};
   };
@@ -30,7 +27,6 @@ Endpoint udp_endpoint(const std::unique_ptr<Channel>& ch) {
 Endpoint tcp_endpoint(const std::unique_ptr<TcpChannel>& ch) {
   Endpoint ep;
   ep.kind = Endpoint::Kind::kTcp;
-  ep.write_stream = [&ch](BytesView d) { return ch ? ch->send(d) : std::size_t{0}; };
   ep.write_gather = [&ch](std::span<const BytesView> parts) {
     return ch ? ch->send_gather(parts) : std::size_t{0};
   };

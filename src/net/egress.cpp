@@ -15,23 +15,10 @@ std::size_t Egress::send(const PacketView& v) {
   return write_frame(v.wire_size(), v.framed_header(), v.payload());
 }
 
-std::size_t Egress::flush() {
-  std::size_t staged = 0;
-  if (queue_.empty()) return staged;
-  if (ep_.send_packet_batch) {
-    ep_.send_packet_batch(queue_);
-  } else if (ep_.send_packet) {
-    for (const PacketView& v : queue_) ep_.send_packet(v);
-  } else if (ep_.send_datagram) {
-    // View-unaware endpoint: materialise here and count the copies.
-    for (const PacketView& v : queue_) {
-      const Bytes wire = v.serialize();
-      staged += wire.size();
-      ep_.send_datagram(wire);
-    }
-  }
+void Egress::flush() {
+  if (queue_.empty()) return;
+  if (ep_.send_packet_batch) ep_.send_packet_batch(queue_);
   queue_.clear();
-  return staged;
 }
 
 std::size_t Egress::send_control(BytesView packet) {
@@ -47,26 +34,12 @@ std::size_t Egress::send_control(BytesView packet) {
 
 std::size_t Egress::send_now(const PacketView& v) {
   if (tcp()) return send(v);
-  if (ep_.send_packet) {
-    ep_.send_packet(v);
-    return 0;
-  }
-  if (!ep_.send_datagram) return 0;
-  const Bytes wire = v.serialize();
-  ep_.send_datagram(wire);
-  return wire.size();
+  if (ep_.send_packet_batch) ep_.send_packet_batch(std::span<const PacketView>(&v, 1));
+  return 0;
 }
 
 void Egress::drain_carry() {
-  if (carry_.empty()) return;
-  std::size_t wrote = 0;
-  if (ep_.write_stream) {
-    wrote = ep_.write_stream(carry_);
-  } else if (ep_.write_gather) {
-    const BytesView part(carry_);
-    wrote = ep_.write_gather(std::span<const BytesView>(&part, 1));
-  }
-  carry_.erase(carry_.begin(), carry_.begin() + static_cast<std::ptrdiff_t>(wrote));
+  if (!carry_.empty()) write({});
 }
 
 std::size_t Egress::backlog() const {
@@ -83,24 +56,17 @@ std::size_t Egress::write_frame(std::size_t length, BytesView head, BytesView bo
     ADS_LOG(kWarn) << "packet too large for RFC 4571 framing: " << length;
     return 0;
   }
-  if (!ep_.write_gather) {
-    // Staged fallback: append the frame to the carry and write that.
-    carry_.insert(carry_.end(), head.begin(), head.end());
-    carry_.insert(carry_.end(), body.begin(), body.end());
-    drain_carry();
-    return head.size() + body.size();
-  }
-  // Gather path: carry + frame go to the transport as one offer — the same
-  // bytes, in the same single write, as the staged fallback, so
-  // segmentation matches byte for byte. Only the unaccepted suffix is
-  // re-staged.
+  const std::array<BytesView, 2> frame{head, body};
+  return write(frame);
+}
+
+std::size_t Egress::write(std::span<const BytesView> frame) {
   std::array<BytesView, 3> parts;
   std::size_t n = 0;
   if (!carry_.empty()) parts[n++] = BytesView(carry_);
-  parts[n++] = head;
-  parts[n++] = body;
+  for (const BytesView& part : frame) parts[n++] = part;
   const std::span<const BytesView> offer(parts.data(), n);
-  std::size_t wrote = ep_.write_gather(offer);
+  std::size_t wrote = ep_.write_gather ? ep_.write_gather(offer) : 0;
   Bytes rest;
   for (const BytesView& part : offer) {
     const std::size_t taken = std::min(wrote, part.size());

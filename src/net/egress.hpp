@@ -4,21 +4,19 @@
 // share one implementation of "send a packet to this peer".
 //
 // UDP: send() queues header-plus-view packets for the current turn and
-// flush() drains them in one batch call, else packet by packet, else as
-// serialised datagrams. Control datagrams and retransmissions leave at once.
+// flush() drains them in one send_packet_batch call; a retransmission is a
+// batch of one, sent at once. Control packets leave as single datagrams.
 //
 // TCP: every outgoing packet — media, control or repair — is RFC 4571
 // framed behind the unwritten tail of earlier partial writes (the carry),
-// so frames are never torn and never spliced into each other. With a gather
-// callback the carry, the frame's length prefix and the packet go to the
-// transport as one offer and only the unaccepted suffix is re-staged;
-// without one the framed bytes are staged into the carry and written with
-// write_stream.
+// so frames are never torn and never spliced into each other. The carry,
+// the frame's length prefix and the packet go to the transport as one
+// gather offer, and only the unaccepted suffix is re-staged.
 //
-// Every operation returns the bytes it staged (copied into a buffer the
-// egress owns); callers add them to their own payload_bytes_copied. Policy
-// (§7 backlog gates, §4.3 token buckets) lives in rate::Link, which wraps
-// one Egress; drops and stats stay with the callers.
+// TCP sends return the bytes they staged (copied into the carry); callers
+// add them to their own payload_bytes_copied. UDP never stages. Policy (§7
+// backlog gates, §4.3 token buckets) lives in rate::Link, which wraps one
+// Egress; drops and stats stay with the callers.
 #pragma once
 
 #include <cstddef>
@@ -31,26 +29,23 @@
 
 namespace ads {
 
-/// Transport callbacks for one peer. The callbacks abstract the simulated
-/// network (or any other transport); unset optional callbacks select the
-/// fallbacks documented on each.
+/// Transport callbacks for one peer: a UDP peer uses send_datagram and
+/// send_packet_batch, a TCP peer write_gather and backlog. The callbacks
+/// abstract the simulated network (or any other transport); an unset
+/// callback sends nothing.
 struct Endpoint {
   /// Transport family of this endpoint.
   enum class Kind { kUdp, kTcp };
   Kind kind = Kind::kUdp;
-  /// UDP: transmit one datagram (control traffic and the fallback for
-  /// view-unaware endpoints). Return false if dropped before the wire.
+  /// UDP: transmit one contiguous control datagram (RTCP, BFCP, a HIP
+  /// uplink). Return false if dropped before the wire.
   std::function<bool(BytesView)> send_datagram;
-  /// UDP, optional zero-copy path: transmit one header-plus-view packet
-  /// without materialising it up front.
-  std::function<bool(const PacketView&)> send_packet;
-  /// UDP, optional: drain one turn's queued packets in a single call (in
-  /// order); returns how many the transport accepted.
+  /// UDP: transmit header-plus-view media packets in order in one call —
+  /// a turn's queue, or one retransmission. Returns how many the transport
+  /// accepted.
   std::function<std::size_t(std::span<const PacketView>)> send_packet_batch;
-  /// TCP: non-blocking stream write; returns bytes accepted.
-  std::function<std::size_t(BytesView)> write_stream;
-  /// TCP, optional: gather-write — offer the concatenation of `parts` as one
-  /// stream write and return bytes accepted.
+  /// TCP: gather-write — offer the concatenation of `parts` as one
+  /// non-blocking stream write and return bytes accepted.
   std::function<std::size_t(std::span<const BytesView>)> write_gather;
   /// TCP: current send-buffer backlog in bytes (the §7 select() signal).
   std::function<std::size_t()> backlog;
@@ -71,19 +66,17 @@ class Egress {
   /// Media packet. UDP: queued until flush(). TCP: framed behind the carry
   /// and written now. Returns bytes staged.
   std::size_t send(const PacketView& v);
-  /// Drain the UDP queue: one send_packet_batch call, else send_packet per
-  /// packet, else serialised send_datagram calls (the only UDP path that
-  /// stages bytes). Returns bytes staged.
-  std::size_t flush();
+  /// Drain the UDP queue in one send_packet_batch call.
+  void flush();
   /// A packet held as contiguous bytes (RTCP, BFCP, a participant's HIP
   /// uplink). UDP: one datagram, now. TCP: framed behind the carry exactly
   /// like media. Returns bytes staged.
   std::size_t send_control(BytesView packet);
-  /// Retransmission, sent now. UDP: send_packet, else a serialised
-  /// datagram. TCP: framed behind the carry. Returns bytes staged.
+  /// Retransmission, sent now. UDP: a batch of one. TCP: framed behind the
+  /// carry. Returns bytes staged.
   std::size_t send_now(const PacketView& v);
-  /// Offer the carry to the transport on its own (write_stream, else a
-  /// one-part gather) and keep whatever it does not accept.
+  /// Offer the carry to the transport on its own and keep whatever it does
+  /// not accept.
   void drain_carry();
   /// The endpoint's send-buffer backlog plus the carry, in bytes.
   std::size_t backlog() const;
@@ -98,6 +91,9 @@ class Egress {
   /// then `body` — behind the carry. Drops (and logs) packets whose
   /// `length` does not fit the 16-bit prefix.
   std::size_t write_frame(std::size_t length, BytesView head, BytesView body);
+  /// Offer the carry followed by `frame` as one gather write and re-stage
+  /// the unaccepted suffix as the new carry. Returns its size.
+  std::size_t write(std::span<const BytesView> frame);
 
   Endpoint ep_;
   Bytes carry_;                    ///< unwritten tail of partial TCP writes

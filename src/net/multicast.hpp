@@ -37,22 +37,18 @@ class MulticastGroup {
     return any;
   }
 
-  /// Replicate one header-plus-view packet to every member. Admission and
-  /// loss behaviour match send() on the serialised bytes; each member
-  /// channel materialises only the datagrams it actually delivers.
-  bool send_packet(const PacketView& pkt) {
-    ++datagrams_sent_;
-    bool any = false;
-    for (auto& member : members_) any |= member->send_packet(pkt);
-    return any;
-  }
-
-  /// Drain a TX batch to the whole group, in order. Returns how many
+  /// Drain a TX batch to the whole group, in order: each packet is
+  /// replicated to every member before the next, with the admission and
+  /// loss behaviour of send() on its serialised bytes. Each member channel
+  /// materialises only the datagrams it actually delivers. Returns how many
   /// packets at least one member's queue accepted.
   std::size_t send_batch(std::span<const PacketView> pkts) {
     std::size_t accepted = 0;
-    for (const PacketView& pkt : pkts) {
-      if (send_packet(pkt)) ++accepted;
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+      ++datagrams_sent_;
+      bool any = false;
+      for (auto& member : members_) any |= member->send_batch(pkts.subspan(i, 1)) > 0;
+      if (any) ++accepted;
     }
     return accepted;
   }

@@ -23,7 +23,8 @@ TcpChannel::~TcpChannel() {
 }
 
 std::size_t TcpChannel::backlog_bytes() const {
-  if (down_) return 0;
+  // An unlimited link (0 bps) clocks every accepted byte out at once.
+  if (down_ || opts_.bandwidth_bps == 0) return 0;
   // Sum of the not-yet-serialised suffix: a segment contributes while the
   // link has not finished clocking it out.
   const SimTime now = loop_.now();
@@ -33,7 +34,7 @@ std::size_t TcpChannel::backlog_bytes() const {
       // Portion still unsent: proportional to remaining serialisation time.
       const SimTime remaining = s.fully_serialised_at - now;
       const std::uint64_t remaining_bytes =
-          std::min<std::uint64_t>(s.data.size(),
+          std::min<std::uint64_t>(s.bytes,
                                   remaining * opts_.bandwidth_bps / 8 / 1000000 + 1);
       backlog += remaining_bytes;
     }
@@ -93,26 +94,28 @@ std::size_t TcpChannel::send_gather(std::span<const BytesView> parts) {
     return 0;
   }
 
-  const SimTime serialize_us = take * 8ull * 1000000ull / opts_.bandwidth_bps;
+  // In order: a write starts when the link has clocked out earlier ones,
+  // even after the rate turned unlimited.
+  const SimTime serialize_us =
+      opts_.bandwidth_bps == 0 ? 0 : take * 8ull * 1000000ull / opts_.bandwidth_bps;
   const SimTime start = std::max(link_free_at_, now);
   link_free_at_ = start + serialize_us;
 
-  Segment seg;
-  seg.data.reserve(take);
+  Bytes data;
+  data.reserve(take);
   std::size_t remaining = take;
   for (const BytesView& p : parts) {
     if (remaining == 0) break;
     const std::size_t n = std::min(remaining, p.size());
-    seg.data.insert(seg.data.end(), p.begin(), p.begin() + static_cast<std::ptrdiff_t>(n));
+    data.insert(data.end(), p.begin(), p.begin() + static_cast<std::ptrdiff_t>(n));
     remaining -= n;
   }
-  seg.fully_serialised_at = link_free_at_;
+  in_flight_.push_back({take, link_free_at_});
   const SimTime arrive = link_free_at_ + opts_.delay_us;
-  in_flight_.push_back(seg);
 
   stats_.bytes_accepted += take;
   loop_.at(arrive, [this, alive = std::weak_ptr<int>(alive_), epoch = epoch_,
-                    d = std::move(seg.data)]() mutable {
+                    d = std::move(data)]() mutable {
     if (alive.expired()) return;   // channel destroyed while in flight
     if (epoch != epoch_) return;   // connection dropped: data lost
     stats_.bytes_delivered += d.size();

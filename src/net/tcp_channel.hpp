@@ -30,6 +30,8 @@ namespace ads {
 
 /// Link characteristics of one simulated TCP stream.
 struct TcpChannelOptions {
+  /// Link rate; 0 = unlimited (a write serialises at once and adds no
+  /// backlog).
   std::uint64_t bandwidth_bps = 10'000'000;
   SimTime delay_us = 20000;            ///< one-way propagation delay
   std::size_t send_buffer_bytes = 64 * 1024;
@@ -76,10 +78,11 @@ class TcpChannel {
   /// Send-buffer bytes a write could take right now.
   std::size_t free_space() const { return opts_.send_buffer_bytes - backlog_bytes(); }
 
-  /// Current link rate.
+  /// Current link rate (0 = unlimited).
   std::uint64_t bandwidth_bps() const { return opts_.bandwidth_bps; }
   /// Change the link rate mid-run (fault injection). Applies to subsequent
-  /// sends; segments already serialising keep their delivery times.
+  /// sends; segments already serialising keep their delivery times, and
+  /// later writes still arrive after them.
   void set_bandwidth(std::uint64_t bps) { opts_.bandwidth_bps = bps; }
 
   /// Close (true) or reopen (false) the send window: while stalled, send()
@@ -107,8 +110,10 @@ class TcpChannel {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// An accepted write, as the backlog math sees it (its bytes travel in
+  /// the delivery event).
   struct Segment {
-    Bytes data;
+    std::size_t bytes;
     SimTime fully_serialised_at;
   };
 

@@ -43,48 +43,34 @@ bool UdpChannel::admit(std::size_t size, SimTime& depart) {
   return true;
 }
 
-bool UdpChannel::send(BytesView datagram) {
+template <class Materialise>
+bool UdpChannel::transmit(std::size_t size, Materialise materialise) {
   SimTime depart = 0;
-  if (!admit(datagram.size(), depart)) return false;
+  if (!admit(size, depart)) return false;
 
   if (rng_.chance(opts_.loss)) {
     ++stats_.lost;
     return true;  // loss is silent; the queue accepted it
   }
 
-  Bytes copy(datagram.begin(), datagram.end());
-  schedule_delivery(std::move(copy), depart);
+  schedule_delivery(materialise(), depart);
 
   if (rng_.chance(opts_.duplicate)) {
     ++stats_.duplicated;
-    Bytes dup(datagram.begin(), datagram.end());
-    schedule_delivery(std::move(dup), depart);
+    schedule_delivery(materialise(), depart);
   }
   return true;
 }
 
-bool UdpChannel::send_packet(const PacketView& pkt) {
-  SimTime depart = 0;
-  if (!admit(pkt.wire_size(), depart)) return false;
-
-  if (rng_.chance(opts_.loss)) {
-    ++stats_.lost;
-    return true;  // lost before materialisation: zero copies
-  }
-
-  schedule_delivery(pkt.serialize(), depart);
-
-  if (rng_.chance(opts_.duplicate)) {
-    ++stats_.duplicated;
-    schedule_delivery(pkt.serialize(), depart);
-  }
-  return true;
+bool UdpChannel::send(BytesView datagram) {
+  return transmit(datagram.size(),
+                  [datagram] { return Bytes(datagram.begin(), datagram.end()); });
 }
 
 std::size_t UdpChannel::send_batch(std::span<const PacketView> pkts) {
   std::size_t accepted = 0;
   for (const PacketView& pkt : pkts) {
-    if (send_packet(pkt)) ++accepted;
+    if (transmit(pkt.wire_size(), [&pkt] { return pkt.serialize(); })) ++accepted;
   }
   return accepted;
 }

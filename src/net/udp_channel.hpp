@@ -49,17 +49,13 @@ class UdpChannel {
   /// it (the datagram is gone; UDP gives no signal beyond this return).
   bool send(BytesView datagram);
 
-  /// Enqueue one header-plus-view packet. Identical admission, loss and
-  /// timing behaviour to send() on the serialised bytes, but the datagram is
-  /// only materialised (header + shared payload gathered into one buffer)
-  /// when it is actually scheduled for delivery — a tail-dropped or lost
-  /// packet costs zero payload copies.
-  bool send_packet(const PacketView& pkt);
-
-  /// Drain a per-tick TX batch in one call. Packets are admitted in order
-  /// and every one is attempted — a tail drop does not stop the batch,
-  /// matching back-to-back send_packet() calls exactly. Returns how many
-  /// the interface queue accepted.
+  /// Enqueue header-plus-view packets in order: a turn's TX batch, or a
+  /// batch of one. Each packet's admission, loss and timing match send() on
+  /// its serialised bytes, and a tail drop does not stop the batch. A
+  /// datagram is only materialised (header + shared payload gathered into
+  /// one buffer) when it is scheduled for delivery — a tail-dropped or lost
+  /// packet costs zero payload copies. Returns how many the interface queue
+  /// accepted.
   std::size_t send_batch(std::span<const PacketView> pkts);
 
   /// Current random-loss probability.
@@ -106,6 +102,11 @@ class UdpChannel {
   /// Returns false on tail drop; otherwise `depart` is the serialisation
   /// completion time.
   bool admit(std::size_t size, SimTime& depart);
+  /// Admit a datagram of `size` bytes, draw its loss and duplication, and
+  /// schedule each surviving copy, built by `materialise()` only then.
+  /// Returns false on tail drop.
+  template <class Materialise>
+  bool transmit(std::size_t size, Materialise materialise);
 
   void schedule_delivery(Bytes datagram, SimTime depart);
 

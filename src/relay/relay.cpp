@@ -139,18 +139,9 @@ void RelayNode::on_upstream_datagram(Bytes datagram) {
   }
 }
 
-void RelayNode::on_upstream_packet(const PacketView& pkt) { ingest_media(pkt); }
-
 std::size_t RelayNode::on_upstream_batch(std::span<const PacketView> pkts) {
   for (const PacketView& pkt : pkts) ingest_media(pkt);
   return pkts.size();
-}
-
-void RelayNode::on_upstream_stream(BytesView data) {
-  upstream_deframer_.feed(data);
-  while (auto packet = upstream_deframer_.next()) {
-    on_upstream_datagram(std::move(*packet));
-  }
 }
 
 void RelayNode::ingest_media(const PacketView& v) {
@@ -222,9 +213,7 @@ void RelayNode::ingest_media(const PacketView& v) {
     }
     for (LegId id : wait->second.waiters) {
       auto leg = legs_.find(id);
-      if (leg != legs_.end()) {
-        stats_.payload_bytes_copied += leg->second.link.egress().flush();
-      }
+      if (leg != legs_.end()) leg->second.link.egress().flush();
     }
     requested_upstream_.erase(wait);
     queue_gap_nacks();
@@ -236,7 +225,7 @@ void RelayNode::ingest_media(const PacketView& v) {
   }
 
   for (auto& [id, leg] : legs_) forward_to_leg(leg, v);
-  for (auto& [id, leg] : legs_) stats_.payload_bytes_copied += leg.link.egress().flush();
+  for (auto& [id, leg] : legs_) leg.link.egress().flush();
 
   // The relay NACKs upstream for its own reception gaps too — a loss on the
   // upstream link would otherwise starve the whole subtree.
@@ -336,7 +325,7 @@ void RelayNode::handle_leg_rtcp(LegId from, LegState& leg, BytesView packet) {
         handle_leg_nack_seq(from, leg, seq);
       }
       // Repairs served from the cache go out as one batch.
-      stats_.payload_bytes_copied += leg.link.egress().flush();
+      leg.link.egress().flush();
     }
   }
 }
@@ -608,7 +597,6 @@ void RelayNode::begin_upstream_epoch() {
   ++epoch_;
   drop_cache();
   receiver_ = RtpReceiver{};
-  upstream_deframer_.reset();
   pending_nack_.clear();
   requested_upstream_.clear();
   pli_sent_ever_ = false;

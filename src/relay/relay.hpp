@@ -55,7 +55,6 @@
 #include "net/egress.hpp"
 #include "net/event_loop.hpp"
 #include "rate/link.hpp"
-#include "rtp/framing.hpp"
 #include "rtp/packet_classify.hpp"
 #include "rtp/packet_view.hpp"
 #include "rtp/retransmission_cache.hpp"
@@ -172,13 +171,11 @@ class RelayNode {
   /// media packet's bytes are moved into a pooled buffer and become the
   /// shared payload every leg's PacketView points into — no copy.
   void on_upstream_datagram(Bytes datagram);
-  /// Zero-copy in-process ingest: the upstream AH/relay hands its own
-  /// PacketView over and the buffer is shared across the whole subtree.
-  void on_upstream_packet(const PacketView& pkt);
-  /// Batch variant of on_upstream_packet; returns packets accepted (all).
+  /// Zero-copy in-process ingest of media packets, in order: the upstream
+  /// AH/relay hands its own PacketViews over (a turn's batch, or one
+  /// repair) and the buffers are shared across the whole subtree. Returns
+  /// packets accepted (all).
   std::size_t on_upstream_batch(std::span<const PacketView> pkts);
-  /// TCP upstream link: raw RFC 4571-framed stream bytes.
-  void on_upstream_stream(BytesView data);
 
   // ----- downstream side ----------------------------------------------
 
@@ -275,7 +272,7 @@ class RelayNode {
     std::uint64_t forwarded_bytes = 0;    ///< per-leg media bytes
     std::uint64_t control_forwarded = 0;  ///< SR/BFCP datagrams fanned down
     std::uint64_t repairs_forwarded = 0;  ///< upstream repairs routed to waiters
-    std::uint64_t payload_bytes_copied = 0;  ///< staging copies (0 on view legs)
+    std::uint64_t payload_bytes_copied = 0;  ///< TCP carry staging (0 on UDP legs)
     std::uint64_t leg_drops_backlog = 0;  ///< §7 gate drops across legs
     std::uint64_t leg_drops_rate = 0;     ///< §4.3 bucket drops across legs
     // NACK aggregation.
@@ -407,7 +404,6 @@ class RelayNode {
   buf::BufPool pool_;  ///< wraps upstream datagrams into shared buffers
   RetransmissionCache cache_;
   RtpReceiver receiver_;  ///< upstream media reception bookkeeping
-  StreamDeframer upstream_deframer_;  ///< TCP upstream reassembly
   std::function<bool(BytesView)> send_upstream_;
 
   std::map<LegId, LegState> legs_;

@@ -13,8 +13,9 @@
 //   [2, 14)  the 12-byte RTP header (RFC 3550 §5.1), bit-compatible with
 //            RtpPacket::serialize().
 //
-// serialize()/serialize_into() materialise the classic contiguous datagram
-// for endpoints that predate the batch API (golden-test harnesses, fuzzers).
+// serialize()/serialize_into() materialise the classic contiguous datagram:
+// a UDP channel does so when it delivers a packet, and tests use it as the
+// reference bytes.
 #pragma once
 
 #include <array>

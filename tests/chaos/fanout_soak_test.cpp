@@ -54,6 +54,10 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
       popts.screen_height = 240;
       auto part = std::make_unique<Participant>(loop, popts);
       Participant* raw = part.get();
+      ep.send_packet_batch = [raw](std::span<const PacketView> pkts) {
+        for (const PacketView& v : pkts) raw->on_datagram(v.serialize());
+        return pkts.size();
+      };
       ep.send_datagram = [raw](BytesView d) {
         raw->on_datagram(d);
         return true;
@@ -61,7 +65,7 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
       replicas.push_back(std::move(part));
     } else {
       const bool lossy = (i % 3 == 1);
-      ep.send_datagram = [&datagrams, &tick_no, lossy, i](BytesView) {
+      const auto accept = [&datagrams, &tick_no, lossy, i] {
         // Chaos ticks drop a sliding third of the lossy endpoints' packets.
         if (lossy && tick_no < kChaosTicks &&
             (tick_no + static_cast<int>(i)) % 3 == 0) {
@@ -70,6 +74,12 @@ TEST(FanoutSoak, SharedFanout256UdpParticipantsUnderChaos) {
         ++datagrams;
         return true;
       };
+      ep.send_packet_batch = [accept](std::span<const PacketView> pkts) {
+        std::size_t accepted = 0;
+        for (std::size_t k = 0; k < pkts.size(); ++k) accepted += accept();
+        return accepted;
+      };
+      ep.send_datagram = [accept](BytesView) { return accept(); };
     }
     ids.push_back(host.add_participant(std::move(ep)));
   }

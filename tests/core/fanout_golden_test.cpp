@@ -15,8 +15,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "capture/apps.hpp"
@@ -88,35 +90,40 @@ GoldenResult run_golden(std::optional<std::size_t> solo = std::nullopt) {
   GoldenResult out;
   int tick_no = 0;
 
-  auto capture_stream = [&out](std::size_t i, BytesView data,
-                               std::size_t accepted) {
-    out.wires[i].insert(out.wires[i].end(), data.begin(),
-                        data.begin() + static_cast<std::ptrdiff_t>(accepted));
+  // A TCP viewer's transport: keep the first `allow` bytes of one gather
+  // offer and return how many that was.
+  auto capture_stream = [&out](std::size_t i, std::span<const BytesView> parts,
+                               std::size_t allow) {
+    std::size_t taken = 0;
+    for (const BytesView& part : parts) {
+      const std::size_t n = std::min(allow - taken, part.size());
+      out.wires[i].insert(out.wires[i].end(), part.begin(),
+                          part.begin() + static_cast<std::ptrdiff_t>(n));
+      taken += n;
+    }
+    return taken;
   };
 
   // Viewer 0: healthy TCP.
   if (present(0)) {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kTcp;
-    ep.write_stream = [&](BytesView d) {
-      capture_stream(0, d, d.size());
-      return d.size();
+    ep.write_gather = [&](std::span<const BytesView> parts) {
+      return capture_stream(0, parts, SIZE_MAX);
     };
     ep.backlog = [] { return std::size_t{0}; };
     host.add_participant(std::move(ep));
   }
 
   // Viewer 1: flaky TCP — §7 backlog spike on ticks 10..15, partial writes
-  // (stream-carry path) on ticks 20..23.
+  // on ticks 20..23 (at most 96 bytes of each offer; the rest rides the
+  // carry).
   if (present(1)) {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kTcp;
-    ep.write_stream = [&](BytesView d) {
-      const std::size_t allow =
-          (tick_no >= 20 && tick_no < 24) ? std::min<std::size_t>(d.size(), 96)
-                                          : d.size();
-      capture_stream(1, d, allow);
-      return allow;
+    ep.write_gather = [&](std::span<const BytesView> parts) {
+      const bool partial = tick_no >= 20 && tick_no < 24;
+      return capture_stream(1, parts, partial ? 96 : SIZE_MAX);
     };
     ep.backlog = [&tick_no] {
       return (tick_no >= 10 && tick_no < 16) ? std::size_t{1} << 20
@@ -131,8 +138,12 @@ GoldenResult run_golden(std::optional<std::size_t> solo = std::nullopt) {
     if (!present(i)) continue;
     Endpoint ep;
     ep.kind = Endpoint::Kind::kUdp;
+    ep.send_packet_batch = [&, i](std::span<const PacketView> pkts) {
+      for (const PacketView& v : pkts) v.serialize_into(out.wires[i]);
+      return pkts.size();
+    };
     ep.send_datagram = [&, i](BytesView d) {
-      capture_stream(i, d, d.size());
+      out.wires[i].insert(out.wires[i].end(), d.begin(), d.end());
       return true;
     };
     ids[i] = host.add_participant(std::move(ep));

@@ -80,9 +80,13 @@ struct TcpViewer {
   Endpoint endpoint() {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kTcp;
-    ep.write_stream = [this](BytesView data) {
-      participant.on_stream_bytes(data);
-      return data.size();
+    ep.write_gather = [this](std::span<const BytesView> parts) {
+      std::size_t n = 0;
+      for (const BytesView& data : parts) {
+        participant.on_stream_bytes(data);
+        n += data.size();
+      }
+      return n;
     };
     ep.backlog = [this] { return backlog; };
     return ep;

@@ -162,6 +162,11 @@ std::unique_ptr<AppHost> make_host(EventLoop& loop, std::size_t threads,
   host->capturer().attach(w, make_app(workload, 288, 224, 21));
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUdp;
+  ep.send_packet_batch = [&capture](std::span<const PacketView> pkts) {
+    for (const PacketView& v : pkts) v.serialize_into(capture.stream);
+    capture.datagrams += pkts.size();
+    return pkts.size();
+  };
   ep.send_datagram = [&capture](BytesView wire) {
     capture.stream.insert(capture.stream.end(), wire.begin(), wire.end());
     ++capture.datagrams;

@@ -29,9 +29,9 @@ AppHostOptions small_host() {
 Endpoint recording_endpoint(std::vector<std::uint16_t>& seqs) {
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUdp;
-  ep.send_packet = [&seqs](const PacketView& v) {
-    seqs.push_back(v.sequence());
-    return true;
+  ep.send_packet_batch = [&seqs](std::span<const PacketView> pkts) {
+    for (const PacketView& v : pkts) seqs.push_back(v.sequence());
+    return pkts.size();
   };
   return ep;
 }

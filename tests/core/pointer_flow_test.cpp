@@ -120,9 +120,13 @@ TEST(PointerFlow, BacklogSkippedParticipantStillGetsPointerUpdate) {
   std::size_t scripted_backlog = 0;
   Endpoint ep;
   ep.kind = Endpoint::Kind::kTcp;
-  ep.write_stream = [&part](BytesView data) {
-    part.on_stream_bytes(data);
-    return data.size();
+  ep.write_gather = [&part](std::span<const BytesView> parts) {
+    std::size_t n = 0;
+    for (const BytesView& data : parts) {
+      part.on_stream_bytes(data);
+      n += data.size();
+    }
+    return n;
   };
   ep.backlog = [&scripted_backlog] { return scripted_backlog; };
   host.add_participant(std::move(ep));

@@ -215,9 +215,9 @@ TEST(SessionResilience, ReconnectAfterEvictionKeepsReissuedIdHolder) {
   std::size_t newcomer_packets = 0;
   Endpoint ep;
   ep.kind = Endpoint::Kind::kUdp;
-  ep.send_packet = [&newcomer_packets](const PacketView&) {
-    ++newcomer_packets;
-    return true;
+  ep.send_packet_batch = [&newcomer_packets](std::span<const PacketView> pkts) {
+    newcomer_packets += pkts.size();
+    return pkts.size();
   };
   const ParticipantId newcomer = host.add_participant(std::move(ep));
   ASSERT_EQ(newcomer, v.evicted_id);

@@ -68,7 +68,11 @@ TEST(TelemetryDoc, EveryPublishedMetricIsNamedInTelemetryMd) {
   // The session builds UDP legs only; the TCP leg's gauges need one too.
   Endpoint tcp_leg;
   tcp_leg.kind = Endpoint::Kind::kTcp;
-  tcp_leg.write_stream = [](BytesView d) { return d.size(); };
+  tcp_leg.write_gather = [](std::span<const BytesView> parts) {
+    std::size_t n = 0;
+    for (const BytesView& p : parts) n += p.size();
+    return n;
+  };
   tcp_leg.backlog = [] { return std::size_t{0}; };
   root.node->add_leg(std::move(tcp_leg));
 

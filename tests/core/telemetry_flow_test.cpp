@@ -115,7 +115,9 @@ TEST(TelemetryFlow, TickPipelineSpansAreRecorded) {
   bool first = true;
   for (const telemetry::SpanRecord& s : snap.spans) {
     EXPECT_LE(s.begin_us, s.end_us);
-    if (!first) EXPECT_GT(s.seq, prev_seq);  // completion order preserved
+    if (!first) {
+      EXPECT_GT(s.seq, prev_seq);  // completion order preserved
+    }
     prev_seq = s.seq;
     first = false;
     const std::string_view name = s.name;

@@ -1,7 +1,7 @@
-// Egress: one peer's send path. UDP packets queue until flush() and leave by
-// the first transport callback available; TCP packets are RFC 4571 framed
-// behind the carry of earlier partial writes, so frames are never torn and
-// control packets never land inside a media frame.
+// Egress: one peer's send path. UDP packets queue until flush() and leave in
+// one batch call; TCP packets are RFC 4571 framed behind the carry of
+// earlier partial writes, so frames are never torn and control packets
+// never land inside a media frame.
 #include "net/egress.hpp"
 
 #include <gtest/gtest.h>
@@ -24,9 +24,6 @@ PacketView media(buf::BufPool& pool, std::uint16_t seq, std::size_t length) {
   }
   return PacketView::build(false, 99, seq, 1000, 0xABCD, std::move(ref), 0, length);
 }
-
-/// Contiguous RFC 4571 frame of `packet`.
-Bytes framed(BytesView packet) { return frame_packet(packet).value(); }
 
 /// Every frame of a stream, in order; fails on a trailing partial frame.
 std::vector<Bytes> deframe(const Bytes& wire) {
@@ -62,68 +59,44 @@ struct StreamProbe {
     };
     return ep;
   }
-  Endpoint stream_only() {
-    Endpoint ep;
-    ep.kind = Endpoint::Kind::kTcp;
-    ep.write_stream = [this](BytesView d) { return take(d); };
-    return ep;
-  }
 };
 
-TEST(Egress, UdpFlushPrefersBatchThenPacketThenDatagram) {
+TEST(Egress, UdpMediaLeavesInOneBatchPerTurn) {
   buf::BufPool pool;
   const std::vector<PacketView> pkts{media(pool, 1, 40), media(pool, 2, 50)};
-  std::size_t batches = 0, packets = 0;
+  std::vector<std::vector<Bytes>> batches;
   std::vector<Bytes> datagrams;
-  auto endpoint = [&](bool batch, bool packet) {
-    Endpoint ep;
-    if (batch) {
-      ep.send_packet_batch = [&](std::span<const PacketView> b) {
-        ++batches;
-        return b.size();
-      };
-    }
-    if (packet) {
-      ep.send_packet = [&](const PacketView&) {
-        ++packets;
-        return true;
-      };
-    }
-    ep.send_datagram = [&](BytesView d) {
-      datagrams.emplace_back(d.begin(), d.end());
-      return true;
-    };
-    return ep;
+  Endpoint ep;
+  ep.send_packet_batch = [&](std::span<const PacketView> b) {
+    std::vector<Bytes> wire;
+    for (const PacketView& v : b) wire.push_back(v.serialize());
+    batches.push_back(std::move(wire));
+    return b.size();
   };
+  ep.send_datagram = [&](BytesView d) {
+    datagrams.emplace_back(d.begin(), d.end());
+    return true;
+  };
+  Egress egress(std::move(ep));
 
-  Egress all(endpoint(true, true));
-  for (const PacketView& v : pkts) EXPECT_EQ(all.send(v), 0u);
-  EXPECT_EQ(batches, 0u);  // queued until the turn ends
-  EXPECT_EQ(all.flush(), 0u);
-  EXPECT_EQ(batches, 1u);
-  EXPECT_EQ(packets, 0u);
-  EXPECT_TRUE(datagrams.empty());
+  for (const PacketView& v : pkts) EXPECT_EQ(egress.send(v), 0u);
+  EXPECT_TRUE(batches.empty());  // queued until the turn ends
+  egress.flush();
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0], (std::vector<Bytes>{pkts[0].serialize(), pkts[1].serialize()}));
+  egress.flush();  // the queue drained: an empty turn sends nothing
+  EXPECT_EQ(batches.size(), 1u);
 
-  Egress no_batch(endpoint(false, true));
-  for (const PacketView& v : pkts) no_batch.send(v);
-  EXPECT_EQ(no_batch.flush(), 0u);
-  EXPECT_EQ(packets, 2u);
-  EXPECT_TRUE(datagrams.empty());
+  // A retransmission leaves at once, as a batch of one.
+  EXPECT_EQ(egress.send_now(pkts[1]), 0u);
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[1], std::vector<Bytes>{pkts[1].serialize()});
 
-  // Only the serialised-datagram fallback stages bytes.
-  Egress datagram_only(endpoint(false, false));
-  for (const PacketView& v : pkts) datagram_only.send(v);
-  EXPECT_EQ(datagram_only.flush(), pkts[0].wire_size() + pkts[1].wire_size());
-  ASSERT_EQ(datagrams.size(), 2u);
-  EXPECT_EQ(datagrams[0], pkts[0].serialize());
-  EXPECT_EQ(datagrams[1], pkts[1].serialize());
-  EXPECT_EQ(datagram_only.flush(), 0u);  // the queue drained
-
-  // Retransmissions leave at once: a view when possible, else a datagram.
-  EXPECT_EQ(no_batch.send_now(pkts[0]), 0u);
-  EXPECT_EQ(packets, 3u);
-  EXPECT_EQ(datagram_only.send_now(pkts[0]), pkts[0].wire_size());
-  EXPECT_EQ(datagrams.size(), 3u);
+  // Control leaves as one datagram, now; media never does.
+  const Bytes control{0x80, 0xC8, 0x00, 0x06, 1, 2, 3, 4};
+  EXPECT_EQ(egress.send_control(control), 0u);
+  EXPECT_EQ(datagrams, std::vector<Bytes>{control});
+  EXPECT_EQ(batches.size(), 2u);
 }
 
 TEST(Egress, PartialGatherReStagesOnlyTheUnacceptedSuffix) {
@@ -144,43 +117,24 @@ TEST(Egress, PartialGatherReStagesOnlyTheUnacceptedSuffix) {
   EXPECT_EQ(deframe(peer.wire), (std::vector<Bytes>{p1.serialize(), p2.serialize()}));
 }
 
-TEST(Egress, StreamOnlyEndpointStagesThroughTheCarry) {
-  buf::BufPool pool;
-  const PacketView p1 = media(pool, 1, 100);
-  StreamProbe peer;
-  Egress egress(peer.stream_only());
-
-  peer.budget = 30;
-  EXPECT_EQ(egress.send(p1), p1.framed_size());  // the whole frame is staged
-  EXPECT_EQ(egress.carry_bytes(), p1.framed_size() - 30);
-
-  peer.budget = SIZE_MAX;
-  egress.drain_carry();
-  EXPECT_EQ(egress.carry_bytes(), 0u);
-  EXPECT_EQ(peer.wire, framed(p1.serialize()));
-}
-
 TEST(Egress, ControlQueuesBehindTheCarryNeverInsideIt) {
   buf::BufPool pool;
   const PacketView p1 = media(pool, 1, 100);
   const Bytes control{0x80, 0xC8, 0x00, 0x06, 1, 2, 3, 4};
-  for (const bool gather : {true, false}) {
-    StreamProbe peer;
-    Egress egress(gather ? peer.gather() : peer.stream_only());
-    peer.budget = 40;  // p1 is torn mid-frame
-    egress.send(p1);
-    ASSERT_GT(egress.carry_bytes(), 0u);
+  StreamProbe peer;
+  Egress egress(peer.gather());
+  peer.budget = 40;  // p1 is torn mid-frame
+  egress.send(p1);
+  ASSERT_GT(egress.carry_bytes(), 0u);
 
-    peer.budget = 7;  // the control write is torn too
-    egress.send_control(control);
-    EXPECT_EQ(egress.carry_bytes(),
-              p1.framed_size() + 2 + control.size() - 40 - 7);
+  peer.budget = 7;  // the control write is torn too
+  egress.send_control(control);
+  EXPECT_EQ(egress.carry_bytes(), p1.framed_size() + 2 + control.size() - 40 - 7);
 
-    peer.budget = SIZE_MAX;
-    egress.drain_carry();
-    EXPECT_EQ(deframe(peer.wire), (std::vector<Bytes>{p1.serialize(), control}))
-        << (gather ? "gather" : "stream-only");
-  }
+  peer.budget = SIZE_MAX;
+  egress.drain_carry();
+  EXPECT_EQ(egress.carry_bytes(), 0u);
+  EXPECT_EQ(deframe(peer.wire), (std::vector<Bytes>{p1.serialize(), control}));
 }
 
 TEST(Egress, DropsPacketsTooLongForTheLengthPrefix) {

@@ -1,9 +1,8 @@
-// Differential test for the MulticastGroup view fan-out: replicating one
-// PacketView to the whole group (send_packet / send_batch) must deliver the
-// exact bytes, to the exact members, at the exact times that per-member
-// send() of the serialised datagram would — loss, delay and queue draws are
-// per member channel and must not be disturbed by which entry point the AH
-// used.
+// Differential test for the MulticastGroup view fan-out: replicating a
+// batch of PacketViews to the whole group (send_batch) must deliver the
+// exact bytes, to the exact members, at the exact times that send() of each
+// serialised datagram would — loss, delay and queue draws are per member
+// channel and must not be disturbed by which entry point the AH used.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -59,19 +58,18 @@ Deliveries run_arm(bool via_views) {
   }
 
   buf::BufPool pool;
-  for (int p = 0; p < kPackets; ++p) {
-    const PacketView v =
-        make_view(pool, static_cast<std::uint16_t>(p), 100 + (p % 400));
+  for (int p = 0; p < kPackets;) {
+    // One to three packets per 1 ms step: a batch of one is a repair, a
+    // longer one a turn's media.
+    std::vector<PacketView> batch;
+    for (int n = 1 + p % 3; n > 0 && p < kPackets; --n, ++p) {
+      batch.push_back(
+          make_view(pool, static_cast<std::uint16_t>(p), 100 + (p % 400)));
+    }
     if (via_views) {
-      if ((p % 3) == 0) {
-        // Exercise the batch path too: one-element batches are the
-        // degenerate case that must behave exactly like send_packet.
-        group.send_batch(std::span<const PacketView>(&v, 1));
-      } else {
-        group.send_packet(v);
-      }
+      group.send_batch(batch);
     } else {
-      group.send(v.serialize());
+      for (const PacketView& v : batch) group.send(v.serialize());
     }
     loop.run_until(loop.now() + 1'000);  // 1 ms spacing
   }

@@ -72,6 +72,45 @@ TEST(TcpChannel, ZeroBacklogMeansWritable) {
   EXPECT_EQ(ch.free_space(), TcpChannelOptions{}.send_buffer_bytes);
 }
 
+TEST(TcpChannel, ZeroBandwidthIsUnlimited) {
+  // 0 bit/s means unlimited, as on UdpChannel: a write serialises at once
+  // and adds no backlog.
+  EventLoop loop;
+  TcpChannelOptions opts;
+  opts.bandwidth_bps = 0;
+  opts.delay_us = 1000;
+  opts.send_buffer_bytes = 1000;
+  TcpChannel ch(loop, opts);
+  std::size_t received = 0;
+  SimTime arrival = 0;
+  ch.set_receiver([&](Bytes d) {
+    received += d.size();
+    arrival = loop.now();
+  });
+  EXPECT_EQ(ch.send(Bytes(100, 1)), 100u);
+  EXPECT_EQ(ch.backlog_bytes(), 0u);
+  EXPECT_EQ(ch.send(Bytes(1000, 2)), 1000u);  // the whole buffer is free
+  loop.run();
+  EXPECT_EQ(received, 1100u);
+  EXPECT_EQ(arrival, 1000u);  // propagation delay only
+
+  // A limited link turns unlimited mid-run: its backlog is gone, and later
+  // writes still arrive after the bytes it was clocking out.
+  opts.bandwidth_bps = 8000;  // 1000 B/s
+  TcpChannel slow(loop, opts);
+  Bytes order;
+  slow.set_receiver([&](Bytes d) { order.push_back(d.front()); });
+  slow.send(Bytes(500, 1));  // half a second to serialise
+  EXPECT_GT(slow.backlog_bytes(), 400u);
+  slow.set_bandwidth(0);
+  EXPECT_EQ(slow.backlog_bytes(), 0u);
+  EXPECT_EQ(slow.send(Bytes(1000, 2)), 1000u);
+  EXPECT_EQ(slow.backlog_bytes(), 0u);
+  loop.run();
+  EXPECT_EQ(order, (Bytes{1, 2}));
+  EXPECT_EQ(slow.stats().bytes_delivered, 1500u);
+}
+
 TEST(TcpChannel, ByteAccounting) {
   EventLoop loop;
   TcpChannelOptions opts;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 namespace ads {
 namespace {
@@ -220,10 +221,10 @@ PacketView view_pkt(buf::BufPool& pool, std::uint16_t seq, std::size_t size) {
 }
 
 TEST(UdpChannel, SendPacketMatchesSendOnSerialisedBytes) {
-  // Differential: the header-plus-view entry point must be observationally
-  // identical to send() on the serialised datagram — same loss draws, same
-  // drops, same delivery times and bytes — across loss, duplication,
-  // bandwidth limiting and queue drops.
+  // Differential: the header-plus-view entry point (send_batch) must be
+  // observationally identical to send() on the serialised datagrams — same
+  // loss draws, same drops, same delivery times and bytes — across loss,
+  // duplication, bandwidth limiting and queue drops.
   UdpChannelOptions opts;
   opts.loss = 0.2;
   opts.duplicate = 0.1;
@@ -238,13 +239,16 @@ TEST(UdpChannel, SendPacketMatchesSendOnSerialisedBytes) {
     buf::BufPool pool;
     std::vector<std::pair<SimTime, Bytes>> got;
     ch.set_receiver([&](Bytes d) { got.emplace_back(loop.now(), std::move(d)); });
-    for (std::uint16_t s = 0; s < 400; ++s) {
-      const PacketView v = view_pkt(pool, s, 100 + s % 700);
+    // Batches of 1..5 packets, as a turn or a repair would hand them over.
+    for (std::uint16_t s = 0; s < 400;) {
+      std::vector<PacketView> batch;
+      for (std::size_t n = 1 + s % 5; n > 0 && s < 400; --n, ++s) {
+        batch.push_back(view_pkt(pool, s, 100 + s % 700));
+      }
       if (as_views) {
-        ch.send_packet(v);
+        ch.send_batch(batch);
       } else {
-        const Bytes wire = v.serialize();
-        ch.send(wire);
+        for (const PacketView& v : batch) ch.send(v.serialize());
       }
     }
     loop.run();
@@ -260,6 +264,7 @@ TEST(UdpChannel, SendPacketMatchesSendOnSerialisedBytes) {
 }
 
 TEST(UdpChannel, SendBatchMatchesSequentialSendPacket) {
+  // One 200-packet batch against 200 batches of one.
   UdpChannelOptions opts;
   opts.loss = 0.1;
   opts.bandwidth_bps = 300'000;
@@ -281,7 +286,7 @@ TEST(UdpChannel, SendBatchMatchesSequentialSendPacket) {
       accepted = ch.send_batch(batch);
     } else {
       for (const PacketView& v : batch) {
-        if (ch.send_packet(v)) ++accepted;
+        accepted += ch.send_batch(std::span<const PacketView>(&v, 1));
       }
     }
     loop.run();
@@ -305,7 +310,7 @@ TEST(UdpChannel, LostViewPacketIsNeverMaterialised) {
   int received = 0;
   ch.set_receiver([&](Bytes) { ++received; });
   const PacketView v = view_pkt(pool, 1, 500);
-  EXPECT_TRUE(ch.send_packet(v));
+  EXPECT_EQ(ch.send_batch(std::span<const PacketView>(&v, 1)), 1u);
   loop.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(ch.stats().lost, 1u);

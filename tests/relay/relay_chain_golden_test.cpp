@@ -28,7 +28,7 @@ namespace {
 
 constexpr int kTicks = 50;
 
-/// Capturing UDP leg endpoint: media via the view path, control verbatim.
+/// Capturing UDP endpoint: media batches serialised, control verbatim.
 struct LegCapture {
   Bytes media;            ///< serialised RTP stream, concatenated
   std::vector<Bytes> control;
@@ -37,11 +37,6 @@ struct LegCapture {
   Endpoint endpoint() {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kUdp;
-    ep.send_packet = [this](const PacketView& v) {
-      v.serialize_into(media);
-      seqs.insert(v.sequence());
-      return true;
-    };
     ep.send_packet_batch = [this](std::span<const PacketView> pkts) {
       for (const PacketView& v : pkts) {
         v.serialize_into(media);
@@ -84,10 +79,6 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   // relay1 leg 1: feeds relay2 (in-process, zero-copy view hand-off).
   Endpoint to_r2;
   to_r2.kind = Endpoint::Kind::kUdp;
-  to_r2.send_packet = [&relay2](const PacketView& v) {
-    relay2.on_upstream_packet(v);
-    return true;
-  };
   to_r2.send_packet_batch = [&relay2](std::span<const PacketView> pkts) {
     return relay2.on_upstream_batch(pkts);
   };
@@ -108,14 +99,16 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   std::set<std::uint16_t> b_dropped;
   Endpoint b_ep;
   b_ep.kind = Endpoint::Kind::kUdp;
-  b_ep.send_packet = [&](const PacketView& v) {
-    if (tick_no >= 10 && tick_no < 16) {
-      b_dropped.insert(v.sequence());
-      return true;  // accepted by the "link", lost after the relay
+  b_ep.send_packet_batch = [&](std::span<const PacketView> pkts) {
+    for (const PacketView& v : pkts) {
+      if (tick_no >= 10 && tick_no < 16) {
+        b_dropped.insert(v.sequence());
+        continue;  // accepted by the "link", lost after the relay
+      }
+      v.serialize_into(b.media);
+      b.seqs.insert(v.sequence());
     }
-    v.serialize_into(b.media);
-    b.seqs.insert(v.sequence());
-    return true;
+    return pkts.size();
   };
   b_ep.send_datagram = [&b](BytesView d) {
     b.control.emplace_back(d.begin(), d.end());
@@ -134,36 +127,13 @@ TEST(RelayChainGolden, LeafBehindDepth2ChainMatchesDirectViewerByteForByte) {
   relay2.add_leg(starved.endpoint(), d_cfg);
 
   // --- AH participants -------------------------------------------------
-  // Direct viewer: same endpoint shape as the leaf's leg, wired straight to
-  // the AH.
+  // Direct viewer: the leaf's endpoint shape, wired straight to the AH.
   LegCapture direct;
-  Endpoint direct_ep;
-  direct_ep.kind = Endpoint::Kind::kUdp;
-  direct_ep.send_packet = [&direct](const PacketView& v) {
-    v.serialize_into(direct.media);
-    direct.seqs.insert(v.sequence());
-    return true;
-  };
-  direct_ep.send_packet_batch = [&direct](std::span<const PacketView> pkts) {
-    for (const PacketView& v : pkts) {
-      v.serialize_into(direct.media);
-      direct.seqs.insert(v.sequence());
-    }
-    return pkts.size();
-  };
-  direct_ep.send_datagram = [&direct](BytesView d) {
-    direct.control.emplace_back(d.begin(), d.end());
-    return true;
-  };
-  const ParticipantId direct_id = host.add_participant(std::move(direct_ep));
+  const ParticipantId direct_id = host.add_participant(direct.endpoint());
 
   // Relay root: the AH's second UDP participant is relay1's upstream.
   Endpoint relay_ep;
   relay_ep.kind = Endpoint::Kind::kUdp;
-  relay_ep.send_packet = [&relay1](const PacketView& v) {
-    relay1.on_upstream_packet(v);
-    return true;
-  };
   relay_ep.send_packet_batch = [&relay1](std::span<const PacketView> pkts) {
     return relay1.on_upstream_batch(pkts);
   };

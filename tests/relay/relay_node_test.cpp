@@ -37,10 +37,6 @@ struct UdpLegProbe {
   Endpoint endpoint() {
     Endpoint ep;
     ep.kind = Endpoint::Kind::kUdp;
-    ep.send_packet = [this](const PacketView& v) {
-      media.push_back(v.serialize());
-      return true;
-    };
     ep.send_packet_batch = [this](std::span<const PacketView> pkts) {
       for (const PacketView& v : pkts) media.push_back(v.serialize());
       return pkts.size();
@@ -116,7 +112,7 @@ TEST(RelayNode, FansMediaToEveryLegByteIdentically) {
   EXPECT_EQ(b.media[1], wire1);
   EXPECT_EQ(f.node.stats().upstream_packets, 2u);
   EXPECT_EQ(f.node.stats().forwarded_packets, 4u);
-  // The send_packet leg path never stages payload bytes.
+  // A UDP leg's batch path never stages payload bytes.
   EXPECT_EQ(f.node.stats().payload_bytes_copied, 0u);
   EXPECT_EQ(f.node.upstream_ssrc(), kMediaSsrc);
 }
@@ -582,28 +578,6 @@ TEST(RelayNode, PassesHipAndBfcpUplinkThroughUnchanged) {
   EXPECT_EQ(f.upstream[1], bfcp_wire);
   EXPECT_EQ(f.node.stats().hip_upstream, 1u);
   EXPECT_EQ(f.node.stats().bfcp_upstream, 1u);
-}
-
-TEST(RelayNode, StreamUpstreamIngestMatchesDatagramIngest) {
-  Fixture f;
-  UdpLegProbe a;
-  f.node.add_leg(a.endpoint());
-
-  // The same two packets, RFC 4571-framed and fed in awkward split chunks.
-  Bytes stream;
-  for (std::uint16_t s : {5, 6}) {
-    const Bytes wire = media_datagram(s);
-    stream.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
-    stream.push_back(static_cast<std::uint8_t>(wire.size()));
-    stream.insert(stream.end(), wire.begin(), wire.end());
-  }
-  f.node.on_upstream_stream(BytesView(stream.data(), 3));
-  f.node.on_upstream_stream(
-      BytesView(stream.data() + 3, stream.size() - 3));
-
-  ASSERT_EQ(a.media.size(), 2u);
-  EXPECT_EQ(a.media[0], media_datagram(5));
-  EXPECT_EQ(a.media[1], media_datagram(6));
 }
 
 TEST(RelayNode, PublishesTelemetryUnderItsPrefix) {
