@@ -6,9 +6,11 @@
 //   * DEFLATE level sweep (LZ77 search depth / lazy matching)
 //   * forced block type: stored vs fixed vs dynamic Huffman
 //   * PNG adaptive filtering on vs off
-//   * level-6 PNG encode of one 128-row AH band per content class
+//   * level-6 PNG encode of one 128-row AH band per content class, and
+//     the participant's decode of that same band
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 
 #include "bench_common.hpp"
@@ -119,6 +121,26 @@ void png_band(benchmark::State& state, const char* workload, std::int64_t width)
   record_counters("deflate", std::string("E9/png/band/") + workload, state.counters);
 }
 
+/// The participant side of png_band: decode the same band, as every viewer
+/// does for each PNG RegionUpdate. `mb_s` is raster output (width × 128 ×
+/// 4 bytes) per second of wall time.
+void png_band_decode(benchmark::State& state, const char* workload, std::int64_t width) {
+  const Image band = workload_frame(workload, width, 384).crop({0, 128, width, 128});
+  const Bytes encoded = png_encode(band, {.deflate = {.level = 6}});
+  const auto raster_bytes = static_cast<double>(width * 128 * 4);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto decoded = png_decode(encoded);
+    benchmark::DoNotOptimize(decoded);
+  }
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  state.counters["bytes"] = static_cast<double>(encoded.size());
+  state.counters["mb_s"] =
+      raster_bytes * static_cast<double>(state.iterations()) / elapsed.count() / 1e6;
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * width * 128 * 4);
+  record_counters("deflate", std::string("E9/png/decode/") + workload, state.counters);
+}
+
 BENCHMARK(deflate_levels)
     ->Name("E9/deflate/level")
     ->DenseRange(0, 9)
@@ -147,6 +169,18 @@ BENCHMARK_CAPTURE(png_band, document, "document", 800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(png_band, webpage, "webpage", 1024)
     ->Name("E9/png/band/webpage")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_decode, video, "video", 512)
+    ->Name("E9/png/decode/video")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_decode, terminal, "terminal", 512)
+    ->Name("E9/png/decode/terminal")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_decode, document, "document", 800)
+    ->Name("E9/png/decode/document")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_decode, webpage, "webpage", 1024)
+    ->Name("E9/png/decode/webpage")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -77,6 +77,16 @@ class BitReader {
 
   /// Bytes fully or partially consumed so far.
   std::size_t byte_position() const { return byte_pos_ + (bit_pos_ ? 1 : 0); }
+  /// Bits consumed so far.
+  std::size_t bit_position() const {
+    return byte_pos_ * 8 + static_cast<std::size_t>(bit_pos_);
+  }
+  /// Continue from bit `position` (at most the data's size in bits), for a
+  /// caller that decoded ahead on its own copy of the bits.
+  void seek(std::size_t position) {
+    byte_pos_ = position >> 3;
+    bit_pos_ = static_cast<int>(position & 7);
+  }
   /// View of remaining whole bytes (call align_to_byte() first).
   BytesView remaining_bytes() const { return data_.subspan(byte_pos_); }
   std::size_t bits_remaining() const {

@@ -106,8 +106,9 @@ std::vector<std::uint32_t> canonical_codes(const std::vector<std::uint8_t>& leng
 ParseStatus HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
   std::fill(std::begin(counts_), std::end(counts_), 0);
   sorted_symbols_.clear();
+  table_.fill(0);
   // Any early return below must leave the decoder inert: decode() checks
-  // initialised() before touching the tables.
+  // initialised() before touching the tables, and lookup() finds only 0.
 
   for (std::uint8_t l : lengths) {
     if (l > kMaxBits) {
@@ -147,7 +148,6 @@ ParseStatus HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
 
   // Every table slot whose low `len` bits are a short code's (bit-reversed)
   // pattern decodes to it; the slots' upper bits are the following input.
-  table_.fill(0);
   const std::vector<std::uint32_t> codes = canonical_codes(lengths);
   for (std::size_t sym = 0; sym < lengths.size(); ++sym) {
     const int len = lengths[sym];

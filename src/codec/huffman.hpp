@@ -56,6 +56,14 @@ class HuffmanDecoder {
 
   bool initialised() const { return !sorted_symbols_.empty(); }
 
+  /// The table entry for the next stream bits (only the low kTableBits
+  /// are used): symbol << 4 | code length, or 0 when they start a longer
+  /// code, match no code, or the decoder is uninitialised. For a caller
+  /// that holds the bits in a register and has checked there are enough.
+  std::uint16_t lookup(std::uint32_t bits) const {
+    return table_[bits & ((1u << kTableBits) - 1)];
+  }
+
   /// Codes up to this many bits decode with one table lookup.
   static constexpr int kTableBits = 10;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 
 #include "codec/zlib.hpp"
@@ -29,52 +28,6 @@ void write_chunk(ByteWriter& out, const char type[4], BytesView payload) {
   Crc32 crc;
   crc.update(BytesView(out.view().subspan(crc_start)));
   out.u32(crc.value());
-}
-
-std::uint8_t paeth(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  const int p = static_cast<int>(a) + b - c;
-  const int pa = std::abs(p - a);
-  const int pb = std::abs(p - b);
-  const int pc = std::abs(p - c);
-  if (pa <= pb && pa <= pc) return a;
-  if (pb <= pc) return b;
-  return c;
-}
-
-/// Undo one scanline's filter (RFC 2083 §6): `src` is the filtered line,
-/// `prior` the unfiltered line above (zeros for the first), `dst` receives
-/// the result and may alias `src`. One loop per filter type.
-void unfilter_row(int type, const std::uint8_t* src, const std::uint8_t* prior,
-                  std::uint8_t* dst, std::size_t n, std::size_t bpp) {
-  if (n == 0) return;
-  const std::size_t lead = std::min(bpp, n);  // bytes with no left neighbour
-  switch (type) {
-    case 0:
-      std::memmove(dst, src, n);
-      break;
-    case 1:
-      std::memmove(dst, src, lead);
-      for (std::size_t i = bpp; i < n; ++i)
-        dst[i] = static_cast<std::uint8_t>(src[i] + dst[i - bpp]);
-      break;
-    case 2:
-      for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<std::uint8_t>(src[i] + prior[i]);
-      break;
-    case 3:
-      for (std::size_t i = 0; i < lead; ++i)
-        dst[i] = static_cast<std::uint8_t>(src[i] + prior[i] / 2);
-      for (std::size_t i = bpp; i < n; ++i)
-        dst[i] = static_cast<std::uint8_t>(src[i] + (dst[i - bpp] + prior[i]) / 2);
-      break;
-    case 4:
-      // paeth(0, b, 0) is b.
-      for (std::size_t i = 0; i < lead; ++i) dst[i] = static_cast<std::uint8_t>(src[i] + prior[i]);
-      for (std::size_t i = bpp; i < n; ++i) {
-        dst[i] = static_cast<std::uint8_t>(
-            src[i] + paeth(dst[i - bpp], prior[i], prior[i - bpp]));
-      }
-      break;
-  }
 }
 
 }  // namespace
@@ -234,7 +187,7 @@ Result<Image> png_decode(BytesView data) {
     const int ftype = line[0];
     if (ftype > 4) return ParseError::kBadValue;
     std::uint8_t* row = bpp == 4 ? pixels + y * stride : line + 1;
-    unfilter_row(ftype, line + 1, prior, row, stride, bpp);
+    simd::png_unfilter_row(ftype, line + 1, prior, row, stride, bpp);
     if (bpp == 3) {
       Pixel* out = img.pixels().data() + y * width;
       for (std::size_t x = 0; x < width; ++x) out[x] = {row[3 * x], row[3 * x + 1], row[3 * x + 2], 255};

@@ -34,6 +34,9 @@ Result<Image> rle_decode(BytesView data) {
   if (!w || !h) return ParseError::kTruncated;
   const std::uint64_t count = static_cast<std::uint64_t>(*w) * *h;
   if (count * 4 > (1ull << 30)) return ParseError::kOverflow;
+  // A 6-byte run covers at most 65535 pixels: refuse a raster the payload
+  // cannot fill before allocating it.
+  if (count > in.remaining() / 6 * 65535) return ParseError::kTruncated;
   Image img(*w, *h);
   auto px = img.pixels();
   std::uint64_t filled = 0;

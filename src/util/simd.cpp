@@ -116,6 +116,40 @@ void png_filter_row_scalar(int type, const std::uint8_t* row,
   png_filter_range(type, row, prior, 0, n, bpp, out);
 }
 
+void png_unfilter_row_scalar(int type, const std::uint8_t* src,
+                             const std::uint8_t* prior, std::uint8_t* dst,
+                             std::size_t n, std::size_t bpp) {
+  if (n == 0) return;
+  const std::size_t lead = std::min(bpp, n);  // bytes with no left neighbour
+  switch (type) {
+    case 0:
+      std::memmove(dst, src, n);
+      break;
+    case 1:
+      std::memmove(dst, src, lead);
+      for (std::size_t i = bpp; i < n; ++i)
+        dst[i] = static_cast<std::uint8_t>(src[i] + dst[i - bpp]);
+      break;
+    case 2:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<std::uint8_t>(src[i] + prior[i]);
+      break;
+    case 3:
+      for (std::size_t i = 0; i < lead; ++i)
+        dst[i] = static_cast<std::uint8_t>(src[i] + prior[i] / 2);
+      for (std::size_t i = bpp; i < n; ++i)
+        dst[i] = static_cast<std::uint8_t>(src[i] + (dst[i - bpp] + prior[i]) / 2);
+      break;
+    case 4:
+      // paeth(0, b, 0) is b.
+      for (std::size_t i = 0; i < lead; ++i) dst[i] = static_cast<std::uint8_t>(src[i] + prior[i]);
+      for (std::size_t i = bpp; i < n; ++i) {
+        dst[i] = static_cast<std::uint8_t>(
+            src[i] + paeth_byte(dst[i - bpp], prior[i], prior[i - bpp]));
+      }
+      break;
+  }
+}
+
 std::uint64_t png_abs_sum_scalar(const std::uint8_t* data, std::size_t n) {
   std::uint64_t s = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -196,6 +230,7 @@ void box_halve_row_scalar(const std::uint8_t* r0, const std::uint8_t* r1,
 
 #define ADS_TARGET_AVX2 __attribute__((target("avx2")))
 #define ADS_TARGET_CLMUL __attribute__((target("pclmul,sse4.1")))
+#define ADS_TARGET_SSE41 __attribute__((target("sse4.1")))
 
 namespace {
 
@@ -449,6 +484,94 @@ void png_filter_row_avx2(int type, const std::uint8_t* row,
   if (i < n) png_filter_range(type, row, prior, i, n, bpp, out);
 }
 
+// One 4-byte pixel in the low lane of an xmm register.
+ADS_TARGET_SSE41
+inline __m128i load_pixel(const std::uint8_t* p) {
+  std::int32_t v;
+  std::memcpy(&v, p, 4);
+  return _mm_cvtsi32_si128(v);
+}
+
+ADS_TARGET_SSE41
+inline void store_pixel(std::uint8_t* p, __m128i v) {
+  const std::int32_t x = _mm_cvtsi128_si32(v);
+  std::memcpy(p, &x, 4);
+}
+
+// Unfilter for 4-byte pixels. Up adds 16 bytes at a time; Sub, Average and
+// Paeth carry the previous output pixel `a` in a register, one pixel per
+// step. Starting from a = c = 0 makes the first pixel's predictor the
+// scalar lead's (0 for Sub, b/2 for Average, b for Paeth). Average is
+// floor((a + b) / 2) = avg_epu8 (which rounds up) minus the dropped low
+// bit.
+ADS_TARGET_SSE41
+void png_unfilter_row_sse41(int type, const std::uint8_t* src,
+                            const std::uint8_t* prior, std::uint8_t* dst,
+                            std::size_t n, std::size_t bpp) {
+  if (bpp != 4 || n % 4 != 0 || type < 1 || type > 4) {
+    png_unfilter_row_scalar(type, src, prior, dst, n, bpp);
+    return;
+  }
+  const __m128i zero = _mm_setzero_si128();
+  switch (type) {
+    case 1: {
+      __m128i a = zero;
+      for (std::size_t i = 0; i < n; i += 4) {
+        a = _mm_add_epi8(load_pixel(src + i), a);
+        store_pixel(dst + i, a);
+      }
+      break;
+    }
+    case 2: {
+      std::size_t i = 0;
+      for (; i + 16 <= n; i += 16) {
+        const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+        const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(prior + i));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_add_epi8(x, b));
+      }
+      for (; i < n; i += 4)
+        store_pixel(dst + i, _mm_add_epi8(load_pixel(src + i), load_pixel(prior + i)));
+      break;
+    }
+    case 3: {
+      const __m128i one = _mm_set1_epi8(1);
+      __m128i a = zero;
+      for (std::size_t i = 0; i < n; i += 4) {
+        const __m128i b = load_pixel(prior + i);
+        const __m128i avg =
+            _mm_sub_epi8(_mm_avg_epu8(a, b), _mm_and_si128(_mm_xor_si128(a, b), one));
+        a = _mm_add_epi8(load_pixel(src + i), avg);
+        store_pixel(dst + i, a);
+      }
+      break;
+    }
+    default: {  // 4: Paeth
+      // The branch-free form stb_image uses, equal to paeth_byte on every
+      // (a, b, c): with t = 3c - a - b, take min(a, b) if max(a, b) <= t,
+      // else c; then max(a, b) instead if t <= min(a, b). In 16-bit lanes
+      // only `a` carries from pixel to pixel, and it feeds one subtract and
+      // a min/max before the two selects.
+      const __m128i low_byte = _mm_set1_epi16(0xFF);
+      __m128i a = zero;  // previous output pixel
+      __m128i c = zero;  // previous prior pixel
+      for (std::size_t i = 0; i < n; i += 4) {
+        const __m128i b = _mm_unpacklo_epi8(load_pixel(prior + i), zero);
+        const __m128i x = _mm_unpacklo_epi8(load_pixel(src + i), zero);
+        const __m128i c3_minus_b = _mm_sub_epi16(_mm_add_epi16(c, _mm_add_epi16(c, c)), b);
+        const __m128i t = _mm_sub_epi16(c3_minus_b, a);
+        const __m128i lo = _mm_min_epi16(a, b);
+        const __m128i hi = _mm_max_epi16(a, b);
+        const __m128i t0 = _mm_blendv_epi8(lo, c, _mm_cmpgt_epi16(hi, t));
+        const __m128i pred = _mm_blendv_epi8(hi, t0, _mm_cmpgt_epi16(t, lo));
+        a = _mm_and_si128(_mm_add_epi16(x, pred), low_byte);
+        store_pixel(dst + i, _mm_packus_epi16(a, a));
+        c = b;
+      }
+      break;
+    }
+  }
+}
+
 ADS_TARGET_AVX2
 std::uint64_t png_abs_sum_avx2(const std::uint8_t* data, std::size_t n) {
   const __m256i zero = _mm256_setzero_si256();
@@ -650,6 +773,8 @@ struct Kernels {
       &fnv4_absorb_scalar;
   void (*filter)(int, const std::uint8_t*, const std::uint8_t*, std::size_t,
                  std::size_t, std::uint8_t*) = &png_filter_row_scalar;
+  void (*unfilter)(int, const std::uint8_t*, const std::uint8_t*, std::uint8_t*,
+                   std::size_t, std::size_t) = &png_unfilter_row_scalar;
   std::uint64_t (*abs_sum)(const std::uint8_t*, std::size_t) = &png_abs_sum_scalar;
   void (*hash3)(const std::uint8_t*, std::size_t, std::uint16_t*) = &hash3_run_scalar;
   void (*fdct)(const double[64], double[64], const double[64], const double[64]) =
@@ -664,6 +789,7 @@ struct Kernels {
     const Level l = active_level();
     if (l >= Level::kSse42) {
       crc = &crc32_absorb_clmul;
+      unfilter = &png_unfilter_row_sse41;
       halve = &box_halve_row_sse;
     }
     if (l >= Level::kAvx2) {
@@ -721,6 +847,25 @@ void fnv4_absorb(std::uint64_t lanes[4], const std::uint8_t* rgba,
 void png_filter_row(int type, const std::uint8_t* row, const std::uint8_t* prior,
                     std::size_t n, std::size_t bpp, std::uint8_t* out) {
   kernels().filter(type, row, prior, n, bpp, out);
+}
+
+void png_unfilter_row(int type, const std::uint8_t* src, const std::uint8_t* prior,
+                      std::uint8_t* dst, std::size_t n, std::size_t bpp) {
+  kernels().unfilter(type, src, prior, dst, n, bpp);
+}
+
+void png_unfilter_row_at(Level level, int type, const std::uint8_t* src,
+                         const std::uint8_t* prior, std::uint8_t* dst, std::size_t n,
+                         std::size_t bpp) {
+  if (static_cast<int>(level) > static_cast<int>(active_level()))
+    level = active_level();
+#if ADS_SIMD_X86
+  if (level >= Level::kSse42) {
+    png_unfilter_row_sse41(type, src, prior, dst, n, bpp);
+    return;
+  }
+#endif
+  png_unfilter_row_scalar(type, src, prior, dst, n, bpp);
 }
 
 std::uint64_t png_abs_sum(const std::uint8_t* data, std::size_t n) {

@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernels for the measured hot loops: Adler-32 and
 // CRC-32 absorption (util/checksum), tile hashing (image/damage), PNG filter
-// selection/apply (codec/png), the DEFLATE matcher's trigram hash pass
-// (codec/deflate), the forward DCT + quantise (codec/dct) and the
-// box-downscale row average (transcode's FrameScaler).
+// selection/apply and the participant's PNG unfilter (codec/png), the
+// DEFLATE matcher's trigram hash pass (codec/deflate), the forward DCT +
+// quantise (codec/dct) and the box-downscale row average (transcode's
+// FrameScaler).
 //
 // Contract: every dispatched kernel is bit-identical to its `_scalar`
 // reference on all inputs — vector paths keep each output element's
@@ -72,6 +73,24 @@ void png_filter_row(int type, const std::uint8_t* row, const std::uint8_t* prior
 void png_filter_row_scalar(int type, const std::uint8_t* row,
                            const std::uint8_t* prior, std::size_t n, std::size_t bpp,
                            std::uint8_t* out);
+
+/// Undo PNG scanline filter `type` (0..4, RFC 2083 §6): `src` is the
+/// filtered line of `n` bytes (pixel stride `bpp`), `prior` the unfiltered
+/// line above (all zeros for the first line, never null), `dst` receives
+/// the result and may alias `src`. The vector tiers take 4-byte pixels:
+/// 16 bytes at a time for Up, one pixel at a time for Sub, Average and
+/// Paeth; other strides run the scalar loop.
+void png_unfilter_row(int type, const std::uint8_t* src, const std::uint8_t* prior,
+                      std::uint8_t* dst, std::size_t n, std::size_t bpp);
+/// Scalar reference for png_unfilter_row.
+void png_unfilter_row_scalar(int type, const std::uint8_t* src,
+                             const std::uint8_t* prior, std::uint8_t* dst,
+                             std::size_t n, std::size_t bpp);
+/// Test hook: run png_unfilter_row's tier-`level` implementation (clamped
+/// to active_level()).
+void png_unfilter_row_at(Level level, int type, const std::uint8_t* src,
+                         const std::uint8_t* prior, std::uint8_t* dst, std::size_t n,
+                         std::size_t bpp);
 
 /// Sum of |signed interpretation| over `n` bytes — the PNG filter heuristic.
 std::uint64_t png_abs_sum(const std::uint8_t* data, std::size_t n);

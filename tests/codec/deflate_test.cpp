@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <tuple>
 #include <utility>
@@ -209,6 +210,123 @@ TEST(Inflate, OutputGrowsWithTheBytesProducedNotTheLimit) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, input);
   EXPECT_LT(out->capacity(), std::size_t{1} << 20);
+}
+
+/// Hand-built fixed-Huffman (BTYPE=01) streams of literals and matches.
+class FixedBlockWriter {
+ public:
+  FixedBlockWriter() {
+    w_.write(1, 1);  // BFINAL
+    w_.write(1, 2);  // fixed Huffman
+  }
+  void literal(std::uint8_t byte) { symbol(byte); }
+  void match(int length, int distance) {
+    using namespace deflate_tables;
+    const int lc = length_code(length);
+    symbol(257 + lc);
+    w_.write(static_cast<std::uint32_t>(length - kLengthBase[static_cast<std::size_t>(lc)]),
+             kLengthExtra[static_cast<std::size_t>(lc)]);
+    const int dc = dist_code(distance);
+    w_.write(reverse_bits(static_cast<std::uint32_t>(dc), kFixedDistLength), kFixedDistLength);
+    w_.write(static_cast<std::uint32_t>(distance - kDistBase[static_cast<std::size_t>(dc)]),
+             kDistExtra[static_cast<std::size_t>(dc)]);
+  }
+  Bytes finish() {
+    symbol(256);
+    return w_.take();
+  }
+
+ private:
+  void symbol(int sym) {
+    static const auto lengths = std::vector<std::uint8_t>(
+        deflate_tables::kFixedLitLenLengths.begin(), deflate_tables::kFixedLitLenLengths.end());
+    static const auto codes = canonical_codes(lengths);
+    w_.write(codes[static_cast<std::size_t>(sym)], lengths[static_cast<std::size_t>(sym)]);
+  }
+
+  BitWriter w_;
+};
+
+/// `distance` distinct-looking literals, the stream's history.
+Bytes history(int distance) {
+  Bytes out;
+  for (int i = 0; i < distance; ++i) out.push_back(static_cast<std::uint8_t>(i * 37 + distance));
+  return out;
+}
+
+/// Append a match the slow way: one byte at a time from `distance` back.
+void append_match(Bytes& out, int length, int distance) {
+  for (int k = 0; k < length; ++k) out.push_back(out[out.size() - static_cast<std::size_t>(distance)]);
+}
+
+TEST(Inflate, EveryOverlappingMatchAsTheStreamsLastSymbol) {
+  // One stream per (distance, length): the match sits in the last bytes of
+  // the input, where inflate checks every bit it reads. The exact limit
+  // passes; one byte less overflows.
+  for (int distance = 1; distance <= 300; ++distance) {
+    FixedBlockWriter prefix;
+    const Bytes lits = history(distance);
+    for (const std::uint8_t b : lits) prefix.literal(b);
+    for (int length = 3; length <= 258; ++length) {
+      FixedBlockWriter w = prefix;
+      w.match(length, distance);
+      const Bytes stream = w.finish();
+      Bytes want = lits;
+      append_match(want, length, distance);
+      auto out = inflate(stream, {.max_output = want.size()});
+      ASSERT_TRUE(out.ok()) << "distance " << distance << " length " << length;
+      ASSERT_EQ(*out, want) << "distance " << distance << " length " << length;
+      auto over = inflate(stream, {.max_output = want.size() - 1});
+      ASSERT_FALSE(over.ok()) << "distance " << distance << " length " << length;
+      ASSERT_EQ(over.error(), ParseError::kOverflow);
+    }
+  }
+}
+
+TEST(Inflate, EveryOverlappingMatchInsideALongStream) {
+  // One stream per distance: its history, then a match of every length 3 to
+  // 258 at that distance. All but the last few are decoded from a full
+  // 64-bit bit buffer. Limits: none, exact, one byte short.
+  for (int distance = 1; distance <= 300; ++distance) {
+    FixedBlockWriter w;
+    Bytes want = history(distance);
+    for (const std::uint8_t b : want) w.literal(b);
+    for (int length = 3; length <= 258; ++length) {
+      w.match(length, distance);
+      append_match(want, length, distance);
+    }
+    const Bytes stream = w.finish();
+    for (const std::size_t limit : {std::size_t{0}, want.size()}) {
+      auto out = inflate(stream, {.max_output = limit});
+      ASSERT_TRUE(out.ok()) << "distance " << distance << " limit " << limit;
+      ASSERT_EQ(*out, want) << "distance " << distance << " limit " << limit;
+    }
+    auto over = inflate(stream, {.max_output = want.size() - 1});
+    ASSERT_FALSE(over.ok()) << "distance " << distance;
+    ASSERT_EQ(over.error(), ParseError::kOverflow) << "distance " << distance;
+  }
+}
+
+TEST(Inflate, LimitIsExactForLiteralsMatchesAndStoredBlocks) {
+  // A limit of n passes a stream of n bytes and refuses a limit of n - 1,
+  // for literal runs, matches and stored blocks, at sizes around the fast
+  // loop's 274-byte output margin and the buffer's 64 KiB first step.
+  const Bytes text = repetitive(70000);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{273}, std::size_t{274},
+                              std::size_t{275}, std::size_t{65535}, std::size_t{65536},
+                              std::size_t{65537}, std::size_t{70000}}) {
+    const BytesView input = BytesView(text).first(n);
+    for (const int level : {0, 1, 6}) {
+      const Bytes stream = deflate_compress(input, {.level = level});
+      auto exact = inflate(stream, {.max_output = n});
+      ASSERT_TRUE(exact.ok()) << "n " << n << " level " << level;
+      ASSERT_TRUE(std::equal(exact->begin(), exact->end(), input.begin(), input.end()));
+      if (n == 1) continue;  // a limit of 0 means none
+      auto short_by_one = inflate(stream, {.max_output = n - 1});
+      ASSERT_FALSE(short_by_one.ok()) << "n " << n << " level " << level;
+      EXPECT_EQ(short_by_one.error(), ParseError::kOverflow);
+    }
+  }
 }
 
 /// BFINAL=1, BTYPE=10 and a header that sends `litlen` (257..286 entries)

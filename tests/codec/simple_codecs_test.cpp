@@ -1,8 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "codec/raw_codec.hpp"
 #include "codec/rle_codec.hpp"
 #include "util/prng.hpp"
+
+// The largest single operator new request, so a test can bound what a
+// hostile header makes a decoder allocate.
+namespace {
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !g_largest_allocation.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair an inlined free() with new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ads {
 namespace {
@@ -98,6 +122,33 @@ TEST(RleCodec, ShortPayloadRejected) {
   w.u16(4);
   w.u8(0);  // truncated pixel
   EXPECT_FALSE(rle_decode(w.view()).ok());
+}
+
+TEST(RleCodec, RasterThePayloadCannotFillIsRefusedBeforeAllocation) {
+  // A 4096 x 4096 header (64 MiB of pixels) with one run of 65535 pixels:
+  // the payload cannot describe the raster, so nothing that size is
+  // allocated.
+  ByteWriter w;
+  w.u32(4096);
+  w.u32(4096);
+  w.u16(65535);
+  w.u8(1);
+  w.u8(2);
+  w.u8(3);
+  w.u8(255);
+  g_largest_allocation = 0;
+  auto out = rle_decode(w.view());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error(), ParseError::kTruncated);
+  EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 20);
+
+  // A payload with exactly enough runs still decodes.
+  const Image img(300, 437, Pixel{9, 8, 7, 255});  // 131100 pixels: 3 runs
+  const Bytes enc = rle_encode(img);
+  ASSERT_EQ(enc.size(), 8u + 3 * 6);
+  auto back = rle_decode(enc);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->pixels()[131099], img.pixels()[131099]);
 }
 
 TEST(RleCodec, EmptyImage) {

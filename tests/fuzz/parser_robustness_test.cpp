@@ -1,8 +1,17 @@
 // Parser robustness sweep: every wire parser in the system is fed random
 // bytes and randomly mutated valid messages. The property under test is
 // uniform — parsers return a value or a ParseError; they never crash,
-// never read out of bounds (ASAN-visible), and never loop forever.
+// never read out of bounds (ASAN-visible), never loop forever, and never
+// allocate far beyond what their input can describe.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <new>
+#include <string>
 
 #include "bfcp/bfcp_message.hpp"
 #include "codec/dct_codec.hpp"
@@ -15,7 +24,26 @@
 #include "rtp/rtcp.hpp"
 #include "rtp/rtp_packet.hpp"
 #include "sdp/sdp.hpp"
+#include "snapshot/record.hpp"
 #include "util/prng.hpp"
+
+// The largest single operator new request since the last reset.
+namespace {
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !g_largest_allocation.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair an inlined free() with new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ads {
 namespace {
@@ -149,6 +177,147 @@ TEST(ParserRobustness, CodecsMutatedStreams) {
     (void)rle_decode(mutate(rng, rle));
     (void)dct_decode(mutate(rng, dct));
   }
+}
+
+TEST(ParserRobustness, RtcpCompoundRandomAndMutated) {
+  Prng rng(11);
+  g_largest_allocation = 0;
+  for (int i = 0; i < kRandomIterations; ++i) {
+    (void)parse_rtcp_compound(random_bytes(rng, 200));
+  }
+
+  SenderReport sr;
+  sr.ssrc = 0x1111;
+  sr.ntp_timestamp = 0x0123456789ABCDEFull;
+  sr.rtp_timestamp = 90000;
+  sr.packet_count = 77;
+  sr.octet_count = 88000;
+  sr.blocks = {ReportBlock{0x2222, 12, 34, 0x10005, 7, 0xABCD, 655}};
+  ReceiverReport rr;
+  rr.ssrc = 0x3333;
+  rr.blocks = {ReportBlock{0x1111, 1, 2, 3, 4, 5, 6}, ReportBlock{0x4444, 9, 8, 7, 6, 5, 4}};
+  const GenericNack nack = GenericNack::for_sequences(0x3333, 0x1111, {5, 6, 9, 40, 41, 65530});
+  const PictureLossIndication pli{0x3333, 0x1111};
+  const Bytes valid = serialize_rtcp_compound({sr, rr, nack, pli});
+  auto parsed = parse_rtcp_compound(valid);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->size(), 4u);
+
+  // Offsets of each sub-packet's 16-bit length field.
+  std::vector<std::size_t> length_fields;
+  for (std::size_t at = 0; at + 4 <= valid.size();
+       at += (static_cast<std::size_t>(valid[at + 2]) << 8 | valid[at + 3]) * 4 + 4) {
+    length_fields.push_back(at + 2);
+  }
+  ASSERT_EQ(length_fields.size(), 4u);
+  for (int i = 0; i < kMutationIterations; ++i) {
+    Bytes data = valid;
+    if (rng.chance(0.5)) {
+      const std::size_t field = length_fields[rng.below(length_fields.size())];
+      const std::uint32_t words = rng.chance(0.5) ? rng.next_u32() & 0xFFFF : rng.below(16);
+      data[field] = static_cast<std::uint8_t>(words >> 8);
+      data[field + 1] = static_cast<std::uint8_t>(words);
+    }
+    (void)parse_rtcp_compound(mutate(rng, std::move(data)));
+  }
+  // Datagrams of at most a few hundred bytes parse into small vectors.
+  EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 16);
+}
+
+/// Read a whole file.
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const Bytes& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()), static_cast<std::streamsize>(data.size()));
+}
+
+TEST(ParserRobustness, SessionReplayerMutatedRecordings) {
+  // A short ADSREC01 recording: a checkpoint, a PNG band, an RLE band, a
+  // scroll, a window-manager change and a pointer move. Mutants flip bytes,
+  // rewrite record lengths, inner lengths and the RLE band's dimensions,
+  // and cut the tail; each replays.
+  const std::string path = testing::TempDir() + "ads_fuzz_replay.adsrec";
+  Prng rng(12);
+  {
+    snapshot::SessionRecorder rec(path);
+    ASSERT_TRUE(rec.ok());
+    Image frame(48, 32, Pixel{10, 20, 30, 255});
+    WindowManagerInfo wmi;
+    wmi.records = {{1, 0, 0, 0, 48, 32}};
+    rec.checkpoint(1'000, frame, wmi, Point{3, 4});
+    Image noise(16, 8);
+    for (auto& p : noise.pixels()) {
+      p = Pixel{static_cast<std::uint8_t>(rng.next_u32()),
+                static_cast<std::uint8_t>(rng.next_u32()), 7, 255};
+    }
+    rec.region_update(2'000, Rect{0, 0, 16, 8}, ContentPt::kPng, png_encode(noise));
+    Image flat(16, 8, Pixel{200, 100, 50, 255});
+    flat.fill_rect(Rect{0, 4, 16, 4}, Pixel{1, 2, 3, 255});
+    rec.region_update(3'000, Rect{16, 8, 16, 8}, ContentPt::kRle, rle_encode(flat));
+    rec.move_rect(4'000, MoveRectangle{1, 0, 0, 16, 8, 8, 16});
+    wmi.records.push_back({2, 0, 8, 8, 16, 16});
+    rec.wmi(5'000, wmi);
+    rec.pointer(6'000, Point{9, 9});
+    rec.finish();
+    ASSERT_TRUE(rec.ok());
+  }
+  const Bytes valid = read_file(path);
+  {
+    snapshot::SessionReplayer rep(path);
+    ASSERT_TRUE(rep.ok());
+    ASSERT_TRUE(rep.replay());
+    EXPECT_EQ(rep.stats().region_updates_applied, 2u);
+  }
+
+  // Record framing: magic, then type u8 | t u64 | len u32 | payload.
+  std::vector<std::size_t> length_fields;
+  for (std::size_t at = 8; at + 13 <= valid.size();) {
+    length_fields.push_back(at + 9);
+    at += 13 + (static_cast<std::size_t>(valid[at + 9]) << 24 |
+                static_cast<std::size_t>(valid[at + 10]) << 16 |
+                static_cast<std::size_t>(valid[at + 11]) << 8 | valid[at + 12]);
+  }
+  ASSERT_EQ(length_fields.size(), 7u);  // six records and the end marker
+  // The checkpoint's inner PNG length follows its header, and the RLE
+  // band's width and height follow left u32 | top u32 | content_pt u8.
+  length_fields.push_back(8 + 13);
+  const std::size_t rle_payload = length_fields[2] + 4;
+  length_fields.push_back(rle_payload + 9);
+  length_fields.push_back(rle_payload + 13);
+
+  // An RLE payload may claim 65535 pixels per 6-byte run, so no raster may
+  // exceed that many pixels for every 6 bytes of the file; anything else
+  // stays under 1 MiB.
+  const std::size_t bound = valid.size() / 6 * 65535 * sizeof(Pixel) + (std::size_t{1} << 20);
+  const std::string mutant_path = testing::TempDir() + "ads_fuzz_replay_mutant.adsrec";
+  for (int i = 0; i < kMutationIterations; ++i) {
+    Bytes data = valid;
+    switch (rng.below(3)) {
+      case 0: data = mutate(rng, std::move(data)); break;
+      case 1: {
+        const std::size_t field = length_fields[rng.below(length_fields.size())];
+        // Any value, a small one, or one that passes the decoders' 1 GiB
+        // raster guards.
+        const std::uint32_t picks[] = {rng.next_u32(), static_cast<std::uint32_t>(rng.below(2048)),
+                                       static_cast<std::uint32_t>(rng.range(1 << 16, 1 << 24))};
+        const std::uint32_t len = picks[rng.below(3)];
+        for (int k = 0; k < 4; ++k) data[field + k] = static_cast<std::uint8_t>(len >> (24 - 8 * k));
+        break;
+      }
+      default: data.resize(rng.below(data.size())); break;
+    }
+    write_file(mutant_path, data);
+    g_largest_allocation = 0;
+    snapshot::SessionReplayer rep(mutant_path);
+    if (rep.ok()) (void)rep.replay();
+    ASSERT_LE(g_largest_allocation.load(), bound) << "mutant " << i;
+  }
+  std::remove(path.c_str());
+  std::remove(mutant_path.c_str());
 }
 
 TEST(ParserRobustness, SdpRandomText) {

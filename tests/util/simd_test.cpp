@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -130,6 +132,108 @@ TEST(SimdPngFilters, MatchesScalarAllTypesWidthsAndPriors) {
           }
         }
       }
+    }
+  }
+}
+
+// PNG unfilter: every tier against the scalar reference, for all five
+// filter types, 3- and 4-byte pixels and widths 0..67 plus two long rows
+// (odd widths included). Rows are random bytes or drawn from {0, 1, 127,
+// 128, 254, 255}, whose many equal distances exercise Paeth's tie order.
+// Each case runs on exact-size buffers (ASan catches an over-read or
+// over-write), both out of place and in place (dst == src, as the decoder
+// unfilters RGB scanlines).
+TEST(SimdPngUnfilter, EveryTierMatchesScalarAllTypesWidthsAndBpp) {
+  Prng rng(0x0F17);
+  const std::uint8_t edges[] = {0, 1, 127, 128, 254, 255};
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 0; w < 68; ++w) widths.push_back(w);
+  widths.push_back(257);
+  widths.push_back(1023);
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kSse42, simd::Level::kAvx2}) {
+    for (const std::size_t bpp : {std::size_t{3}, std::size_t{4}}) {
+      for (int type = 0; type < 5; ++type) {
+        for (const std::size_t width : widths) {
+          for (const bool edge_values : {false, true}) {
+            const std::size_t n = width * bpp;
+            std::vector<std::uint8_t> src(n);
+            std::vector<std::uint8_t> prior(n);
+            for (auto* v : {&src, &prior}) {
+              for (auto& b : *v)
+                b = edge_values ? edges[rng.below(6)] : static_cast<std::uint8_t>(rng.next_u32());
+            }
+            if (width % 5 == 0) std::fill(prior.begin(), prior.end(), 0);  // first line
+            std::vector<std::uint8_t> want(n);
+            simd::png_unfilter_row_scalar(type, src.data(), prior.data(), want.data(), n, bpp);
+            std::vector<std::uint8_t> got(n);
+            simd::png_unfilter_row_at(level, type, src.data(), prior.data(), got.data(), n,
+                                      bpp);
+            ASSERT_EQ(got, want) << simd::level_name(level) << " type=" << type
+                                 << " bpp=" << bpp << " width=" << width;
+            std::vector<std::uint8_t> in_place = src;
+            simd::png_unfilter_row_at(level, type, in_place.data(), prior.data(),
+                                      in_place.data(), n, bpp);
+            ASSERT_EQ(in_place, want) << simd::level_name(level) << " in place, type="
+                                      << type << " bpp=" << bpp << " width=" << width;
+          }
+        }
+      }
+    }
+  }
+  // The dispatched entry point on one long 4-byte-pixel row per type.
+  const auto src = random_bytes(rng, 4 * 1001);
+  const auto prior = random_bytes(rng, 4 * 1001);
+  for (int type = 0; type < 5; ++type) {
+    std::vector<std::uint8_t> a(src.size());
+    std::vector<std::uint8_t> b(src.size());
+    simd::png_unfilter_row(type, src.data(), prior.data(), a.data(), a.size(), 4);
+    simd::png_unfilter_row_scalar(type, src.data(), prior.data(), b.data(), b.size(), 4);
+    EXPECT_EQ(a, b) << "type=" << type;
+  }
+}
+
+// Paeth over every (a, b, c) triple, so the vector tiers' branch-free
+// predictor is checked against the scalar one on all 2^24 inputs. The prior
+// row alternates c with each b (pixels 2k, 2k + 1 hold c = k >> 8, b =
+// k & 255), and each even pixel's source byte is chosen so that its output,
+// the next pixel's a, is the row's `a`: r + 64 * lane over 64 rows.
+TEST(SimdPngUnfilter, PaethMatchesScalarOnEveryTriple) {
+  const auto paeth = [](int a, int b, int c) {
+    const int p = a + b - c;
+    const int pa = std::abs(p - a);
+    const int pb = std::abs(p - b);
+    const int pc = std::abs(p - c);
+    return pa <= pb && pa <= pc ? a : pb <= pc ? b : c;
+  };
+  constexpr std::size_t kPixels = 2 * 65536;
+  std::vector<std::uint8_t> prior(4 * kPixels);
+  for (std::size_t k = 0; k < 65536; ++k) {
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      prior[8 * k + lane] = static_cast<std::uint8_t>(k >> 8);
+      prior[8 * k + 4 + lane] = static_cast<std::uint8_t>(k);
+    }
+  }
+  std::vector<std::uint8_t> src(prior.size(), 0);
+  std::vector<std::uint8_t> want(prior.size());
+  std::vector<std::uint8_t> got(prior.size());
+  for (int r = 0; r < 64; ++r) {
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      const int a = r + 64 * static_cast<int>(lane);
+      int left = 0;  // output of the previous pixel in this lane
+      for (std::size_t px = 0; px < kPixels; ++px) {
+        const std::size_t i = 4 * px + lane;
+        const int b = prior[i];
+        const int c = px > 0 ? prior[i - 4] : 0;
+        const int pred = paeth(left, b, c);
+        if (px % 2 == 0) src[i] = static_cast<std::uint8_t>(a - pred);
+        left = (src[i] + pred) & 0xFF;
+      }
+    }
+    simd::png_unfilter_row_scalar(4, src.data(), prior.data(), want.data(), src.size(), 4);
+    for (const simd::Level level : {simd::Level::kSse42, simd::Level::kAvx2}) {
+      simd::png_unfilter_row_at(level, 4, src.data(), prior.data(), got.data(), src.size(), 4);
+      ASSERT_EQ(got, want) << simd::level_name(level) << " row " << r;
     }
   }
 }
