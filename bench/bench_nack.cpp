@@ -5,7 +5,8 @@
 // retransmissions=yes the participant NACKs missing packets and the AH
 // resends from its cache; with retransmissions=no the only repair is the
 // PLI full refresh. Counters: residual divergence while lossy, PLIs,
-// retransmissions, and total AH bytes (repair overhead).
+// retransmissions, total AH bytes (repair overhead), and the AH store's
+// rtx.misses and rtx.evictions from the session snapshot.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -24,6 +25,8 @@ struct RepairStats {
   std::uint64_t retransmissions = 0;
   std::uint64_t plis = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t rtx_misses = 0;     ///< NACKed sequences no longer cached
+  std::uint64_t rtx_evictions = 0;  ///< packets aged out of the store
   std::int64_t residual_diff = 0;  ///< divergence measured during loss
   std::int64_t final_diff = 0;     ///< after the link heals
 };
@@ -75,10 +78,12 @@ RepairStats run_pipeline(double loss, bool retransmissions) {
   const Image replica =
       conn.participant->screen().crop({0, 0, truth.width(), truth.height()});
   out.final_diff = diff_pixel_count(truth, replica);
+  const telemetry::Snapshot snap = session.telemetry().snapshot();
+  out.rtx_misses = snap.counter("rtx.misses");
+  out.rtx_evictions = snap.counter("rtx.evictions");
   // Embed the full cross-layer metrics snapshot of the last case run, so
   // BENCH_nack.json carries the session internals behind the counters.
-  bench::json_report("nack").set_metrics_json(
-      telemetry::to_json(session.telemetry().snapshot()));
+  bench::json_report("nack").set_metrics_json(telemetry::to_json(snap));
   return out;
 }
 
@@ -90,6 +95,8 @@ void run_bench(benchmark::State& state, bool retransmissions) {
   state.counters["retransmissions"] = static_cast<double>(stats.retransmissions);
   state.counters["plis"] = static_cast<double>(stats.plis);
   state.counters["ah_bytes"] = static_cast<double>(stats.bytes);
+  state.counters["rtx_misses"] = static_cast<double>(stats.rtx_misses);
+  state.counters["rtx_evictions"] = static_cast<double>(stats.rtx_evictions);
   state.counters["residual_diff_px"] = static_cast<double>(stats.residual_diff);
   state.counters["converged_after_heal"] = stats.final_diff == 0 ? 1 : 0;
   bench::record_counters("nack",

@@ -204,26 +204,19 @@ void AppHost::publish_metrics() {
   m.gauge("cache.entries").set(static_cast<std::int64_t>(cache.entries()));
   m.counter("cache.evictions").set(cache.evictions());
 
-  std::uint64_t rtx_hits = retired_.rtx_hits;
-  std::uint64_t rtx_misses = retired_.rtx_misses;
-  std::uint64_t rtx_evictions = retired_.rtx_evictions;
+  // Every cache hit is a retransmission sent.
+  m.counter("rtx.hits").set(stats_.retransmissions_sent);
+  m.counter("rtx.misses").set(stats_.rtx_misses);
+  m.counter("rtx.evictions").set(stats_.rtx_evictions);
   std::uint64_t rtx_cached = 0;
-  for (const auto& [id, p] : participants_) {
-    rtx_hits += p.cache.hits();
-    rtx_misses += p.cache.misses();
-    rtx_evictions += p.cache.evictions();
-    rtx_cached += p.cache.size();
-  }
-  m.counter("rtx.hits").set(rtx_hits);
-  m.counter("rtx.misses").set(rtx_misses);
-  m.counter("rtx.evictions").set(rtx_evictions);
+  for (const auto& [id, p] : participants_) rtx_cached += p.cache.size();
   m.gauge("rtx.cached_packets").set(static_cast<std::int64_t>(rtx_cached));
 
   if (opts_.link.adaptation.enabled) {
-    std::uint64_t increases = retired_.rate.increases;
-    std::uint64_t decreases = retired_.rate.decreases;
-    std::uint64_t q_changes = retired_.rate.quality_changes;
-    std::uint64_t fps_changes = retired_.rate.fps_changes;
+    std::uint64_t increases = retired_rate_.increases;
+    std::uint64_t decreases = retired_rate_.decreases;
+    std::uint64_t q_changes = retired_rate_.quality_changes;
+    std::uint64_t fps_changes = retired_rate_.fps_changes;
     for (const auto& [id, p] : participants_) {
       const rate::ControllerStats& rs = p.link.controller_stats();
       increases += rs.increases;
@@ -369,17 +362,13 @@ void AppHost::remove_participant(ParticipantId id) {
   auto it = participants_.find(id);
   if (it == participants_.end()) return;
   // Erasing the state reclaims the link (bucket, controller, egress carry),
-  // retransmission cache and uplink deframer; its lifetime counters live on
-  // in retired_ so the rtx.* and rate.* sums stay monotone.
-  const ParticipantState& p = it->second;
-  retired_.rtx_hits += p.cache.hits();
-  retired_.rtx_misses += p.cache.misses();
-  retired_.rtx_evictions += p.cache.evictions();
-  const rate::ControllerStats& rs = p.link.controller_stats();
-  retired_.rate.increases += rs.increases;
-  retired_.rate.decreases += rs.decreases;
-  retired_.rate.quality_changes += rs.quality_changes;
-  retired_.rate.fps_changes += rs.fps_changes;
+  // retransmission cache and uplink deframer; its adaptation counters live
+  // on in retired_rate_ so the rate.* sums stay monotone.
+  const rate::ControllerStats& rs = it->second.link.controller_stats();
+  retired_rate_.increases += rs.increases;
+  retired_rate_.decreases += rs.decreases;
+  retired_rate_.quality_changes += rs.quality_changes;
+  retired_rate_.fps_changes += rs.fps_changes;
   participants_.erase(it);
   // The collector no longer visits this id: withdraw its gauges.
   if (opts_.link.adaptation.enabled) {
@@ -549,7 +538,7 @@ void AppHost::transmit_view(ParticipantState& p, const PacketView& v, SimTime no
   }
 
   // The cache shares the payload buffer: 16 header bytes + a ref.
-  if (!p.link.tcp()) p.cache.put(v);
+  if (!p.link.tcp()) stats_.rtx_evictions += p.cache.put(v);
   stats_.payload_bytes_copied += p.link.send(v, now);
 }
 
@@ -1229,7 +1218,10 @@ void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
     // bucket defers the repair (the participant re-NACKs).
     if (p.link.exhausted(loop_.now())) break;
     const PacketView* cached = p.cache.get(seq);
-    if (cached == nullptr) continue;
+    if (cached == nullptr) {
+      ++stats_.rtx_misses;
+      continue;
+    }
     // For a multicast group the repair goes to the whole group, healing
     // every member that lost the packet on its own last hop.
     ++stats_.retransmissions_sent;

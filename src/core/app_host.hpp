@@ -156,7 +156,7 @@ class AppHost {
   /// all 65,535 ids are live.
   ParticipantId add_participant(Endpoint endpoint, ParticipantId reuse_id = 0);
   /// Deregister a participant and reclaim all its per-participant state;
-  /// its rtx.* and rate.* totals live on, so those counters stay monotone,
+  /// its rate.* totals live on, so those counters stay monotone,
   /// and its rate.p<id>.* gauges are withdrawn to 0. The liveness sweep
   /// evicts through here too.
   void remove_participant(ParticipantId id);
@@ -258,7 +258,9 @@ class AppHost {
     std::uint64_t frames_skipped_fps = 0;      ///< ads::rate fps-divisor skips
     std::uint64_t srs_sent = 0;
     std::uint64_t rrs_received = 0;
-    std::uint64_t retransmissions_sent = 0;
+    std::uint64_t retransmissions_sent = 0;  ///< NACK repairs sent (rtx hits)
+    std::uint64_t rtx_misses = 0;            ///< NACKed seqs no longer cached
+    std::uint64_t rtx_evictions = 0;         ///< packets aged out of rtx stores
     std::uint64_t nacks_received = 0;
     std::uint64_t plis_received = 0;
     std::uint64_t hip_events_accepted = 0;
@@ -353,15 +355,6 @@ class AppHost {
     ParticipantState(Endpoint ep, const rate::LinkOptions& link_opts,
                      std::uint8_t pt, std::uint64_t seed, std::size_t cache_size)
         : link(std::move(ep), link_opts), sender(pt, seed), cache(cache_size) {}
-  };
-
-  /// Per-participant counters of participants that have left, so the
-  /// rtx.* and rate.* sums never run backwards.
-  struct RetiredTotals {
-    std::uint64_t rtx_hits = 0;
-    std::uint64_t rtx_misses = 0;
-    std::uint64_t rtx_evictions = 0;
-    rate::ControllerStats rate;
   };
 
   /// One band's serialised fragment stream: a pooled buffer holding the
@@ -513,7 +506,9 @@ class AppHost {
   // initial timestamp).
   std::uint32_t ts_base_;
   Stats stats_;
-  RetiredTotals retired_;
+  /// Adaptation counters of participants that have left, so the rate.*
+  /// sums never run backwards.
+  rate::ControllerStats retired_rate_;
 };
 
 }  // namespace ads

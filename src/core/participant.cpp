@@ -154,10 +154,8 @@ void Participant::handle_rtcp_downlink(BytesView packet) {
   if (!msgs.ok()) return;
   for (const RtcpMessage& msg : *msgs) {
     if (std::holds_alternative<SenderReport>(msg)) {
-      const auto& sr = std::get<SenderReport>(msg);
       ++stats_.srs_received;
-      last_sr_mid_ntp_ = static_cast<std::uint32_t>(sr.ntp_timestamp >> 16);
-      last_sr_arrival_us_ = loop_.now();
+      receiver_.on_sender_report(std::get<SenderReport>(msg), loop_.now());
     }
   }
 }
@@ -173,13 +171,7 @@ void Participant::schedule_rr() {
     }
     ReceiverReport rr;
     rr.ssrc = hip_sender_.ssrc();
-    ReportBlock block = receiver_.snapshot(remoting_ssrc_);
-    block.last_sr = last_sr_mid_ntp_;
-    if (last_sr_arrival_us_ != 0) {
-      block.delay_since_last_sr = static_cast<std::uint32_t>(
-          (loop_.now() - last_sr_arrival_us_) * 65536 / 1'000'000);
-    }
-    rr.blocks.push_back(block);
+    rr.blocks.push_back(receiver_.snapshot(remoting_ssrc_, loop_.now()));
     ++stats_.rrs_sent;
     send_packet(rr.serialize());
     schedule_rr();
@@ -203,12 +195,11 @@ void Participant::handle_rtp(RtpPacket pkt) {
 
   const std::uint64_t gaps_before = reorder_.gaps_skipped();
   auto ready = reorder_.push(std::move(pkt), loop_.now());
-  if (opts_.reorder_max_age_us != 0 && loop_.now() > opts_.reorder_max_age_us) {
+  if (loop_.now() > kReorderMaxAgeUs) {
     // Age bound: a head gap cannot hold delivery hostage forever just
     // because too few newer packets arrived to trip the count bound (e.g.
     // a low-rate stream, or a gap straddling the 16-bit sequence wrap).
-    auto expired =
-        reorder_.expire_older_than(loop_.now() - opts_.reorder_max_age_us);
+    auto expired = reorder_.expire_older_than(loop_.now() - kReorderMaxAgeUs);
     stats_.reorder_expired += expired.size();
     ready.insert(ready.end(), std::make_move_iterator(expired.begin()),
                  std::make_move_iterator(expired.end()));
@@ -302,13 +293,11 @@ void Participant::arm_watchdog(SimTime delay) {
     ++stats_.starvation_plis;
     request_refresh();
     watchdog_delay_us_ =
-        std::min(watchdog_delay_us_ * 2, opts_.starvation_backoff_max_us);
+        std::min(watchdog_delay_us_ * 2, kStarvationBackoffMaxUs);
     SimTime jitter = 0;
-    if (opts_.starvation_jitter > 0.0) {
-      const auto span = static_cast<std::uint64_t>(
-          static_cast<double>(watchdog_delay_us_) * opts_.starvation_jitter);
-      if (span > 0) jitter = rng_.below(span);
-    }
+    const auto span = static_cast<std::uint64_t>(
+        static_cast<double>(watchdog_delay_us_) * kStarvationJitter);
+    if (span > 0) jitter = rng_.below(span);
     last_media_us_ = loop_.now();
     arm_watchdog(watchdog_delay_us_ + jitter);
   });

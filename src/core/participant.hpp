@@ -57,22 +57,17 @@ struct ParticipantOptions {
   /// forever).
   int max_nack_per_seq = 4;
   /// Give up on an unrepaired gap after this many newer packets and request
-  /// a PLI full refresh instead.
+  /// a PLI full refresh instead (the age bound is
+  /// Participant::kReorderMaxAgeUs).
   std::size_t reorder_max_hold = 128;
-  /// Age bound on reorder-buffer entries: packets held longer than this
-  /// behind an unrepaired gap are flushed past it (counted in
-  /// gaps_skipped), so a permanently lost packet cannot stall delivery —
-  /// even across a sequence wrap. 0 disables.
-  SimTime reorder_max_age_us = 500'000;
   /// Starvation watchdog (escalation ladder, last rung): when no remoting
   /// media has arrived for this long after the stream started (or after
   /// join()), request a PLI full refresh. Repeated starvation doubles the
-  /// delay up to starvation_backoff_max_us, with uniform random jitter of
-  /// starvation_jitter × delay added to decorrelate refresh storms across
-  /// participants. Any arriving media resets the ladder. 0 disables.
+  /// delay up to Participant::kStarvationBackoffMaxUs, with uniform random
+  /// jitter of Participant::kStarvationJitter × delay added to decorrelate
+  /// refresh storms across participants. Any arriving media resets the
+  /// ladder. 0 disables.
   SimTime starvation_timeout_us = 2'000'000;
-  SimTime starvation_backoff_max_us = 30'000'000;
-  double starvation_jitter = 0.25;
   std::uint16_t user_id = 0;  ///< BFCP identity (the AH-side ParticipantId)
   std::uint64_t seed = 7;
 };
@@ -81,6 +76,17 @@ struct ParticipantOptions {
 /// stream and originates HIP input and BFCP floor requests.
 class Participant {
  public:
+  /// Age bound on reorder-buffer entries: packets held longer than this
+  /// behind an unrepaired gap are flushed past it (counted in
+  /// reorder_expired and gaps_skipped), so a permanently lost packet cannot
+  /// stall delivery — even across a sequence wrap.
+  static constexpr SimTime kReorderMaxAgeUs = 500'000;
+  /// Cap of the starvation watchdog's doubling back-off.
+  static constexpr SimTime kStarvationBackoffMaxUs = 30'000'000;
+  /// Uniform random jitter added to each starvation back-off, as a
+  /// fraction of the delay.
+  static constexpr double kStarvationJitter = 0.25;
+
   Participant(EventLoop& loop, ParticipantOptions opts = {});
 
   // ---- downlink (AH → participant) ----
@@ -229,9 +235,6 @@ class Participant {
   SimTime last_media_us_ = 0;
   bool media_seen_ = false;
   Prng rng_;
-  // Last Sender Report, for the LSR/DLSR fields of our Receiver Reports.
-  std::uint32_t last_sr_mid_ntp_ = 0;
-  SimTime last_sr_arrival_us_ = 0;
 
  public:
   /// Receiver-side link statistics (jitter in RTP ticks, cumulative loss).

@@ -500,9 +500,6 @@ void SharingSession::crash_relay(RelayHandle& r) {
   // keeps the relay.rN.* namespace monotone across incarnations.
   r.node->stop();
   r.retired = r.node->stats();
-  r.retired_rtx_hits = r.node->rtx_hits_total();
-  r.retired_rtx_misses = r.node->rtx_misses_total();
-  r.retired_rtx_evictions = r.node->rtx_evictions_total();
   // Withdraw the upstream attachment so the upstream stops feeding a dead
   // link: a live parent forgets the leg; a root relay's AH slot is
   // deregistered (mirroring reconnect_tcp), keeping r.upstream_id so
@@ -534,8 +531,7 @@ void SharingSession::restart_relay(RelayHandle& r) {
   r.down = std::make_unique<UdpChannel>(loop_, r.link.down);
   r.up = std::make_unique<UdpChannel>(loop_, r.link.up);
   r.node = std::make_unique<relay::RelayNode>(loop_, r.opts);
-  r.node->fold_stats(r.retired, r.retired_rtx_hits, r.retired_rtx_misses,
-                     r.retired_rtx_evictions);
+  r.node->fold_stats(r.retired);
   r.alive = true;
   // If the old parent died while this node was down, climb to the nearest
   // live ancestor (nullptr = the AH adopts it).

@@ -155,9 +155,6 @@ class SharingSession {
     UdpLinkConfig link;                ///< resolved link config (cold restart)
     relay::LegConfig leg_cfg;          ///< leg policy on the parent
     relay::RelayNode::Stats retired;   ///< crash-time counters (restart fold)
-    std::uint64_t retired_rtx_hits = 0;
-    std::uint64_t retired_rtx_misses = 0;
-    std::uint64_t retired_rtx_evictions = 0;
   };
 
   /// One viewer hanging off a relay leg (receives the relay's forwarded

@@ -116,14 +116,14 @@ const OperatingPoint& RateController::update(SimTime now) {
     // of perfectly clean air — gating on the gradient lets recovery start
     // as soon as the queue actually drains.
     const bool jitter_congested =
-        rr_jitter_ticks_ >= opts_.jitter_decrease_ticks &&
+        rr_jitter_ticks_ >= kJitterDecreaseTicks &&
         rr_jitter_ticks_ >= prev_jitter_ticks_;
     prev_jitter_ticks_ = rr_jitter_ticks_;
     const bool congested =
-        rr_fraction_lost_ >= opts_.loss_decrease_threshold || jitter_congested;
+        rr_fraction_lost_ >= kLossDecreaseThreshold || jitter_congested;
     if (congested) {
       apply_decrease(now);
-    } else if (rr_fraction_lost_ <= opts_.loss_clean_threshold) {
+    } else if (rr_fraction_lost_ <= kLossCleanThreshold) {
       apply_increase();
     }
     // Between the thresholds: hold — the link is lossy but not collapsing.
@@ -139,10 +139,10 @@ const OperatingPoint& RateController::update(SimTime now) {
             ? backlog_ring_[0]
             : backlog_ring_[backlog_next_];
     const bool growing = latest > oldest;
-    if (latest >= opts_.backlog_high_bytes ||
-        (growing && latest >= opts_.backlog_high_bytes / 2)) {
+    if (latest >= kBacklogHighBytes ||
+        (growing && latest >= kBacklogHighBytes / 2)) {
       apply_decrease(now);
-    } else if (latest <= opts_.backlog_low_bytes && !growing) {
+    } else if (latest <= kBacklogLowBytes && !growing) {
       apply_increase();
     }
   }

@@ -56,30 +56,15 @@ struct AdaptationOptions {
 
   /// Additive increase applied per clean feedback interval.
   std::uint64_t additive_increase_bps = 100'000;
-  /// Multiplicative decrease factor applied on a congestion signal.
+  /// Multiplicative decrease factor applied on a congestion signal (the
+  /// signal thresholds are RateController constants).
   double multiplicative_decrease = 0.7;
-
-  /// RR fraction_lost (/256) at or above which the loop decreases (~5%).
-  std::uint8_t loss_decrease_threshold = 13;
-  /// RR fraction_lost (/256) at or below which an interval counts as clean
-  /// (~1%); between the two thresholds the budget holds.
-  std::uint8_t loss_clean_threshold = 3;
-  /// Interarrival jitter (RTP 90 kHz ticks) above which the loop treats the
-  /// interval as congested even without loss (2700 ticks = 30 ms). Applies
-  /// only while jitter is rising report-over-report: the RFC 3550 EWMA
-  /// decays slowly after a queueing episode, and a decaying tail must not
-  /// hold the budget at the floor.
-  std::uint32_t jitter_decrease_ticks = 2700;
 
   /// Minimum spacing between multiplicative decreases, so one congestion
   /// episode reported across several RRs is punished once per RTT-ish
   /// window rather than once per report.
   SimTime decrease_holdoff_us = 500'000;
 
-  /// TCP: backlog at or above this decreases the budget outright.
-  std::size_t backlog_high_bytes = 32 * 1024;
-  /// TCP: backlog at or below this (and not growing) counts as clean.
-  std::size_t backlog_low_bytes = 2 * 1024;
   /// TCP: samples in the sliding backlog-trend window.
   int backlog_window = 8;
 
@@ -133,6 +118,22 @@ struct ControllerStats {
 /// per capture tick; the returned OperatingPoint is stable between ticks.
 class RateController {
  public:
+  /// RR fraction_lost (/256) at or above which the loop decreases (~5%).
+  static constexpr std::uint8_t kLossDecreaseThreshold = 13;
+  /// RR fraction_lost (/256) at or below which an interval counts as clean
+  /// (~1%); between the two thresholds the budget holds.
+  static constexpr std::uint8_t kLossCleanThreshold = 3;
+  /// Interarrival jitter (RTP 90 kHz ticks) above which the loop treats the
+  /// interval as congested even without loss (2700 ticks = 30 ms). Applies
+  /// only while jitter is rising report-over-report: the RFC 3550 EWMA
+  /// decays slowly after a queueing episode, and a decaying tail must not
+  /// hold the budget at the floor.
+  static constexpr std::uint32_t kJitterDecreaseTicks = 2700;
+  /// TCP: backlog at or above this decreases the budget outright.
+  static constexpr std::size_t kBacklogHighBytes = 32 * 1024;
+  /// TCP: backlog at or below this (and not growing) counts as clean.
+  static constexpr std::size_t kBacklogLowBytes = 2 * 1024;
+
   RateController(Transport transport, AdaptationOptions opts);
 
   /// Feed one RTCP Receiver Report block (UDP transports). fraction_lost is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "rtp/rtp_packet.hpp"
 #include "util/prng.hpp"
 
 namespace ads::relay {
@@ -37,15 +36,6 @@ RelayNode::RelayNode(EventLoop& loop, RelayOptions opts)
   tel_->metrics.add_collector(this, [this] { publish_metrics(); });
 }
 
-void RelayNode::fold_stats(const Stats& prior, std::uint64_t rtx_hits,
-                           std::uint64_t rtx_misses,
-                           std::uint64_t rtx_evictions) {
-  stats_ = prior;
-  rtx_hits_base_ += rtx_hits;
-  rtx_misses_base_ += rtx_misses;
-  rtx_evictions_base_ += rtx_evictions;
-}
-
 RelayNode::~RelayNode() {
   // Quiesce (idempotent when the session already called stop()) and push
   // one final stopped-state snapshot before the collector withdraws: the
@@ -77,9 +67,7 @@ void RelayNode::remove_leg(LegId id) {
   // The collector no longer visits this leg: withdraw its gauges.
   publish_leg(id, it->second, /*withdrawn=*/true);
   legs_.erase(it);
-  for (auto* table : {&pending_nack_, &requested_upstream_}) {
-    for (auto& [seq, pending] : *table) pending.waiters.erase(id);
-  }
+  for (auto& [seq, repair] : repairs_) repair.waiters.erase(id);
 }
 
 const ReportBlock* RelayNode::leg_last_rr(LegId id) const {
@@ -93,35 +81,18 @@ const ReportBlock* RelayNode::leg_last_rr(LegId id) const {
 void RelayNode::on_upstream_datagram(Bytes datagram) {
   switch (classify_packet(datagram)) {
     case PacketKind::kRtp: {
-      if (datagram.size() < RtpPacket::kHeaderSize) {
-        ++stats_.decode_errors;
-        return;
-      }
-      // Zero-copy forward requires the canonical fixed header the AH emits
-      // (V=2, no padding/extension/CSRC) — anything else is not ours.
-      if (datagram[0] != 0x80) {
-        ++stats_.decode_errors;
-        return;
-      }
-      const bool marker = (datagram[1] & 0x80) != 0;
-      const std::uint8_t pt = datagram[1] & 0x7F;
-      const std::uint16_t seq =
-          static_cast<std::uint16_t>(datagram[2] << 8 | datagram[3]);
-      const std::uint32_t ts = static_cast<std::uint32_t>(datagram[4]) << 24 |
-                               static_cast<std::uint32_t>(datagram[5]) << 16 |
-                               static_cast<std::uint32_t>(datagram[6]) << 8 |
-                               datagram[7];
-      const std::uint32_t ssrc = static_cast<std::uint32_t>(datagram[8]) << 24 |
-                                 static_cast<std::uint32_t>(datagram[9]) << 16 |
-                                 static_cast<std::uint32_t>(datagram[10]) << 8 |
-                                 datagram[11];
-      const std::size_t payload_len = datagram.size() - RtpPacket::kHeaderSize;
       // Ownership transfer, not a copy: the received datagram becomes the
       // pooled buffer every leg's PacketView (and the cache entry) shares.
+      // Zero-copy forwarding needs the canonical fixed header the AH emits;
+      // anything else is not ours.
       buf::BufRef buf = pool_.acquire(0);
       buf.bytes() = std::move(datagram);
-      ingest_media(PacketView::build(marker, pt, seq, ts, ssrc, std::move(buf),
-                                     RtpPacket::kHeaderSize, payload_len));
+      const PacketView v = PacketView::adopt(std::move(buf));
+      if (!v) {
+        ++stats_.decode_errors;
+        return;
+      }
+      ingest_media(v);
       return;
     }
     case PacketKind::kRtcp:
@@ -183,17 +154,10 @@ void RelayNode::ingest_media(const PacketView& v) {
   ++stats_.upstream_packets;
   stats_.upstream_bytes += v.wire_size();
 
-  // Header-only bookkeeping packet: the receiver reads header fields and
-  // arrival time, never the payload.
-  RtpPacket hdr;
-  hdr.marker = v.marker();
-  hdr.payload_type = v.payload_type();
-  hdr.sequence = v.sequence();
-  hdr.timestamp = v.timestamp();
-  hdr.ssrc = v.ssrc();
-  const bool fresh = receiver_.on_packet(hdr, loop_.now());
+  const bool fresh = receiver_.on_packet(v, loop_.now());
 
-  cache_.put(v);  // refcount bump: the subtree's repair store shares the buffer
+  // Refcount bump: the subtree's repair store shares the buffer.
+  stats_.rtx_evictions += cache_.put(v);
 
   if (!fresh) {
     // Network duplicate (or probation) — the subtree saw this one already.
@@ -203,25 +167,24 @@ void RelayNode::ingest_media(const PacketView& v) {
 
   // A repair we requested upstream goes only to the legs that asked for it;
   // relay-detected gaps (all_legs) were never forwarded, so everyone gets
-  // those.
-  auto wait = requested_upstream_.find(v.sequence());
-  if (wait != requested_upstream_.end() && !wait->second.all_legs) {
+  // those. A sequence still queued is not a repair yet.
+  auto wait = repairs_.find(v.sequence());
+  if (wait != repairs_.end() && !wait->second.queued) {
     ++stats_.repairs_forwarded;
-    for (LegId id : wait->second.waiters) {
-      auto leg = legs_.find(id);
-      if (leg != legs_.end()) forward_to_leg(leg->second, v);
+    if (!wait->second.all_legs) {
+      for (LegId id : wait->second.waiters) {
+        auto leg = legs_.find(id);
+        if (leg != legs_.end()) forward_to_leg(leg->second, v);
+      }
+      for (LegId id : wait->second.waiters) {
+        auto leg = legs_.find(id);
+        if (leg != legs_.end()) leg->second.link.egress().flush();
+      }
+      repairs_.erase(wait);
+      queue_gap_nacks();
+      return;
     }
-    for (LegId id : wait->second.waiters) {
-      auto leg = legs_.find(id);
-      if (leg != legs_.end()) leg->second.link.egress().flush();
-    }
-    requested_upstream_.erase(wait);
-    queue_gap_nacks();
-    return;
-  }
-  if (wait != requested_upstream_.end()) {
-    ++stats_.repairs_forwarded;
-    requested_upstream_.erase(wait);
+    repairs_.erase(wait);
   }
 
   for (auto& [id, leg] : legs_) forward_to_leg(leg, v);
@@ -271,9 +234,7 @@ void RelayNode::handle_upstream_rtcp(BytesView packet) {
   if (!msgs.ok()) return;
   for (const RtcpMessage& msg : *msgs) {
     if (std::holds_alternative<SenderReport>(msg)) {
-      const auto& sr = std::get<SenderReport>(msg);
-      last_sr_mid_ntp_ = static_cast<std::uint32_t>(sr.ntp_timestamp >> 16);
-      last_sr_arrival_us_ = loop_.now();
+      receiver_.on_sender_report(std::get<SenderReport>(msg), loop_.now());
       // An SR proves the upstream is alive even on an idle broadcast.
       on_upstream_activity();
     }
@@ -341,28 +302,23 @@ void RelayNode::handle_leg_nack_seq(LegId from, LegState& leg,
     forward_to_leg(leg, *cached);
     return;
   }
+  ++stats_.rtx_misses;
   if (orphaned_) {
     // §(c): while orphaned the cache keeps serving, but a miss has nowhere
     // to go — the parent is dead. The adoption PLI will refresh everyone.
     ++stats_.nacks_absorbed;
     return;
   }
-  // Second: a request already in flight (or queued) upstream — absorb this
+  // Second: a request already queued or in flight upstream — absorb this
   // leg into its waiter set instead of asking again.
-  auto inflight = requested_upstream_.find(seq);
-  if (inflight != requested_upstream_.end()) {
-    if (!inflight->second.all_legs) inflight->second.waiters.insert(from);
-    ++stats_.nacks_absorbed;
-    return;
-  }
-  auto queued = pending_nack_.find(seq);
-  if (queued != pending_nack_.end()) {
-    if (!queued->second.all_legs) queued->second.waiters.insert(from);
+  auto [it, inserted] = repairs_.try_emplace(seq);
+  if (!inserted) {
+    if (!it->second.all_legs) it->second.waiters.insert(from);
     ++stats_.nacks_absorbed;
     return;
   }
   // Genuinely new: queue it for the next deduplicated upstream NACK.
-  pending_nack_[seq].waiters.insert(from);
+  it->second.waiters.insert(from);
   arm_nack_flush();
 }
 
@@ -370,10 +326,9 @@ void RelayNode::queue_gap_nacks() {
   if (!send_upstream_) return;
   bool queued_any = false;
   for (std::uint16_t seq : receiver_.missing(64)) {
-    if (requested_upstream_.count(seq) != 0 || pending_nack_.count(seq) != 0) {
-      continue;
-    }
-    pending_nack_[seq].all_legs = true;
+    auto [it, inserted] = repairs_.try_emplace(seq);
+    if (!inserted) continue;
+    it->second.all_legs = true;
     ++stats_.gap_nacks;
     queued_any = true;
   }
@@ -381,7 +336,7 @@ void RelayNode::queue_gap_nacks() {
 }
 
 void RelayNode::arm_nack_flush() {
-  if (nack_flush_armed_ || pending_nack_.empty()) return;
+  if (nack_flush_armed_) return;
   nack_flush_armed_ = true;
   loop_.after(opts_.nack_flush_us,
               [this, alive = std::weak_ptr<int>(alive_)] {
@@ -392,27 +347,26 @@ void RelayNode::arm_nack_flush() {
 }
 
 void RelayNode::collect_pending_nack(std::vector<RtcpMessage>& msgs) {
-  if (pending_nack_.empty()) return;
   std::vector<std::uint16_t> seqs;
-  seqs.reserve(pending_nack_.size());
   const SimTime now = loop_.now();
-  for (auto& [seq, pending] : pending_nack_) {
+  for (auto& [seq, repair] : repairs_) {
+    if (!repair.queued) continue;
     seqs.push_back(seq);
-    pending.requested_at = now;
-    requested_upstream_[seq] = std::move(pending);
+    repair.queued = false;
+    repair.requested_at = now;
   }
-  pending_nack_.clear();
+  if (seqs.empty()) return;
   ++stats_.nacks_upstream;
   stats_.nack_seqs_upstream += seqs.size();
   msgs.push_back(GenericNack::for_sequences(ssrc_, upstream_ssrc_, std::move(seqs)));
 }
 
 void RelayNode::flush_nacks() {
-  if (frozen() || stopped_) return;  // quiesced: no repairs cross an epoch
-  if (pending_nack_.empty() || !send_upstream_) return;
+  // Quiesced: no repairs cross an epoch.
+  if (frozen() || stopped_ || !send_upstream_) return;
   std::vector<RtcpMessage> msgs;
   collect_pending_nack(msgs);
-  send_upstream_(serialize_rtcp_compound(msgs));
+  if (!msgs.empty()) send_upstream_(serialize_rtcp_compound(msgs));
 }
 
 void RelayNode::handle_leg_pli() {
@@ -423,8 +377,7 @@ void RelayNode::handle_leg_pli() {
     return;
   }
   const SimTime now = loop_.now();
-  if (pli_sent_ever_ && opts_.pli_coalesce_us != 0 &&
-      now < last_pli_up_us_ + opts_.pli_coalesce_us) {
+  if (pli_sent_ever_ && now < last_pli_up_us_ + kPliCoalesceUs) {
     // Absorbed: the refresh already on its way serves this leg too.
     ++stats_.plis_coalesced;
     return;
@@ -461,8 +414,7 @@ void RelayNode::send_pli_upstream(SimTime now) {
   ++stats_.plis_upstream;
   // The coming full refresh supersedes outstanding loss recovery.
   receiver_.reset_losses();
-  pending_nack_.clear();
-  requested_upstream_.clear();
+  repairs_.clear();
   if (send_upstream_) {
     PictureLossIndication pli;
     pli.sender_ssrc = ssrc_;
@@ -491,8 +443,7 @@ void RelayNode::stop() {
   // Quiesce every deferred repair: pending NACK batches, their holdoff
   // windows and the PLI coalesce window die here, and dropping the cache
   // guarantees a stopped node can never answer a NACK with a stale repair.
-  pending_nack_.clear();
-  requested_upstream_.clear();
+  repairs_.clear();
   pli_sent_ever_ = false;
   last_pli_up_us_ = 0;
   pli_batch_armed_ = false;  // an in-flight batch timer no-ops on expiry
@@ -520,13 +471,10 @@ void RelayNode::report_tick() {
   // Expire in-flight upstream requests whose repair never came: the next
   // media arrival re-queues still-missing sequences via queue_gap_nacks(),
   // so a lost NACK (or a lost repair) retries once per holdoff window.
-  for (auto it = requested_upstream_.begin(); it != requested_upstream_.end();) {
-    if (now >= it->second.requested_at + opts_.nack_holdoff_us) {
-      it = requested_upstream_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(repairs_, [&](const auto& entry) {
+    return !entry.second.queued &&
+           now >= entry.second.requested_at + opts_.nack_holdoff_us;
+  });
 
   // Per-leg closed loop: the §7 backlog sample (TCP, carry included) or the
   // accumulated RR signal (UDP) retargets that leg's bucket. Quality/fps
@@ -536,13 +484,8 @@ void RelayNode::report_tick() {
   // Worst-case RR summary upstream, with any pending NACK riding along in
   // the same compound datagram. An orphaned node has no parent to report
   // to; its legs keep adapting above.
-  if (!orphaned_ && send_upstream_ && have_upstream_ssrc_ &&
-      receiver_.started()) {
-    ReceiverReport rr;
-    rr.ssrc = ssrc_;
-    rr.blocks.push_back(aggregate_report());
-    std::vector<RtcpMessage> msgs;
-    msgs.emplace_back(std::move(rr));
+  std::vector<RtcpMessage> msgs;
+  if (!orphaned_ && upstream_report(msgs)) {
     collect_pending_nack(msgs);
     ++stats_.rrs_aggregated;
     send_upstream_(serialize_rtcp_compound(msgs));
@@ -557,15 +500,20 @@ void RelayNode::report_tick() {
   }
 }
 
+bool RelayNode::upstream_report(std::vector<RtcpMessage>& msgs) {
+  if (!send_upstream_ || !have_upstream_ssrc_ || !receiver_.started()) {
+    return false;
+  }
+  ReceiverReport rr;
+  rr.ssrc = ssrc_;
+  rr.blocks.push_back(aggregate_report());
+  msgs.emplace_back(std::move(rr));
+  return true;
+}
+
 ReportBlock RelayNode::aggregate_report() {
   // Base: the relay's own reception over the interval.
-  ReportBlock agg = receiver_.snapshot(upstream_ssrc_);
-  agg.last_sr = last_sr_mid_ntp_;
-  agg.delay_since_last_sr =
-      last_sr_arrival_us_ == 0
-          ? 0
-          : static_cast<std::uint32_t>((loop_.now() - last_sr_arrival_us_) *
-                                       65536 / 1'000'000);
+  ReportBlock agg = receiver_.snapshot(upstream_ssrc_, loop_.now());
   // Fold every leg's last report in, worst case per field: the AH sizes its
   // response to the weakest path through this subtree. Legs report on the
   // same forwarded stream (same SSRC/sequence space), so min over extended
@@ -586,9 +534,6 @@ ReportBlock RelayNode::aggregate_report() {
 // ----- self-healing ----------------------------------------------------
 
 void RelayNode::drop_cache() {
-  rtx_hits_base_ += cache_.hits();
-  rtx_misses_base_ += cache_.misses();
-  rtx_evictions_base_ += cache_.evictions();
   stats_.cache_dropped += cache_.size();
   cache_ = RetransmissionCache(opts_.retransmission_cache);
 }
@@ -597,13 +542,10 @@ void RelayNode::begin_upstream_epoch() {
   ++epoch_;
   drop_cache();
   receiver_ = RtpReceiver{};
-  pending_nack_.clear();
-  requested_upstream_.clear();
+  repairs_.clear();
   pli_sent_ever_ = false;
   last_pli_up_us_ = 0;
   pli_batch_armed_ = false;  // a cross-epoch wave must not demand a refresh
-  last_sr_mid_ntp_ = 0;
-  last_sr_arrival_us_ = 0;
   have_upstream_ssrc_ = false;
   upstream_ssrc_ = 0;
 }
@@ -647,14 +589,8 @@ void RelayNode::watchdog_tick() {
   // as the keepalive ping (a live parent's SRs or media would answer it).
   ++probes_sent_;
   ++stats_.watchdog_probes;
-  if (send_upstream_ && have_upstream_ssrc_ && receiver_.started()) {
-    ReceiverReport rr;
-    rr.ssrc = ssrc_;
-    rr.blocks.push_back(aggregate_report());
-    std::vector<RtcpMessage> msgs;
-    msgs.emplace_back(std::move(rr));
-    send_upstream_(serialize_rtcp_compound(msgs));
-  }
+  std::vector<RtcpMessage> msgs;
+  if (upstream_report(msgs)) send_upstream_(serialize_rtcp_compound(msgs));
   SimTime delay = opts_.probe_interval_us;
   if (opts_.watchdog_jitter > 0.0) {
     // Jitter is drawn only on escalation (the participant-watchdog rule):
@@ -675,8 +611,7 @@ void RelayNode::declare_upstream_dead() {
   // A dead parent serves no repairs: forget everything queued or in flight
   // upstream. The local cache stays — it keeps answering subtree NACKs
   // throughout the blackout (§c).
-  pending_nack_.clear();
-  requested_upstream_.clear();
+  repairs_.clear();
   if (on_upstream_lost_) on_upstream_lost_();
 }
 
@@ -706,18 +641,11 @@ void RelayNode::adopt_upstream() {
   adopt_at_us_ = loop_.now();
   awaiting_resync_ = true;
   arm_watchdog(opts_.upstream_timeout_us);
-  // §4.4 resync: ask the new parent for a full refresh now. Opening the
-  // coalesce window here folds the subtree's own (absorbed) PLIs into this
-  // single upstream refresh.
-  pli_sent_ever_ = true;
-  last_pli_up_us_ = loop_.now();
-  ++stats_.plis_upstream;
-  if (send_upstream_) {
-    PictureLossIndication pli;
-    pli.sender_ssrc = ssrc_;
-    pli.media_ssrc = 0;  // the new upstream SSRC is unknown until media flows
-    send_upstream_(pli.serialize());
-  }
+  // §4.4 resync: ask the new parent for a full refresh now (media SSRC 0:
+  // the new upstream is unknown until media flows). Opening the coalesce
+  // window here folds the subtree's own (absorbed) PLIs into this single
+  // upstream refresh.
+  send_pli_upstream(loop_.now());
 }
 
 // ----- telemetry -------------------------------------------------------
@@ -752,9 +680,9 @@ void RelayNode::publish_metrics() {
   m.counter(p + "hip_upstream").set(stats_.hip_upstream);
   m.counter(p + "bfcp_upstream").set(stats_.bfcp_upstream);
   m.counter(p + "decode_errors").set(stats_.decode_errors);
-  m.counter(p + "rtx.hits").set(rtx_hits_total());
-  m.counter(p + "rtx.misses").set(rtx_misses_total());
-  m.counter(p + "rtx.evictions").set(rtx_evictions_total());
+  m.counter(p + "rtx.hits").set(stats_.rtx_served);  // every hit is served
+  m.counter(p + "rtx.misses").set(stats_.rtx_misses);
+  m.counter(p + "rtx.evictions").set(stats_.rtx_evictions);
   // Self-healing: detection, failover epoch and degradation telemetry.
   const std::string f = p + "failover.";
   m.counter(f + "probes").set(stats_.watchdog_probes);

@@ -15,7 +15,7 @@
 //     never reaches the AH); cache misses are deduplicated, batched for
 //     nack_flush_us, and requested upstream once per holdoff window. The
 //     repair is forwarded only to the legs that asked.
-//   * PLI: at most one forwarded upstream per pli_coalesce_us — one AH full
+//   * PLI: at most one forwarded upstream per kPliCoalesceUs — one AH full
 //     refresh heals the whole subtree.
 //   * RR: one worst-case summary per report_interval_us (max loss/jitter,
 //     min extended highest sequence over the relay's own reception and
@@ -84,17 +84,13 @@ struct RelayOptions {
   /// window; late joiner legs asking for it are absorbed into the pending
   /// repair instead. Clamped up to nack_flush_us.
   SimTime nack_holdoff_us = 100'000;
-  /// At most one PLI is forwarded upstream per window; the rest of the
-  /// subtree's PLIs are coalesced into that one refresh. 0 forwards every
-  /// PLI (no coalescing).
-  SimTime pli_coalesce_us = 500'000;
   /// Flash-crowd PLI wave batching (mirrors nack_flush_us): when > 0 and no
-  /// coalesce window is open, the first leg PLI arms a timer instead of
-  /// going upstream immediately; every PLI landing before expiry joins the
-  /// wave, and exactly one upstream PLI goes out when the timer fires
-  /// (which also opens the coalesce window). A 10k-viewer join flood thus
-  /// costs the AH one refresh demand per relay per wave. 0 forwards the
-  /// first PLI of each window immediately.
+  /// coalesce window (RelayNode::kPliCoalesceUs) is open, the first leg PLI
+  /// arms a timer instead of going upstream immediately; every PLI landing
+  /// before expiry joins the wave, and exactly one upstream PLI goes out
+  /// when the timer fires (which also opens the coalesce window). A
+  /// 10k-viewer join flood thus costs the AH one refresh demand per relay
+  /// per wave. 0 forwards the first PLI of each window immediately.
   SimTime pli_batch_us = 0;
   /// Local retransmission store serving subtree NACKs without an upstream
   /// round trip. Packets, not bytes; clamped to at least 16.
@@ -144,6 +140,10 @@ struct LegConfig {
 /// like everything else in the simulator.
 class RelayNode {
  public:
+  /// At most one PLI is forwarded upstream per window of this length; the
+  /// rest of the subtree's PLIs are coalesced into that one refresh.
+  static constexpr SimTime kPliCoalesceUs = 500'000;
+
   /// Constructs the node on `loop`. `opts` are validated first; impossible
   /// combinations throw std::invalid_argument.
   RelayNode(EventLoop& loop, RelayOptions opts = {});
@@ -231,17 +231,6 @@ class RelayNode {
   /// Upstream epochs begun so far (SSRC changes plus adoptions).
   std::uint64_t upstream_epoch() const { return epoch_; }
 
-  /// Cache hits across every epoch and fold (monotone; feeds telemetry).
-  std::uint64_t rtx_hits_total() const { return rtx_hits_base_ + cache_.hits(); }
-  /// Cache misses across every epoch and fold.
-  std::uint64_t rtx_misses_total() const {
-    return rtx_misses_base_ + cache_.misses();
-  }
-  /// Cache evictions across every epoch and fold.
-  std::uint64_t rtx_evictions_total() const {
-    return rtx_evictions_base_ + cache_.evictions();
-  }
-
   /// Detection latency of the most recent declare-dead (silence between the
   /// last upstream activity and the declaration), 0 before the first.
   SimTime last_detect_latency_us() const { return detect_latency_us_; }
@@ -259,7 +248,7 @@ class RelayNode {
   std::uint32_t upstream_ssrc() const { return upstream_ssrc_; }
   /// Upstream reception bookkeeping (loss/jitter the aggregated RR reports).
   const RtpReceiver& receiver() const { return receiver_; }
-  /// The local retransmission store (hit/miss counters feed telemetry).
+  /// The local retransmission store.
   const RetransmissionCache& cache() const { return cache_; }
 
   /// Lifetime totals for everything the node forwards, serves and absorbs.
@@ -280,6 +269,8 @@ class RelayNode {
     std::uint64_t nack_seqs_received = 0; ///< sequences those asked for
     std::uint64_t rtx_served = 0;         ///< repairs served from the local cache
     std::uint64_t rtx_bytes = 0;          ///< bytes of those repairs
+    std::uint64_t rtx_misses = 0;         ///< NACKed seqs not in the cache
+    std::uint64_t rtx_evictions = 0;      ///< packets aged out of the cache
     std::uint64_t nacks_absorbed = 0;     ///< seqs deduplicated into a pending
                                           ///< or in-flight upstream request
     std::uint64_t nacks_upstream = 0;     ///< NACK messages sent upstream
@@ -311,10 +302,8 @@ class RelayNode {
 
   /// Seed lifetime counters from a previous incarnation. The session's
   /// cold-restart path calls this right after construction so relay.rN.*
-  /// telemetry stays monotone across a crash/restart cycle; the rtx_*
-  /// arguments fold the dead incarnation's cache counters the same way.
-  void fold_stats(const Stats& prior, std::uint64_t rtx_hits,
-                  std::uint64_t rtx_misses, std::uint64_t rtx_evictions);
+  /// telemetry (rtx.* included) stays monotone across a crash/restart cycle.
+  void fold_stats(const Stats& prior) { stats_ = prior; }
 
   /// The node's observability sink (owned or injected).
   telemetry::Telemetry& telemetry() { return *tel_; }
@@ -331,11 +320,13 @@ class RelayNode {
   };
 
   /// A sequence the subtree is missing: which legs asked (or everyone, for
-  /// relay-detected upstream gaps), and when it went (or will go) upstream.
-  struct PendingRepair {
+  /// relay-detected upstream gaps). It stays queued until the next upstream
+  /// NACK carries it, then waits for its repair until the holdoff expires.
+  struct Repair {
     bool all_legs = false;
     std::set<LegId> waiters;
-    SimTime requested_at = 0;
+    bool queued = true;        ///< not yet requested upstream
+    SimTime requested_at = 0;  ///< when it went upstream (once !queued)
   };
 
   /// Bookkeeping + cache + fan-out for one ingested media view.
@@ -345,7 +336,8 @@ class RelayNode {
   void forward_to_leg(LegState& leg, const PacketView& v);
   /// Fan one upstream control datagram (SR, BFCP) to every leg verbatim.
   void forward_control(BytesView packet);
-  /// Consume upstream RTCP (SR → LSR/DLSR state) before fanning it down.
+  /// Consume upstream RTCP (SR → the receiver's LSR/DLSR) before fanning
+  /// it down.
   void handle_upstream_rtcp(BytesView packet);
   /// Terminate one leg's RTCP: NACK dedup/serve, PLI coalesce, RR record.
   void handle_leg_rtcp(LegId from, LegState& leg, BytesView packet);
@@ -357,8 +349,8 @@ class RelayNode {
   void arm_nack_flush();
   /// Send one deduplicated upstream NACK for everything pending.
   void flush_nacks();
-  /// Append the pending NACK (if any) to `msgs`, moving entries to
-  /// in-flight state; used by both the flush timer and the report tick.
+  /// Append the pending NACK (if any) to `msgs`, moving queued entries to
+  /// requested; used by both the flush timer and the report tick.
   void collect_pending_nack(std::vector<RtcpMessage>& msgs);
   /// Forward one PLI upstream, absorb it into the coalesce window, or fold
   /// it into the armed batch wave (pli_batch_us).
@@ -370,6 +362,9 @@ class RelayNode {
   void flush_pli_batch();
   /// The periodic interval: per-leg adaptation + aggregated upstream RR.
   void report_tick();
+  /// Append the aggregated upstream RR to `msgs`; false (nothing appended)
+  /// without an upstream path or a stream to report on.
+  bool upstream_report(std::vector<RtcpMessage>& msgs);
   /// Worst-case fold of the relay's own reception and every leg's last RR.
   ReportBlock aggregate_report();
   /// Snapshot-time collector publishing Stats under the metrics prefix.
@@ -378,13 +373,12 @@ class RelayNode {
   /// (rate-limited) gauges, the gauges as 0 when `withdrawn` (stopped node,
   /// departed leg).
   void publish_leg(LegId id, const LegState& leg, bool withdrawn);
-  /// Reset every per-epoch upstream structure: receiver/probation state,
-  /// the retransmission cache, pending NACK/PLI holdoff windows, SR state
-  /// and the learned SSRC. Shared by SSRC-change detection, failover
+  /// Reset every per-epoch upstream structure: receiver/probation and SR
+  /// state, the retransmission cache, pending NACK/PLI holdoff windows and
+  /// the learned SSRC. Shared by SSRC-change detection, failover
   /// adoption and stop().
   void begin_upstream_epoch();
-  /// Drop the cache (counting discarded entries and folding its counters
-  /// into the monotone rtx_* bases).
+  /// Drop the cache, counting the discarded entries.
   void drop_cache();
   /// Record upstream liveness (media or SR arrival) and reset the ladder.
   void on_upstream_activity();
@@ -413,19 +407,14 @@ class RelayNode {
   std::uint32_t upstream_ssrc_ = 0;
   bool have_upstream_ssrc_ = false;
 
-  // NACK aggregation state: sequences waiting for the next upstream flush,
-  // and sequences already requested upstream awaiting their repair.
-  std::map<std::uint16_t, PendingRepair> pending_nack_;
-  std::map<std::uint16_t, PendingRepair> requested_upstream_;
+  // NACK aggregation state: every sequence the subtree is missing, queued
+  // for the next upstream flush or requested and awaiting its repair.
+  std::map<std::uint16_t, Repair> repairs_;
   bool nack_flush_armed_ = false;
 
   SimTime last_pli_up_us_ = 0;
   bool pli_sent_ever_ = false;
   bool pli_batch_armed_ = false;  ///< a PLI wave is accumulating
-
-  // LSR/DLSR state from the upstream SR stream.
-  std::uint32_t last_sr_mid_ntp_ = 0;
-  SimTime last_sr_arrival_us_ = 0;
 
   // Self-healing state. The watchdog arms on the first upstream activity
   // (and on adoption); stop() disables it until the next start().
@@ -447,10 +436,6 @@ class RelayNode {
   std::uint32_t prev_epoch_ssrc_ = 0;
   std::uint16_t prev_epoch_highest_ = 0;
   Prng wd_rng_;
-  // Monotone cache-counter bases accumulated as epochs drop the cache.
-  std::uint64_t rtx_hits_base_ = 0;
-  std::uint64_t rtx_misses_base_ = 0;
-  std::uint64_t rtx_evictions_base_ = 0;
 
   bool started_ = false;
   Stats stats_;

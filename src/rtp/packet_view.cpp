@@ -1,5 +1,7 @@
 #include "rtp/packet_view.hpp"
 
+#include <algorithm>
+
 namespace ads {
 
 PacketView PacketView::build(bool marker, std::uint8_t payload_type,
@@ -27,6 +29,20 @@ PacketView PacketView::build(bool marker, std::uint8_t payload_type,
   v.buf_ = std::move(buf);
   v.offset_ = static_cast<std::uint32_t>(offset);
   v.length_ = static_cast<std::uint32_t>(length);
+  return v;
+}
+
+PacketView PacketView::adopt(buf::BufRef buf) {
+  const BytesView d = buf.view();
+  if (d.size() < kHeaderSize || d[0] != 0x80) return {};
+  PacketView v;
+  // The datagram's header is byte for byte what build() would write.
+  v.hdr_[0] = static_cast<std::uint8_t>(d.size() >> 8);
+  v.hdr_[1] = static_cast<std::uint8_t>(d.size());
+  std::copy_n(d.begin(), kHeaderSize, v.hdr_.begin() + kFramePrefixSize);
+  v.offset_ = kHeaderSize;
+  v.length_ = static_cast<std::uint32_t>(d.size() - kHeaderSize);
+  v.buf_ = std::move(buf);
   return v;
 }
 

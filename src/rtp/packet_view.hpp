@@ -43,6 +43,13 @@ class PacketView {
                           std::uint32_t ssrc, buf::BufRef buf,
                           std::size_t offset, std::size_t length);
 
+  /// Adopt a received datagram without copying it: `buf` holds the whole
+  /// datagram and becomes the payload buffer; the header is read from its
+  /// first 12 bytes. Only the canonical fixed header this library emits
+  /// (first byte 0x80: V=2, no padding, extension or CSRC) is accepted; a
+  /// shorter datagram or any other first byte yields an empty view.
+  static PacketView adopt(buf::BufRef buf);
+
   /// True when the view carries a payload buffer (default-constructed views
   /// do not).
   explicit operator bool() const { return static_cast<bool>(buf_); }

@@ -7,6 +7,9 @@
 // payload buffer it was originally sent from (ads::buf), not a copy — so N
 // cohort members caching the same band pin one buffer, and putting a packet
 // costs 16 bytes of header storage plus a refcount bump.
+//
+// The cache is a store only: its owner counts hits, misses and evictions
+// in its own Stats, so those totals outlive the cache.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +25,8 @@ class RetransmissionCache {
   explicit RetransmissionCache(std::size_t capacity = 1024) : capacity_(capacity) {}
 
   /// Retain `pkt` (sharing its payload buffer) under its sequence number.
-  void put(PacketView pkt);
+  /// Returns how many older packets were aged out to stay at `capacity`.
+  std::size_t put(PacketView pkt);
 
   /// The cached packet for `sequence`, or nullptr if no longer retained.
   /// The pointer is valid until the next put().
@@ -30,18 +34,11 @@ class RetransmissionCache {
 
   std::size_t size() const { return order_.size(); }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  /// Packets aged out to keep the cache at `capacity` (telemetry feed).
-  std::uint64_t evictions() const { return evictions_; }
 
  private:
   std::size_t capacity_;
-  std::uint64_t evictions_ = 0;
   std::deque<std::uint16_t> order_;
   std::unordered_map<std::uint16_t, PacketView> by_seq_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
 };
 
 }  // namespace ads

@@ -38,12 +38,13 @@ PacketView RtpSender::make_view(bool marker, std::uint64_t now_us,
   return v;
 }
 
-bool RtpReceiver::on_packet(const RtpPacket& pkt, SimTimeUs arrival_us) {
+bool RtpReceiver::on_arrival(std::uint16_t sequence, std::uint32_t timestamp,
+                             SimTimeUs arrival_us) {
   // RFC 3550 A.8 interarrival jitter, in 90 kHz ticks.
   const std::int64_t arrival_ticks =
       static_cast<std::int64_t>(us_to_rtp_ticks(arrival_us));
   const std::int64_t transit =
-      arrival_ticks - static_cast<std::int64_t>(pkt.timestamp);
+      arrival_ticks - static_cast<std::int64_t>(timestamp);
   if (have_transit_) {
     std::int64_t d = transit - prev_transit_;
     if (d < 0) d = -d;
@@ -51,7 +52,7 @@ bool RtpReceiver::on_packet(const RtpPacket& pkt, SimTimeUs arrival_us) {
   }
   prev_transit_ = transit;
   have_transit_ = true;
-  return on_packet(pkt);
+  return on_sequence(sequence);
 }
 
 std::uint32_t RtpReceiver::cumulative_lost() const {
@@ -62,12 +63,18 @@ std::uint32_t RtpReceiver::cumulative_lost() const {
   return expected - static_cast<std::uint32_t>(received_);
 }
 
-ReportBlock RtpReceiver::snapshot(std::uint32_t media_ssrc) {
+ReportBlock RtpReceiver::snapshot(std::uint32_t media_ssrc, SimTimeUs now_us) {
   ReportBlock block;
   block.ssrc = media_ssrc;
   block.ext_highest_seq = extended_highest_sequence();
   block.jitter = jitter();
   block.cumulative_lost = cumulative_lost() & 0xFFFFFF;
+  // RFC 3550 §6.4.1: DLSR in units of 1/65536 s.
+  block.last_sr = last_sr_mid_ntp_;
+  if (last_sr_arrival_us_ != 0) {
+    block.delay_since_last_sr = static_cast<std::uint32_t>(
+        (now_us - last_sr_arrival_us_) * 65536 / 1'000'000);
+  }
 
   // Fraction lost over the interval since the last snapshot (RFC 3550 A.3).
   const std::uint32_t expected = extended_highest_sequence() - base_seq_ + 1;
@@ -83,33 +90,33 @@ ReportBlock RtpReceiver::snapshot(std::uint32_t media_ssrc) {
   return block;
 }
 
-bool RtpReceiver::on_packet(const RtpPacket& pkt) {
+bool RtpReceiver::on_sequence(std::uint16_t sequence) {
   if (!started_) {
     started_ = true;
-    highest_seq_ = pkt.sequence;
-    base_seq_ = pkt.sequence;
-    seen_window_.insert(pkt.sequence);
+    highest_seq_ = sequence;
+    base_seq_ = sequence;
+    seen_window_.insert(sequence);
     ++received_;
     return true;
   }
 
-  if (seen_window_.count(pkt.sequence)) {
+  if (seen_window_.count(sequence)) {
     ++duplicates_;
     return false;
   }
 
   // RFC 3550 A.1-style validation on the unsigned modular delta.
   const std::uint16_t udelta =
-      static_cast<std::uint16_t>(pkt.sequence - highest_seq_);
+      static_cast<std::uint16_t>(sequence - highest_seq_);
   if (udelta > 0 && udelta < kMaxDropout) {
     // In order, possibly with a plausible gap: every skipped number between
     // highest+1 and the new packet is missing.
     for (std::uint16_t s = static_cast<std::uint16_t>(highest_seq_ + 1);
-         s != pkt.sequence; ++s) {
+         s != sequence; ++s) {
       missing_.insert(s);
     }
-    if (pkt.sequence < highest_seq_) ++cycles_;  // 16-bit wrap
-    highest_seq_ = pkt.sequence;
+    if (sequence < highest_seq_) ++cycles_;  // 16-bit wrap
+    highest_seq_ = sequence;
     bad_seq_valid_ = false;
   } else if (udelta <= 0x8000) {
     // Suspect zone: either a genuine restart after a very large burst, or
@@ -117,24 +124,24 @@ bool RtpReceiver::on_packet(const RtpPacket& pkt) {
     // the straggler would inflate the extended sequence by a whole cycle
     // and regress highest_seq_, so require two consecutive packets before
     // accepting the new position.
-    if (bad_seq_valid_ && pkt.sequence == bad_seq_) {
-      if (pkt.sequence < highest_seq_) ++cycles_;  // restart crossed a wrap
-      highest_seq_ = pkt.sequence;
+    if (bad_seq_valid_ && sequence == bad_seq_) {
+      if (sequence < highest_seq_) ++cycles_;  // restart crossed a wrap
+      highest_seq_ = sequence;
       bad_seq_valid_ = false;
       // A gap this wide is beyond NACK repair; the escalation ladder (PLI
       // full refresh) owns recovery, so do not enumerate it as missing.
       missing_.clear();
     } else {
-      bad_seq_ = static_cast<std::uint16_t>(pkt.sequence + 1);
+      bad_seq_ = static_cast<std::uint16_t>(sequence + 1);
       bad_seq_valid_ = true;
     }
   } else {
     // Behind by at most half a window: a late packet fills (or re-fills) a
     // gap. Never a wrap.
-    missing_.erase(pkt.sequence);
+    missing_.erase(sequence);
   }
 
-  seen_window_.insert(pkt.sequence);
+  seen_window_.insert(sequence);
   // Bound duplicate-detection memory: keep roughly one wrap of history,
   // evicting the modularly oldest entry — after a wrap that is the smallest
   // sequence *above* the current highest, not *begin().

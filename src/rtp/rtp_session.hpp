@@ -63,7 +63,8 @@ class RtpSender {
 };
 
 /// Inbound RTP stream bookkeeping: highest-seen sequence, duplicate
-/// detection, and the set of missing sequence numbers (for NACK).
+/// detection, the set of missing sequence numbers (for NACK), and the
+/// timing of the last Sender Report (for the LSR/DLSR report fields).
 ///
 /// Sequence-number validation follows RFC 3550 A.1: a forward jump of less
 /// than kMaxDropout advances the extended highest sequence (wrapping
@@ -83,8 +84,21 @@ class RtpReceiver {
   /// Record an arriving packet. Returns false for duplicates (already seen
   /// or already delivered). When `arrival_us` is supplied, interarrival
   /// jitter is maintained per RFC 3550 §6.4.1/A.8.
-  bool on_packet(const RtpPacket& pkt);
-  bool on_packet(const RtpPacket& pkt, SimTimeUs arrival_us);
+  bool on_packet(const RtpPacket& pkt) { return on_sequence(pkt.sequence); }
+  bool on_packet(const RtpPacket& pkt, SimTimeUs arrival_us) {
+    return on_arrival(pkt.sequence, pkt.timestamp, arrival_us);
+  }
+  /// The same for a zero-copy view: only its header is read.
+  bool on_packet(const PacketView& pkt, SimTimeUs arrival_us) {
+    return on_arrival(pkt.sequence(), pkt.timestamp(), arrival_us);
+  }
+
+  /// Record a Sender Report's arrival: its middle 32 NTP bits become the
+  /// LSR of later report blocks, and their DLSR counts from `arrival_us`.
+  void on_sender_report(const SenderReport& sr, SimTimeUs arrival_us) {
+    last_sr_mid_ntp_ = static_cast<std::uint32_t>(sr.ntp_timestamp >> 16);
+    last_sr_arrival_us_ = arrival_us;
+  }
 
   /// Sequence numbers currently believed lost (between the first packet
   /// seen and the highest seen). Cleared entries reappear only if still
@@ -115,10 +129,17 @@ class RtpReceiver {
   std::uint32_t cumulative_lost() const;
 
   /// Build the RFC 3550 report block for this stream, computing the
-  /// fraction lost over the interval since the previous snapshot() call.
-  ReportBlock snapshot(std::uint32_t media_ssrc);
+  /// fraction lost over the interval since the previous snapshot() call,
+  /// with LSR/DLSR from the last Sender Report as of `now_us`.
+  ReportBlock snapshot(std::uint32_t media_ssrc, SimTimeUs now_us);
 
  private:
+  /// Jitter update (RFC 3550 A.8), then on_sequence().
+  bool on_arrival(std::uint16_t sequence, std::uint32_t timestamp,
+                  SimTimeUs arrival_us);
+  /// Sequence validation, loss and duplicate bookkeeping.
+  bool on_sequence(std::uint16_t sequence);
+
   bool started_ = false;
   std::uint16_t highest_seq_ = 0;
   std::uint16_t base_seq_ = 0;
@@ -138,6 +159,9 @@ class RtpReceiver {
   // Interval state for fraction_lost.
   std::uint32_t expected_prior_ = 0;
   std::uint64_t received_prior_ = 0;
+  // Last Sender Report (0 arrival = none yet).
+  std::uint32_t last_sr_mid_ntp_ = 0;
+  SimTimeUs last_sr_arrival_us_ = 0;
 };
 
 }  // namespace ads

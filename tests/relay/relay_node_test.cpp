@@ -127,6 +127,38 @@ TEST(RelayNode, DropsNetworkDuplicates) {
   EXPECT_EQ(f.node.stats().upstream_duplicates, 1u);
 }
 
+TEST(RelayNode, RtpDatagramShorterThanAHeaderIsADecodeError) {
+  Fixture f;
+  UdpLegProbe a;
+  f.node.add_leg(a.endpoint());
+  Bytes short_dgram = media_datagram(1);
+  short_dgram.resize(RtpPacket::kHeaderSize - 1);
+  f.node.on_upstream_datagram(short_dgram);
+  EXPECT_EQ(f.node.stats().decode_errors, 1u);
+  EXPECT_EQ(f.node.stats().upstream_packets, 0u);
+  EXPECT_TRUE(a.media.empty());
+}
+
+TEST(RelayNode, NonCanonicalRtpHeaderIsADecodeError) {
+  Fixture f;
+  UdpLegProbe a;
+  f.node.add_leg(a.endpoint());
+  // V=2 but with the extension bit, then with one CSRC: still RTP by
+  // version, but not the fixed header the relay forwards zero-copy.
+  for (const std::uint8_t first : {std::uint8_t{0x90}, std::uint8_t{0x81}}) {
+    Bytes dgram = media_datagram(1);
+    dgram[0] = first;
+    f.node.on_upstream_datagram(dgram);
+  }
+  EXPECT_EQ(f.node.stats().decode_errors, 2u);
+  EXPECT_EQ(f.node.stats().upstream_packets, 0u);
+  EXPECT_TRUE(a.media.empty());
+  // The canonical header is accepted even with an empty payload.
+  f.node.on_upstream_datagram(media_datagram(1, /*payload_len=*/0));
+  EXPECT_EQ(f.node.stats().upstream_packets, 1u);
+  EXPECT_EQ(a.media.size(), 1u);
+}
+
 TEST(RelayNode, ServesNackFromLocalCacheWithoutUpstreamRequest) {
   Fixture f;
   UdpLegProbe a, b;
@@ -225,7 +257,7 @@ TEST(RelayNode, CoalescesSubtreePlisIntoOneUpstreamRefresh) {
   EXPECT_EQ(f.node.stats().plis_coalesced, 1u);
 
   // Outside the window the next PLI is forwarded again.
-  f.loop.run_until(f.loop.now() + f.node.options().pli_coalesce_us + 1);
+  f.loop.run_until(f.loop.now() + RelayNode::kPliCoalesceUs + 1);
   f.node.on_leg_packet(leg_a, pli.serialize());
   EXPECT_EQ(f.upstream_pli_count(), 2u);
 }
@@ -267,7 +299,7 @@ TEST(RelayNode, BatchesPliWaveIntoOneDeferredUpstreamRefresh) {
   EXPECT_EQ(f.node.stats().plis_batched, 2u);
 
   // A second wave past the coalesce window arms and flushes again.
-  f.loop.run_until(f.loop.now() + f.node.options().pli_coalesce_us + 1);
+  f.loop.run_until(f.loop.now() + RelayNode::kPliCoalesceUs + 1);
   f.node.on_leg_packet(leg_b, pli.serialize());
   EXPECT_EQ(f.upstream_pli_count(), 1u);  // deferred again
   f.loop.run_until(f.loop.now() + opts.pli_batch_us + 1);
@@ -804,9 +836,9 @@ TEST(RelayNode, StopQuiescesRepairStateAndWithdrawsLegGauges) {
   // and the monotone rtx totals survive the drop.
   EXPECT_EQ(f.node.cache().size(), 0u);
   EXPECT_EQ(f.node.stats().cache_dropped, 4u);
-  EXPECT_EQ(f.node.rtx_misses_total(), 1u);
-  // Per-leg gauges are withdrawn (zero, not last-known) at the snapshot.
   const auto snap = f.node.telemetry().snapshot();
+  EXPECT_EQ(snap.counter("relay.r7.rtx.misses"), 1u);
+  // Per-leg gauges are withdrawn (zero, not last-known) at the snapshot.
   EXPECT_EQ(snap.gauge("relay.r7.leg" + std::to_string(leg) + ".rate_bps"), 0);
 
   // start() re-enables forwarding with a cold cache.
@@ -825,13 +857,17 @@ TEST(RelayNode, FoldStatsSeedsLifetimeCountersMonotonically) {
   prior.upstream_packets = 100;
   prior.forwarded_packets = 250;
   prior.upstream_lost = 1;
-  node.fold_stats(prior, /*rtx_hits=*/7, /*rtx_misses=*/3, /*rtx_evictions=*/2);
+  prior.rtx_served = 7;
+  prior.rtx_misses = 3;
+  prior.rtx_evictions = 2;
+  node.fold_stats(prior);
   EXPECT_EQ(node.stats().upstream_packets, 100u);
   EXPECT_EQ(node.stats().forwarded_packets, 250u);
   EXPECT_EQ(node.stats().upstream_lost, 1u);
-  EXPECT_EQ(node.rtx_hits_total(), 7u);
-  EXPECT_EQ(node.rtx_misses_total(), 3u);
-  EXPECT_EQ(node.rtx_evictions_total(), 2u);
+  const auto snap = node.telemetry().snapshot();
+  EXPECT_EQ(snap.counter("relay.rtx.hits"), 7u);
+  EXPECT_EQ(snap.counter("relay.rtx.misses"), 3u);
+  EXPECT_EQ(snap.counter("relay.rtx.evictions"), 2u);
   node.on_upstream_datagram(media_datagram(1));
   EXPECT_EQ(node.stats().upstream_packets, 101u);
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "buf/buf.hpp"
 #include "rtp/framing.hpp"
 #include "rtp/rtp_packet.hpp"
@@ -51,6 +53,60 @@ TEST(PacketView, AccessorsDecodeHeaderStorage) {
   EXPECT_EQ(view.timestamp(), 0xA1B2C3D4u);
   EXPECT_EQ(view.ssrc(), 0x55667788u);
   EXPECT_EQ(view.wire_size(), PacketView::kHeaderSize);
+}
+
+TEST(PacketView, AdoptReadsTheDatagramHeaderWithoutCopying) {
+  RtpPacket pkt;
+  pkt.marker = true;
+  pkt.payload_type = kRemotingPayloadType;
+  pkt.sequence = 0xBEEF;
+  pkt.timestamp = 0x01020304;
+  pkt.ssrc = 0xCAFEBABE;
+  pkt.payload = {1, 2, 3, 4, 5};
+  const Bytes wire = pkt.serialize();
+
+  buf::BufPool pool;
+  buf::BufRef buf = pool.acquire(0);
+  buf.bytes() = wire;
+  const PacketView view = PacketView::adopt(buf);
+  ASSERT_TRUE(view);
+  EXPECT_TRUE(view.marker());
+  EXPECT_EQ(view.payload_type(), kRemotingPayloadType);
+  EXPECT_EQ(view.sequence(), 0xBEEF);
+  EXPECT_EQ(view.timestamp(), 0x01020304u);
+  EXPECT_EQ(view.ssrc(), 0xCAFEBABEu);
+  EXPECT_EQ(view.serialize(), wire);
+  // The payload is a window into the adopted buffer, not a copy.
+  EXPECT_EQ(view.payload().data(), buf.view().data() + PacketView::kHeaderSize);
+  EXPECT_EQ(buf.refcount(), 2u);
+  // Same header storage as build(): the RFC 4571 prefix is the wire size.
+  const PacketView built = PacketView::build(
+      true, kRemotingPayloadType, 0xBEEF, 0x01020304, 0xCAFEBABE, buf,
+      PacketView::kHeaderSize, pkt.payload.size());
+  const BytesView a = view.framed_header();
+  const BytesView b = built.framed_header();
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+}
+
+TEST(PacketView, AdoptRejectsShortAndNonCanonicalDatagrams) {
+  buf::BufPool pool;
+  auto adopt = [&](Bytes bytes) {
+    buf::BufRef buf = pool.acquire(0);
+    buf.bytes() = std::move(bytes);
+    return PacketView::adopt(std::move(buf));
+  };
+  Bytes header(PacketView::kHeaderSize, 0);
+  header[0] = 0x80;
+  const PacketView empty_payload = adopt(header);
+  ASSERT_TRUE(empty_payload);
+  EXPECT_EQ(empty_payload.wire_size(), PacketView::kHeaderSize);
+  EXPECT_FALSE(adopt(Bytes(header.begin(), header.end() - 1)));  // 11 bytes
+  EXPECT_FALSE(adopt(Bytes{}));
+  for (const std::uint8_t first : {0x90, 0xA0, 0x81, 0x40}) {
+    Bytes other = header;
+    other[0] = first;  // extension, padding, a CSRC, version 1
+    EXPECT_FALSE(adopt(other)) << static_cast<int>(first);
+  }
 }
 
 TEST(PacketView, FramedHeaderMatchesRfc4571Framing) {

@@ -100,7 +100,7 @@ TEST(ReceiverSnapshot, FractionLostPerInterval) {
   RtpReceiver rx;
   // First interval: 10 packets, 0 lost.
   for (std::uint16_t s = 0; s < 10; ++s) rx.on_packet(pkt(s, 0));
-  ReportBlock first = rx.snapshot(42);
+  ReportBlock first = rx.snapshot(42, /*now_us=*/0);
   EXPECT_EQ(first.ssrc, 42u);
   EXPECT_EQ(first.fraction_lost, 0);
   EXPECT_EQ(first.cumulative_lost, 0u);
@@ -109,10 +109,26 @@ TEST(ReceiverSnapshot, FractionLostPerInterval) {
   for (std::uint16_t s = 10; s < 20; ++s) {
     if (s % 2 == 1) rx.on_packet(pkt(s, 0));
   }
-  ReportBlock second = rx.snapshot(42);
+  ReportBlock second = rx.snapshot(42, /*now_us=*/0);
   // 10 expected, 5 received -> fraction ~ 128/256.
   EXPECT_NEAR(second.fraction_lost, 128, 32);
   EXPECT_EQ(second.cumulative_lost, 5u);
+}
+
+TEST(ReceiverSnapshot, CarriesLastSenderReportTiming) {
+  RtpReceiver rx;
+  rx.on_packet(pkt(1, 0));
+  // No SR yet: LSR and DLSR are zero.
+  const ReportBlock none = rx.snapshot(42, /*now_us=*/5'000'000);
+  EXPECT_EQ(none.last_sr, 0u);
+  EXPECT_EQ(none.delay_since_last_sr, 0u);
+
+  SenderReport sr;
+  sr.ntp_timestamp = 0x0123456789ABCDEFull;
+  rx.on_sender_report(sr, /*arrival_us=*/6'000'000);
+  const ReportBlock block = rx.snapshot(42, /*now_us=*/6'500'000);
+  EXPECT_EQ(block.last_sr, 0x456789ABu);  // middle 32 NTP bits
+  EXPECT_EQ(block.delay_since_last_sr, 32768u);  // 0.5 s in 1/65536 s
 }
 
 TEST(ReceiverSnapshot, ExtendedSequenceCountsCycles) {

@@ -127,7 +127,7 @@ TEST(RtpReceiver, ReorderedPacketDoesNotInflateCycles) {
   EXPECT_EQ(rx.highest_sequence(), 6);
   EXPECT_TRUE(rx.missing().empty());
 
-  const ReportBlock rr = rx.snapshot(0x1234);
+  const ReportBlock rr = rx.snapshot(0x1234, /*now_us=*/0);
   EXPECT_EQ(rr.fraction_lost, 0);
   EXPECT_EQ(rr.cumulative_lost, 0u);
 }
@@ -142,14 +142,14 @@ TEST(RtpReceiver, AncientStragglerDoesNotAdvanceStream) {
   for (std::uint32_t s = 0; s <= 36865; ++s) {
     rx.on_packet(packet_with_seq(static_cast<std::uint16_t>(s)));
   }
-  (void)rx.snapshot(0x1234);  // close the interval: loss-free so far
+  (void)rx.snapshot(0x1234, /*now_us=*/0);  // close the interval: loss-free so far
 
   rx.on_packet(packet_with_seq(4091));  // 36865 - 4091 = 32774 behind
 
   EXPECT_EQ(rx.highest_sequence(), 36865);
   EXPECT_EQ(rx.extended_highest_sequence(), 36865u);
   EXPECT_TRUE(rx.missing().empty());
-  const ReportBlock rr = rx.snapshot(0x1234);
+  const ReportBlock rr = rx.snapshot(0x1234, /*now_us=*/0);
   EXPECT_EQ(rr.fraction_lost, 0);
   EXPECT_EQ(rr.cumulative_lost, 0u);
 }
