@@ -22,10 +22,13 @@
 
 namespace ads {
 
+/// A window's content source: a width x height image that tick() advances.
 class AppPainter {
  public:
+  /// Content of the given size, filled with `background`.
   AppPainter(std::int64_t width, std::int64_t height, Pixel background)
       : content_(width, height, background) {}
+  /// Painters are owned and destroyed through this base.
   virtual ~AppPainter() = default;
 
   /// Advance the application by one frame tick, mutating content().
@@ -34,6 +37,7 @@ class AppPainter {
   /// Identifier used in benchmark output rows.
   virtual std::string_view name() const = 0;
 
+  /// The current frame of the application.
   const Image& content() const { return content_; }
 
   /// React to a window resize: default reallocates and repaints nothing.
@@ -53,7 +57,9 @@ class TerminalApp final : public AppPainter {
  public:
   TerminalApp(std::int64_t width, std::int64_t height, std::uint64_t seed,
               int chars_per_tick = 8);
+  /// Type this tick's characters (injected input first).
   void tick(std::uint64_t tick_index) override;
+  /// "terminal".
   std::string_view name() const override { return "terminal"; }
 
   /// Queue text to be "typed" on upcoming ticks (ASCII subset rendered;
@@ -62,6 +68,7 @@ class TerminalApp final : public AppPainter {
   /// Queue a key event; Enter maps to newline, Backspace erases.
   void inject_key(std::uint32_t java_keycode);
 
+  /// Injected characters rendered so far.
   std::uint64_t injected_chars() const { return injected_chars_; }
 
  private:
@@ -85,7 +92,9 @@ class SlideshowApp final : public AppPainter {
  public:
   SlideshowApp(std::int64_t width, std::int64_t height, std::uint64_t seed,
                int ticks_per_slide = 30);
+  /// Repaint the slide every `ticks_per_slide` ticks.
   void tick(std::uint64_t tick_index) override;
+  /// "slideshow".
   std::string_view name() const override { return "slideshow"; }
 
  private:
@@ -101,9 +110,12 @@ class DocumentApp final : public AppPainter {
  public:
   DocumentApp(std::int64_t width, std::int64_t height, std::uint64_t seed,
               std::int64_t pixels_per_tick = 16);
+  /// Scroll the page by `pixels_per_tick`.
   void tick(std::uint64_t tick_index) override;
+  /// "document".
   std::string_view name() const override { return "document"; }
 
+  /// Rows the page scrolls each tick.
   std::int64_t scroll_per_tick() const { return pixels_per_tick_; }
 
  private:
@@ -121,7 +133,9 @@ class DocumentApp final : public AppPainter {
 class VideoApp final : public AppPainter {
  public:
   VideoApp(std::int64_t width, std::int64_t height, std::uint64_t seed);
+  /// Repaint every pixel.
   void tick(std::uint64_t tick_index) override;
+  /// "video".
   std::string_view name() const override { return "video"; }
 
  private:
@@ -134,7 +148,9 @@ class VideoApp final : public AppPainter {
 class PaintApp final : public AppPainter {
  public:
   PaintApp(std::int64_t width, std::int64_t height, std::uint64_t seed);
+  /// Draw the next stroke segment.
   void tick(std::uint64_t tick_index) override;
+  /// "paint".
   std::string_view name() const override { return "paint"; }
 
  private:
@@ -155,7 +171,9 @@ class WebPageApp final : public AppPainter {
  public:
   WebPageApp(std::int64_t width, std::int64_t height, std::uint64_t seed,
              int tiles_per_tick = 3, int idle_ticks = 12);
+  /// Load the next tiles, idle, or navigate.
   void tick(std::uint64_t tick_index) override;
+  /// "webpage".
   std::string_view name() const override { return "webpage"; }
 
   /// Completed navigations (full skeleton repaints) so far.
@@ -190,7 +208,9 @@ class EditingApp final : public AppPainter {
  public:
   EditingApp(std::int64_t width, std::int64_t height, std::uint64_t seed,
              int presenters = 3, int ticks_per_turn = 20);
+  /// Edit the active strip; rotate the turn every `ticks_per_turn` ticks.
   void tick(std::uint64_t tick_index) override;
+  /// "editing".
   std::string_view name() const override { return "editing"; }
 
   /// Whose turn it is (0-based strip index).
@@ -198,6 +218,7 @@ class EditingApp final : public AppPainter {
   /// Completed turn rotations — the floor-handoff count a BFCP-driving
   /// harness should mirror.
   std::uint64_t handoffs() const { return handoffs_; }
+  /// Number of presenter strips.
   int presenters() const { return presenters_; }
 
  private:

@@ -1,8 +1,25 @@
 #include "image/damage.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/simd.hpp"
 
 namespace ads {
+namespace {
+
+/// True when `a` and `b` differ in columns [x, x + width) of some row in
+/// [top, bottom).
+bool rows_differ(const Image& a, const Image& b, std::int64_t x, std::int64_t width,
+                 std::int64_t top, std::int64_t bottom) {
+  const std::size_t bytes = static_cast<std::size_t>(width) * sizeof(Pixel);
+  for (std::int64_t y = top; y < bottom; ++y) {
+    if (std::memcmp(a.row(y).data() + x, b.row(y).data() + x, bytes) != 0) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 std::uint64_t hash_rect(const Image& img, const Rect& r) {
   constexpr std::uint64_t kOffset = 0xCBF29CE484222325ull;
@@ -30,22 +47,30 @@ std::vector<Rect> diff_rects(const Image& before, const Image& after,
     const Rect full = bounding_union(before.bounds(), after.bounds());
     return full.empty() ? std::vector<Rect>{} : std::vector<Rect>{full};
   }
-  const std::int64_t cols = (after.width() + tile_size - 1) / tile_size;
+  const std::int64_t width = after.width();
+  const std::int64_t cols = (width + tile_size - 1) / tile_size;
   const std::int64_t rows = (after.height() + tile_size - 1) / tile_size;
   Region region;
   for (std::int64_t ty = 0; ty < rows; ++ty) {
+    const std::int64_t top = ty * tile_size;
+    const std::int64_t bottom = std::min(top + tile_size, after.height());
+    // Rows that match across the full width hold no dirty tile: start the
+    // band's tiles at its first row that differs, or skip the band.
+    std::int64_t first = top;
+    while (first < bottom && !rows_differ(before, after, 0, width, first, first + 1)) {
+      ++first;
+    }
+    if (first == bottom) continue;
     std::int64_t run_start = -1;
     for (std::int64_t tx = 0; tx <= cols; ++tx) {
-      bool dirty = false;
-      if (tx < cols) {
-        const Rect tile = intersect(
-            Rect{tx * tile_size, ty * tile_size, tile_size, tile_size}, after.bounds());
-        dirty = hash_rect(before, tile) != hash_rect(after, tile);
-      }
+      const std::int64_t left = tx * tile_size;
+      const bool dirty =
+          tx < cols && rows_differ(before, after, left,
+                                   std::min(tile_size, width - left), first, bottom);
       if (dirty && run_start < 0) run_start = tx;
       if (!dirty && run_start >= 0) {
-        const Rect band{run_start * tile_size, ty * tile_size,
-                        (tx - run_start) * tile_size, tile_size};
+        const Rect band{run_start * tile_size, top, (tx - run_start) * tile_size,
+                        tile_size};
         region.add(intersect(band, after.bounds()));
         run_start = -1;
       }

@@ -1,7 +1,8 @@
 // Damage detection: the AH-side substitute for an OS damage/mirror-driver
-// interface. Two frames are divided into fixed-size tiles; tiles whose hash
-// differs are merged into dirty rectangles, which become RegionUpdate
-// messages. ScreenCapturer::damage() runs this once per capture tick.
+// interface. Two frames are divided into fixed-size tiles; a tile whose
+// pixels differ is dirty, and dirty tiles are merged into rectangles, which
+// become RegionUpdate messages. ScreenCapturer::damage() runs this once per
+// capture tick.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,11 @@ namespace ads {
 /// vectorises; only hash *equality* is meaningful to callers.
 std::uint64_t hash_rect(const Image& img, const Rect& r);
 
-/// Stateless tile diff of two equally-sized images: the areas where they
-/// differ, merged into disjoint rectangles at `tile_size` granularity.
+/// Stateless tile diff of two equally-sized images: the tiles whose pixels
+/// differ, merged into disjoint rectangles at `tile_size` granularity (edge
+/// tiles clipped to the frame). Exact: rows are compared with memcmp, a
+/// band of tile rows whose full rows all match is skipped, and a tile stops
+/// at its first differing row. An unchanged frame allocates nothing.
 /// Differently-sized images report the union bound as fully damaged.
 std::vector<Rect> diff_rects(const Image& before, const Image& after,
                              std::int64_t tile_size = 32);

@@ -12,6 +12,7 @@
 
 namespace ads {
 
+/// A pixel position: x grows rightwards, y downwards.
 struct Point {
   std::int64_t x = 0;
   std::int64_t y = 0;
@@ -30,17 +31,21 @@ struct Rect {
   std::int64_t right() const { return left + width; }    ///< exclusive
   std::int64_t bottom() const { return top + height; }   ///< exclusive
   std::int64_t area() const { return width * height; }
+  /// True when the rectangle covers no pixel.
   bool empty() const { return width <= 0 || height <= 0; }
 
+  /// True when `p` lies inside.
   bool contains(Point p) const {
     return p.x >= left && p.x < right() && p.y >= top && p.y < bottom();
   }
+  /// True when every pixel of `other` lies inside (always for an empty one).
   bool contains(const Rect& other) const {
     return other.empty() ||
            (other.left >= left && other.top >= top && other.right() <= right() &&
             other.bottom() <= bottom());
   }
 
+  /// The same rectangle shifted by (dx, dy).
   Rect translated(std::int64_t dx, std::int64_t dy) const {
     return {left + dx, top + dy, width, height};
   }
@@ -64,20 +69,30 @@ std::vector<Rect> subtract(const Rect& a, const Rect& b);
 /// under the windows stacked above it.
 class Region {
  public:
+  /// The empty region.
   Region() = default;
+  /// The region covering `r` (empty when `r` is).
   explicit Region(const Rect& r) {
     if (!r.empty()) rects_.push_back(r);
   }
 
-  void add(const Rect& r);         ///< union (keeps rectangles disjoint)
+  /// Union with `r`, keeping the rectangles disjoint.
+  void add(const Rect& r);
+  /// Remove `r`'s pixels, splitting rectangles it overlaps.
   void subtract_rect(const Rect& r);
+  /// Remove every rectangle.
   void clear() { rects_.clear(); }
 
+  /// True when the region covers no pixel.
   bool empty() const { return rects_.empty(); }
+  /// Number of pixels covered.
   std::int64_t area() const;
+  /// Smallest rectangle containing the region.
   Rect bounds() const;
+  /// True when `p` lies in some rectangle.
   bool contains(Point p) const;
 
+  /// The disjoint rectangles, in insertion order.
   const std::vector<Rect>& rects() const { return rects_; }
 
   /// Greedy merge of adjacent rectangles to reduce fragment count.

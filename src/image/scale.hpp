@@ -8,6 +8,7 @@
 
 namespace ads {
 
+/// Resampling kernel for scale_image().
 enum class ScaleFilter {
   kNearest,   ///< fast, blocky
   kBilinear,  ///< smooth, the default for screen content

@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD kernels for the measured hot loops: Adler-32 and
-// CRC-32 absorption (util/checksum), tile hashing (image/damage), PNG filter
+// CRC-32 absorption (util/checksum), rect hashing (image/damage), PNG filter
 // selection/apply and the participant's PNG unfilter (codec/png), the
 // DEFLATE matcher's trigram hash pass (codec/deflate), the forward DCT +
 // quantise (codec/dct) and the box-downscale row average (transcode's
@@ -56,7 +56,7 @@ std::uint32_t crc32_absorb_scalar(std::uint32_t crc, const std::uint8_t* data,
 
 /// Absorb `n_pixels` packed RGBA pixels (memory order r,g,b,a) into four
 /// interleaved FNV-1a lanes: pixel i updates lanes[i & 3] with the
-/// big-endian u32 word. The 4-lane stripe is the tile-hash spec; it exists
+/// big-endian u32 word. The 4-lane stripe is hash_rect()'s spec; it exists
 /// so the multiply chains are independent and vectorise 4-wide.
 void fnv4_absorb(std::uint64_t lanes[4], const std::uint8_t* rgba,
                  std::size_t n_pixels);

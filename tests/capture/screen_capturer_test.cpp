@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 
-#include "image/damage.hpp"
-#include "image/scroll_detect.hpp"
+#include "../image/frozen_kernels.hpp"
+#include "util/prng.hpp"
 
 namespace ads {
 namespace {
@@ -86,16 +88,59 @@ TEST_F(CapturerTest, SharedViewBlanksDesktopBackground) {
 TEST_F(CapturerTest, NonSharedWindowsAreBlanked) {
   const WindowId shared = wm.create({0, 0, 100, 100}, 1);
   const WindowId secret = wm.create({150, 0, 100, 100}, 2);
+  wm.create({20, 150, 50, 40}, 2);  // no painter: grey on the desktop
   wm.share_group(1);
   ScreenCapturer cap(wm, 320, 240);
   cap.attach(shared, std::make_unique<SlideshowApp>(100, 100, 3));
   cap.attach(secret, std::make_unique<SlideshowApp>(100, 100, 4));
   cap.capture();
+  cap.damage();
   const Image& view = cap.last_frame();
   EXPECT_NE(view.at(50, 50), kBlack);   // shared content visible
   EXPECT_EQ(view.at(200, 50), kBlack);  // secret window blanked
-  // The AH user still sees the secret window on their own desktop.
-  EXPECT_NE(cap.desktop().at(200, 50), Pixel(40, 44, 52, 255));
+  EXPECT_EQ(view.at(30, 160), kBlack);
+  // The AH user still sees every window on their own desktop, which is
+  // composited only when asked for.
+  const Image& desktop = cap.desktop();
+  EXPECT_EQ(desktop.crop({150, 0, 100, 100}), cap.app(secret)->content());
+  EXPECT_EQ(desktop.crop({0, 0, 100, 100}), cap.app(shared)->content());
+  EXPECT_EQ(desktop.at(30, 160), Pixel(90, 90, 90, 255));
+  EXPECT_EQ(desktop.at(300, 200), Pixel(40, 44, 52, 255));
+}
+
+TEST_F(CapturerTest, LastFrameIsTheViewAfterDamage) {
+  const WindowId w = wm.create({20, 20, 200, 200}, 1);
+  ScreenCapturer cap(wm, 320, 240);
+  cap.attach(w, std::make_unique<DocumentApp>(200, 200, 3, 16));
+  cap.capture();
+  cap.damage();
+  for (int tick = 0; tick < 3; ++tick) {
+    const Image view = *cap.capture().frame;
+    EXPECT_EQ(cap.last_frame(), view);
+    // The scroll is applied to the reference, never to the view.
+    ASSERT_EQ(cap.detect_moves().size(), 1u);
+    EXPECT_EQ(cap.last_frame(), view);
+    cap.damage();
+    EXPECT_EQ(cap.last_frame(), view);
+    // View and reference are one buffer now: nothing moved, nothing changed.
+    EXPECT_TRUE(cap.detect_moves().empty());
+    EXPECT_TRUE(cap.damage().empty());
+    EXPECT_EQ(cap.last_frame(), view);
+  }
+}
+
+TEST_F(CapturerTest, StaticUnpaintedWindowSendsNoMoves) {
+  // A window without a painter is a uniform grey area: every row matches
+  // every other, but nothing scrolled.
+  wm.create({100, 100, 300, 200}, 1);
+  ScreenCapturer cap(wm, 640, 480);
+  std::size_t moves = 0;
+  for (int tick = 0; tick < 10; ++tick) {
+    cap.capture();
+    moves += cap.detect_moves().size();
+    cap.damage();
+  }
+  EXPECT_EQ(moves, 0u);
 }
 
 TEST_F(CapturerTest, NonSharedWindowOnTopBlanksOverlap) {
@@ -186,9 +231,11 @@ TEST_F(CapturerTest, TickCounterAdvances) {
 }
 
 // Differential check of the capturer's frame differencing against the
-// AppHost::tick() block it replaced: the oracle keeps its own previous
-// frame, replays each scroll on a copy, verifies the replay by hash and
-// diffs the result.
+// AppHost::tick() block it replaced, built on the frozen kernels: the
+// oracle keeps its own previous frame, replays each scroll on a copy,
+// verifies the replay by hash and diffs the result tile hash by tile hash.
+// Its vote follows the two documented rules of the current one
+// (frozen::detect_scroll_ruled).
 class TickOracle {
  public:
   struct Result {
@@ -205,7 +252,7 @@ class TickOracle {
     if (use_moves && have_previous) {
       for (const Window& w : wm.shared_windows()) {
         const Rect area = intersect(w.frame, frame.bounds());
-        auto match = detect_scroll(previous_, frame, area);
+        auto match = frozen::detect_scroll_ruled(previous_, frame, area);
         if (!match) continue;
         const Rect dest = match->source.translated(0, match->dy);
         Image replay = previous_;
@@ -216,7 +263,7 @@ class TickOracle {
       }
     }
     if (have_previous) {
-      out.damage = diff_rects(previous_, frame, tile);
+      out.damage = frozen::diff_rects(previous_, frame, tile);
     } else if (!frame.empty()) {
       out.damage = {frame.bounds()};
     }
@@ -227,6 +274,28 @@ class TickOracle {
  private:
   Image previous_;
 };
+
+/// Runs `ticks` capture ticks, checking each tick's moves and damage
+/// against the oracle; `before_tick(k)` runs ahead of tick k. Returns the
+/// number of moves.
+std::size_t run_against_oracle(const WindowManager& wm, ScreenCapturer& cap,
+                               int ticks, bool use_moves, std::int64_t tile,
+                               const std::function<void(int)>& before_tick = {}) {
+  TickOracle oracle;
+  std::size_t moves = 0;
+  for (int tick = 0; tick < ticks; ++tick) {
+    if (before_tick) before_tick(tick);
+    cap.capture();
+    const auto want = oracle.tick(wm, cap.last_frame(), use_moves, tile);
+    const std::vector<ScrollMove> got =
+        use_moves ? cap.detect_moves() : std::vector<ScrollMove>{};
+    EXPECT_EQ(got, want.moves) << "tick " << tick;
+    EXPECT_EQ(cap.damage(), want.damage) << "tick " << tick;
+    if (::testing::Test::HasFailure()) break;
+    moves += got.size();
+  }
+  return moves;
+}
 
 struct DiffCase {
   std::string app;
@@ -264,19 +333,10 @@ TEST_P(CapturerDifferential, MovesAndDamageMatchTheTickOracle) {
   cap.attach(lower, std::make_unique<DocumentApp>(360, 300, 5, 8));
   cap.attach(upper, make_painter(c, 360, 320));
 
-  TickOracle oracle;
-  std::size_t moves = 0;
-  for (int tick = 0; tick < 70; ++tick) {
+  const std::size_t moves = run_against_oracle(wm, cap, 70, c.use_moves, kTile, [&](int tick) {
     if (tick == 25) cap.set_screen_size(600, 440);  // clips the upper window
     if (tick == 45) cap.set_screen_size(640, 480);
-    cap.capture();
-    const auto want = oracle.tick(wm, cap.last_frame(), c.use_moves, kTile);
-    const std::vector<ScrollMove> got =
-        c.use_moves ? cap.detect_moves() : std::vector<ScrollMove>{};
-    ASSERT_EQ(got, want.moves) << "tick " << tick;
-    ASSERT_EQ(cap.damage(), want.damage) << "tick " << tick;
-    moves += got.size();
-  }
+  });
   if (c.app == "document" && c.use_moves) {
     EXPECT_GT(moves, 30u);
   }
@@ -291,6 +351,66 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return case_name(info.param);
     });
+
+TEST(CapturerDifferentialLayouts, TextRelaySizedDocument) {
+  // The text_relay benchmark's layout: an 800x800 scrolling document on a
+  // 1280x1024 desktop.
+  WindowManager wm;
+  const WindowId doc = wm.create({240, 112, 800, 800}, 1);
+  ScreenCapturer cap(wm, 1280, 1024, 32);
+  cap.attach(doc, make_app("document", 800, 800, 7));
+  EXPECT_GE(run_against_oracle(wm, cap, 30, true, 32), 25u);
+}
+
+/// Paints its window's part of one tall picture that scrolls up `speed`
+/// rows per tick. Painters of overlapping windows given their windows'
+/// offsets compose one seamless scrolling picture.
+class PicturePainter final : public AppPainter {
+ public:
+  PicturePainter(std::shared_ptr<const Image> picture, Point offset, std::int64_t width,
+                 std::int64_t height, std::int64_t speed)
+      : AppPainter(width, height, kBlack),
+        picture_(std::move(picture)),
+        offset_(offset),
+        speed_(speed) {}
+  void tick(std::uint64_t tick_index) override {
+    const std::int64_t top = offset_.y + static_cast<std::int64_t>(tick_index) * speed_;
+    picture_->crop_into({offset_.x, top, content_.width(), content_.height()}, content_);
+  }
+  std::string_view name() const override { return "picture"; }
+
+ private:
+  std::shared_ptr<const Image> picture_;
+  Point offset_;
+  std::int64_t speed_;
+};
+
+TEST(CapturerDifferentialLayouts, MoveRewritesRowsOfAnotherSharedWindow) {
+  // The lower window's scroll also carries the upper window's pixels, so
+  // its accepted move rewrites the reference inside the upper window's
+  // area, whose row hashes kept from last tick are then stale. The upper
+  // window shows grey with an 8-row band every 256 rows: on the tick the
+  // band scrolls out, the upper area is grey in the view and in the moved
+  // reference (no scroll), but not in last tick's hashes.
+  constexpr std::int64_t kSpeed = 16;
+  constexpr int kTicks = 60;
+  auto picture = std::make_shared<Image>(400, 400 + kSpeed * (kTicks + 1));
+  Prng rng(11);
+  for (std::int64_t y = 0; y < picture->height(); ++y) {
+    picture->fill_rect({0, y, 400, 1}, Pixel{static_cast<std::uint8_t>(rng.next_u32()),
+                                             static_cast<std::uint8_t>(rng.next_u32()),
+                                             static_cast<std::uint8_t>(rng.next_u32()), 255});
+    if (y % 256 >= 8) picture->fill_rect({100, y, 200, 1}, Pixel{90, 90, 90, 255});
+  }
+  WindowManager wm;
+  const WindowId lower = wm.create({0, 0, 400, 400}, 1);
+  const WindowId upper = wm.create({100, 100, 200, 160}, 1);
+  ScreenCapturer cap(wm, 640, 480, 32);
+  cap.attach(lower, std::make_unique<PicturePainter>(picture, Point{0, 0}, 400, 400, kSpeed));
+  cap.attach(upper,
+             std::make_unique<PicturePainter>(picture, Point{100, 100}, 200, 160, kSpeed));
+  EXPECT_GE(run_against_oracle(wm, cap, kTicks, true, 32), std::size_t{kTicks - 1});
+}
 
 }  // namespace
 }  // namespace ads

@@ -5,6 +5,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+
+#include "frozen_kernels.hpp"
+#include "util/prng.hpp"
 
 // TU-wide allocation counter so tests can assert the unchanged-frame
 // diff_rects path is allocation-free (the AH diffs every frame tick; a
@@ -130,6 +134,41 @@ TEST_P(DamageTileSizes, DetectsChangeAtAnyGranularity) {
   // Everything reported must lie within bounds.
   for (const auto& r : damage) {
     EXPECT_TRUE(after.bounds().contains(r));
+  }
+}
+
+TEST_P(DamageTileSizes, MatchesTheFrozenTileHashDiff) {
+  // Frames that are not tile multiples, so edge tiles are clipped; sparse
+  // random pixels and small rectangles, some on the right and bottom edges.
+  const std::int64_t tile = GetParam();
+  Prng rng(static_cast<std::uint64_t>(tile) * 977);
+  for (const auto& [w, h] : {std::pair<std::int64_t, std::int64_t>{130, 70},
+                             {257, 131}, {64, 64}, {1, 300}}) {
+    Image before(w, h, Pixel{12, 34, 56, 255});
+    for (int i = 0; i < 40; ++i) {
+      before.set(static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(w))),
+                 static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(h))),
+                 Pixel{static_cast<std::uint8_t>(rng.next_u32()), 1, 2, 255});
+    }
+    for (int round = 0; round < 12; ++round) {
+      Image after = before;
+      const int changes = static_cast<int>(rng.below(6));
+      for (int i = 0; i < changes; ++i) {
+        const std::int64_t x = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(w)));
+        const std::int64_t y = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(h)));
+        if (rng.below(2)) {
+          after.set(x, y, Pixel{static_cast<std::uint8_t>(rng.next_u32() | 1), 9, 9, 255});
+        } else {
+          after.fill_rect({x, y, 1 + static_cast<std::int64_t>(rng.below(40)),
+                           1 + static_cast<std::int64_t>(rng.below(20))},
+                          kWhite);
+        }
+      }
+      if (round % 4 == 3) after.set(w - 1, h - 1, Pixel{7, 7, 7, 255});
+      EXPECT_EQ(diff_rects(before, after, tile), frozen::diff_rects(before, after, tile))
+          << w << "x" << h << " round " << round;
+      before = std::move(after);
+    }
   }
 }
 
