@@ -30,21 +30,18 @@ class DctCodec final : public ImageCodec {
   ContentPt payload_type() const override { return ContentPt::kDct; }
   std::string_view name() const override { return "dct"; }
   bool lossless() const override { return false; }
-  Bytes encode(const Image& img) const override { return dct_encode(img, opts_); }
-  void encode_into(const Image& img, Bytes& out, EncodeScratch& scratch) const override {
-    dct_encode_into(img, opts_, out, scratch);
-  }
-  /// Quality-parameterised entry: params.dct_quality (when non-zero)
-  /// overrides the construction-time quality — the ads::rate ladder's hook.
-  void encode_into(const Image& img, Bytes& out, EncodeScratch& scratch,
+  Result<Image> decode(BytesView data) const override { return dct_decode(data); }
+
+ private:
+  /// params.dct_quality (when non-zero) overrides the construction-time
+  /// quality — the ads::rate ladder's hook.
+  void encode_with(const Image& img, Bytes& out, EncodeScratch& scratch,
                    const EncodeParams& params) const override {
     DctOptions opts = opts_;
     if (params.dct_quality > 0) opts.quality = params.dct_quality;
     dct_encode_into(img, opts, out, scratch);
   }
-  Result<Image> decode(BytesView data) const override { return dct_decode(data); }
 
- private:
   DctOptions opts_;
 };
 

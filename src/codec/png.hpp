@@ -32,13 +32,14 @@ class PngCodec final : public ImageCodec {
   ContentPt payload_type() const override { return ContentPt::kPng; }
   std::string_view name() const override { return "png"; }
   bool lossless() const override { return true; }
-  Bytes encode(const Image& img) const override { return png_encode(img, opts_); }
-  void encode_into(const Image& img, Bytes& out, EncodeScratch& scratch) const override {
-    png_encode_into(img, opts_, out, scratch);
-  }
   Result<Image> decode(BytesView data) const override { return png_decode(data); }
 
  private:
+  void encode_with(const Image& img, Bytes& out, EncodeScratch& scratch,
+                   const EncodeParams&) const override {
+    png_encode_into(img, opts_, out, scratch);
+  }
+
   PngOptions opts_;
 };
 

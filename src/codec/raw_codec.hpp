@@ -17,11 +17,13 @@ class RawCodec final : public ImageCodec {
   ContentPt payload_type() const override { return ContentPt::kRaw; }
   std::string_view name() const override { return "raw"; }
   bool lossless() const override { return true; }
-  Bytes encode(const Image& img) const override { return raw_encode(img); }
-  void encode_into(const Image& img, Bytes& out, EncodeScratch&) const override {
+  Result<Image> decode(BytesView data) const override { return raw_decode(data); }
+
+ private:
+  void encode_with(const Image& img, Bytes& out, EncodeScratch&,
+                   const EncodeParams&) const override {
     raw_encode_into(img, out);
   }
-  Result<Image> decode(BytesView data) const override { return raw_decode(data); }
 };
 
 }  // namespace ads

@@ -31,14 +31,6 @@ const ImageCodec* CodecRegistry::find(std::uint8_t pt) const {
 }
 
 bool CodecRegistry::encode_into(ContentPt pt, const Image& img, Bytes& out,
-                                EncodeScratch& scratch) const {
-  const ImageCodec* codec = find(pt);
-  if (codec == nullptr) return false;
-  codec->encode_into(img, out, scratch);
-  return true;
-}
-
-bool CodecRegistry::encode_into(ContentPt pt, const Image& img, Bytes& out,
                                 EncodeScratch& scratch,
                                 const EncodeParams& params) const {
   const ImageCodec* codec = find(pt);

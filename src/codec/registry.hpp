@@ -24,15 +24,12 @@ class CodecRegistry {
   const ImageCodec* find(std::uint8_t pt) const;
 
   /// Encode `img` with the codec for `pt` into `out` (cleared first),
-  /// reusing `scratch`. Returns false (out untouched) for unknown payload
-  /// types. This is the scratch-threaded entry the AH encode workers use.
+  /// reusing `scratch` and honouring `params` (the ads::rate quality
+  /// ladder's path into the DCT codec; lossless codecs ignore them).
+  /// Returns false (out untouched) for unknown payload types. This is the
+  /// scratch-threaded entry the AH encode workers use.
   bool encode_into(ContentPt pt, const Image& img, Bytes& out,
-                   EncodeScratch& scratch) const;
-
-  /// As encode_into, honouring per-call `params` (the ads::rate quality
-  /// ladder's path into the DCT codec; lossless codecs ignore params).
-  bool encode_into(ContentPt pt, const Image& img, Bytes& out,
-                   EncodeScratch& scratch, const EncodeParams& params) const;
+                   EncodeScratch& scratch, const EncodeParams& params = {}) const;
 
   std::vector<ContentPt> payload_types() const;
 

@@ -19,11 +19,13 @@ class RleCodec final : public ImageCodec {
   ContentPt payload_type() const override { return ContentPt::kRle; }
   std::string_view name() const override { return "rle"; }
   bool lossless() const override { return true; }
-  Bytes encode(const Image& img) const override { return rle_encode(img); }
-  void encode_into(const Image& img, Bytes& out, EncodeScratch&) const override {
+  Result<Image> decode(BytesView data) const override { return rle_decode(data); }
+
+ private:
+  void encode_with(const Image& img, Bytes& out, EncodeScratch&,
+                   const EncodeParams&) const override {
     rle_encode_into(img, out);
   }
-  Result<Image> decode(BytesView data) const override { return rle_decode(data); }
 };
 
 }  // namespace ads

@@ -68,29 +68,32 @@ class ImageCodec {
   /// True when decode(encode(img)) reproduces img bit-exactly.
   virtual bool lossless() const = 0;
 
-  /// Serialise `img` (dimensions included in the payload).
-  virtual Bytes encode(const Image& img) const = 0;
-
-  /// Serialise `img` into `out` (cleared first, capacity kept), reusing
-  /// `scratch` for working state. Output is byte-identical to encode().
-  /// Codecs without a scratch-aware path fall back to encode().
-  virtual void encode_into(const Image& img, Bytes& out, EncodeScratch& scratch) const {
-    (void)scratch;
-    out = encode(img);
+  /// Serialise `img` (dimensions included in the payload) with the codec's
+  /// default parameters and a fresh scratch.
+  Bytes encode(const Image& img) const {
+    Bytes out;
+    EncodeScratch scratch;
+    encode_with(img, out, scratch, {});
+    return out;
   }
 
-  /// As encode_into, honouring per-call `params`. The default ignores the
-  /// parameters (correct for every lossless codec); parameterisable codecs
-  /// override this.
-  virtual void encode_into(const Image& img, Bytes& out, EncodeScratch& scratch,
-                           const EncodeParams& params) const {
-    (void)params;
-    encode_into(img, out, scratch);
+  /// Serialise `img` into `out` (cleared first, capacity kept), reusing
+  /// `scratch` for working state and honouring per-call `params` (lossless
+  /// codecs ignore them). With default params the bytes equal encode()'s.
+  void encode_into(const Image& img, Bytes& out, EncodeScratch& scratch,
+                   const EncodeParams& params = {}) const {
+    encode_with(img, out, scratch, params);
   }
 
   /// Parse a payload previously produced by encode() (or, for PNG, any
   /// conformant 8-bit RGB/RGBA PNG stream).
   virtual Result<Image> decode(BytesView data) const = 0;
+
+ private:
+  /// The one encode each codec implements; encode() and encode_into() both
+  /// land here.
+  virtual void encode_with(const Image& img, Bytes& out, EncodeScratch& scratch,
+                           const EncodeParams& params) const = 0;
 };
 
 }  // namespace ads

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "capture/apps.hpp"
+#include "codec/dct_codec.hpp"
 #include "codec/deflate.hpp"
 #include "codec/registry.hpp"
 #include "codec/zlib.hpp"
@@ -28,8 +29,31 @@ TEST(EncodeScratch, EncodeIntoMatchesEncodeAcrossCodecsAndWorkloads) {
       const ImageCodec* codec = registry.find(pt);
       ASSERT_NE(codec, nullptr);
       const Bytes expected = codec->encode(frame);
+      // Every call shape reaches the one encode: params omitted, default
+      // params given explicitly, and the codec's own encode_into.
       ASSERT_TRUE(registry.encode_into(pt, frame, out, scratch));
       EXPECT_EQ(out, expected) << codec->name() << " on " << workload;
+      ASSERT_TRUE(registry.encode_into(pt, frame, out, scratch, EncodeParams{}));
+      EXPECT_EQ(out, expected) << codec->name() << " on " << workload
+                               << " (explicit default params)";
+      codec->encode_into(frame, out, scratch);
+      EXPECT_EQ(out, expected) << codec->name() << " on " << workload
+                               << " (codec encode_into)";
+      if (codec->lossless()) {
+        // Lossless codecs ignore the quality override.
+        ASSERT_TRUE(registry.encode_into(pt, frame, out, scratch,
+                                         EncodeParams{.dct_quality = 20}));
+        EXPECT_EQ(out, expected) << codec->name() << " on " << workload
+                                 << " (quality override ignored)";
+      }
+    }
+    // A DCT quality override encodes exactly as a codec built at that
+    // quality would.
+    for (const int q : {20, 90}) {
+      ASSERT_TRUE(registry.encode_into(ContentPt::kDct, frame, out, scratch,
+                                       EncodeParams{.dct_quality = q}));
+      EXPECT_EQ(out, DctCodec(DctOptions{q}).encode(frame))
+          << "dct quality " << q << " on " << workload;
     }
   }
 }
