@@ -2,23 +2,16 @@
 
 namespace ads {
 
-const Bytes* EncodedRegionCache::find(const EncodedRegionKey& key) {
+bool EncodedRegionCache::find(const EncodedRegionKey& key, Bytes& out) {
   auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
+  if (it == index_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);
-  return &it->second->payload;
-}
-
-bool EncodedRegionCache::find_copy(const EncodedRegionKey& key, Bytes& out) {
-  const Bytes* hit = find(key);
-  if (hit == nullptr) return false;
-  out = *hit;
+  out = it->second->payload;
   return true;
 }
 
 void EncodedRegionCache::insert(const EncodedRegionKey& key, Bytes payload) {
   if (payload.size() > max_bytes_) return;
-  ++generation_;
   auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_ -= it->second->payload.size();
@@ -44,7 +37,6 @@ void EncodedRegionCache::evict_to_budget() {
 }
 
 void EncodedRegionCache::clear() {
-  if (!lru_.empty()) ++generation_;
   lru_.clear();
   index_.clear();
   bytes_ = 0;

@@ -38,19 +38,12 @@ class EncodedRegionCache {
   /// entirely (find always misses, insert is a no-op).
   explicit EncodedRegionCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
-  /// Cached payload for `key`, or nullptr. A hit promotes the entry to
-  /// most-recently-used. The pointer is invalidated by the next insert()
-  /// or clear() — generation() observes exactly those invalidations, so a
-  /// caller holding a hit across other code can assert the generation is
-  /// unchanged before dereferencing.
-  const Bytes* find(const EncodedRegionKey& key);
-
-  /// Copy-out lookup: appends nothing on a miss (returns false); on a hit
-  /// copies the payload into `out` (replacing its contents), promotes the
-  /// entry, and returns true. Unlike find(), the result cannot dangle
-  /// across later insert()/clear() calls — the accessor loops that
-  /// interleave lookups with inserts (the encoder's shared fan-out) use.
-  bool find_copy(const EncodedRegionKey& key, Bytes& out);
+  /// Copy-out lookup: on a miss returns false and leaves `out` alone; on a
+  /// hit copies the payload into `out` (replacing its contents), promotes
+  /// the entry to most-recently-used and returns true. A copy cannot
+  /// dangle across later insert()/clear() calls, which the encoder's
+  /// lookup-then-insert passes rely on.
+  bool find(const EncodedRegionKey& key, Bytes& out);
 
   /// Store `payload` under `key` (replacing any previous entry), then evict
   /// least-recently-used entries until the byte budget holds. Payloads
@@ -68,10 +61,6 @@ class EncodedRegionCache {
   std::size_t max_bytes() const { return max_bytes_; }
   /// Entries evicted to honour the budget since construction.
   std::uint64_t evictions() const { return evictions_; }
-  /// Mutation counter: bumped by every insert() that changes the store and
-  /// by clear(). A find() pointer taken at generation G is valid only while
-  /// generation() == G.
-  std::uint64_t generation() const { return generation_; }
 
  private:
   struct Entry {
@@ -84,7 +73,6 @@ class EncodedRegionCache {
   std::size_t max_bytes_;
   std::size_t bytes_ = 0;
   std::uint64_t evictions_ = 0;
-  std::uint64_t generation_ = 0;
   std::list<Entry> lru_;  ///< front = most recently used
   std::map<EncodedRegionKey, std::list<Entry>::iterator> index_;
 };

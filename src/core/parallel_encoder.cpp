@@ -40,10 +40,9 @@ std::vector<Bytes> ParallelEncoder::encode_regions(const Image& frame,
                                      std::clamp(params.dct_quality, 0, 100)),
                                  static_cast<std::uint32_t>(rects[i].width),
                                  static_cast<std::uint32_t>(rects[i].height)};
-      // Copy-out lookup: a raw find() pointer would be invalidated by the
-      // pass-3 inserts (and by any interleaved caller), so hits never
-      // escape the cache as references.
-      if (cache_.find_copy(keys[i], results[i])) {
+      // Copy-out lookup: hits never escape the cache as references, so
+      // the pass-3 inserts cannot invalidate them.
+      if (cache_.find(keys[i], results[i])) {
         ++stats_.cache_hits;
         stats_.cache_hit_bytes += results[i].size();
         continue;

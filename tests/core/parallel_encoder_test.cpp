@@ -114,8 +114,9 @@ TEST(EncodedRegionCache, LruEvictionHonoursByteBudget) {
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_GT(cache.evictions(), 0u);
   // Oldest keys are gone, newest survive.
-  EXPECT_EQ(cache.find({0, 98, 0, 16, 16}), nullptr);
-  EXPECT_NE(cache.find({9, 98, 0, 16, 16}), nullptr);
+  Bytes out;
+  EXPECT_FALSE(cache.find({0, 98, 0, 16, 16}, out));
+  EXPECT_TRUE(cache.find({9, 98, 0, 16, 16}, out));
 }
 
 TEST(EncodedRegionCache, FindPromotesToMostRecentlyUsed) {
@@ -123,17 +124,19 @@ TEST(EncodedRegionCache, FindPromotesToMostRecentlyUsed) {
   cache.insert({1, 98, 0, 16, 16}, Bytes(300));
   cache.insert({2, 98, 0, 16, 16}, Bytes(300));
   cache.insert({3, 98, 0, 16, 16}, Bytes(300));
-  ASSERT_NE(cache.find({1, 98, 0, 16, 16}), nullptr);  // touch 1: now MRU
-  cache.insert({4, 98, 0, 16, 16}, Bytes(300));        // evicts LRU = 2
-  EXPECT_NE(cache.find({1, 98, 0, 16, 16}), nullptr);
-  EXPECT_EQ(cache.find({2, 98, 0, 16, 16}), nullptr);
+  Bytes out;
+  ASSERT_TRUE(cache.find({1, 98, 0, 16, 16}, out));  // touch 1: now MRU
+  cache.insert({4, 98, 0, 16, 16}, Bytes(300));      // evicts LRU = 2
+  EXPECT_TRUE(cache.find({1, 98, 0, 16, 16}, out));
+  EXPECT_FALSE(cache.find({2, 98, 0, 16, 16}, out));
 }
 
 TEST(EncodedRegionCache, OversizedPayloadIsNotCached) {
   EncodedRegionCache cache(100);
   cache.insert({1, 98, 0, 16, 16}, Bytes(101));
   EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.find({1, 98, 0, 16, 16}), nullptr);
+  Bytes out;
+  EXPECT_FALSE(cache.find({1, 98, 0, 16, 16}, out));
 }
 
 TEST(EncodedRegionCache, ZeroBudgetDisables) {
