@@ -12,23 +12,6 @@
 namespace ads {
 namespace {
 
-/// Destination rectangle of a scroll — the area a participant that cannot
-/// replay the move must receive as ordinary damage.
-Rect dest_rect(const MoveRectangle& mr) {
-  return Rect{static_cast<std::int64_t>(mr.dest_left),
-              static_cast<std::int64_t>(mr.dest_top),
-              static_cast<std::int64_t>(mr.width),
-              static_cast<std::int64_t>(mr.height)};
-}
-
-/// Source rectangle of a scroll (the area the move replays from).
-Rect src_rect(const MoveRectangle& mr) {
-  return Rect{static_cast<std::int64_t>(mr.source_left),
-              static_cast<std::int64_t>(mr.source_top),
-              static_cast<std::int64_t>(mr.width),
-              static_cast<std::int64_t>(mr.height)};
-}
-
 /// Shared-encode cohort identity — the effective operating point.
 /// Participants agreeing on all five fields can share encoded band
 /// payloads byte-for-byte. The geometry fields (scale rung + resolved
@@ -55,8 +38,8 @@ bool mr_alignable(const transcode::OutputGeometry& g, const Rect& fb,
                   const MoveRectangle& mr) {
   const Rect s = transcode::source_rect(g, fb);
   if (g.scale_shift == 0 && s == fb) return true;  // pixel-identity view
-  const Rect src = src_rect(mr);
-  const Rect dst = dest_rect(mr);
+  const Rect src = mr.source();
+  const Rect dst = mr.dest();
   if (!s.contains(src) || !s.contains(dst)) return false;
   const std::int64_t f = g.factor();
   return (src.left - s.left) % f == 0 && (src.top - s.top) % f == 0 &&
@@ -72,18 +55,12 @@ MoveRectangle mr_to_output(const transcode::OutputGeometry& g, const Rect& fb,
   const Rect s = transcode::source_rect(g, fb);
   if (g.scale_shift == 0 && s == fb) return mr;
   const std::int64_t f = g.factor();
-  MoveRectangle out = mr;
-  out.source_left = static_cast<std::uint32_t>(
-      (static_cast<std::int64_t>(mr.source_left) - s.left) / f);
-  out.source_top = static_cast<std::uint32_t>(
-      (static_cast<std::int64_t>(mr.source_top) - s.top) / f);
-  out.dest_left = static_cast<std::uint32_t>(
-      (static_cast<std::int64_t>(mr.dest_left) - s.left) / f);
-  out.dest_top = static_cast<std::uint32_t>(
-      (static_cast<std::int64_t>(mr.dest_top) - s.top) / f);
-  out.width = static_cast<std::uint32_t>(mr.width / static_cast<std::uint32_t>(f));
-  out.height = static_cast<std::uint32_t>(mr.height / static_cast<std::uint32_t>(f));
-  return out;
+  const Rect src = mr.source();
+  const Rect dst = mr.dest();
+  return MoveRectangle::from(
+      mr.window_id,
+      {(src.left - s.left) / f, (src.top - s.top) / f, src.width / f, src.height / f},
+      {(dst.left - s.left) / f, (dst.top - s.top) / f});
 }
 
 /// Metric prefix of one participant's rate.p<id>.* gauges.
@@ -714,7 +691,7 @@ bool AppHost::pre_send(ParticipantState& p,
   if (opts_.link.adaptation.enabled && op.fps_divisor > 1 &&
       tick_count_ % static_cast<std::uint64_t>(op.fps_divisor) != 0) {
     ++stats_.frames_skipped_fps;
-    for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
+    for (const MoveRectangle& mr : scrolls) p.pending.add(mr.dest());
     return false;
   }
 
@@ -733,7 +710,7 @@ bool AppHost::pre_send(ParticipantState& p,
   }
   // Scrolled areas cannot be replayed later (the participant missed the
   // base); convert them to pending damage.
-  for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
+  for (const MoveRectangle& mr : scrolls) p.pending.add(mr.dest());
   return false;
 }
 
@@ -816,12 +793,12 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
           if (mr_alignable(geom, fb, mr)) {
             sp.mrs.push_back(mr_to_output(geom, fb, mr));
           } else {
-            p.pending.add(dest_rect(mr));
+            p.pending.add(mr.dest());
             ++stats_.move_rects_geometry_skipped;
           }
         }
       } else {
-        for (const MoveRectangle& mr : scrolls) p.pending.add(dest_rect(mr));
+        for (const MoveRectangle& mr : scrolls) p.pending.add(mr.dest());
       }
       p.pending.simplify();
       sp.bands = geometry_bands(geom, p.pending.rects());
@@ -961,7 +938,7 @@ void AppHost::snapshot_stage(const std::vector<MoveRectangle>& scrolls,
     // ticks. A bundle built later this tick starts with an empty delta
     // because it is encoded from the current frame, which already includes
     // this churn.
-    for (const MoveRectangle& mr : scrolls) snapshot_.add_delta(dest_rect(mr));
+    for (const MoveRectangle& mr : scrolls) snapshot_.add_delta(mr.dest());
     for (const Rect& r : damage) snapshot_.add_delta(r);
   }
 
@@ -1085,15 +1062,7 @@ void AppHost::tick() {
   if (opts_.use_move_rectangle) {
     telemetry::ScopedSpan span(tel_->trace, "ah.scroll_detect");
     for (const ScrollMove& m : capturer_.detect_moves()) {
-      MoveRectangle mr;
-      mr.window_id = m.window;
-      mr.source_left = static_cast<std::uint32_t>(m.source.left);
-      mr.source_top = static_cast<std::uint32_t>(m.source.top);
-      mr.width = static_cast<std::uint32_t>(m.source.width);
-      mr.height = static_cast<std::uint32_t>(m.source.height);
-      mr.dest_left = static_cast<std::uint32_t>(m.dest.x);
-      mr.dest_top = static_cast<std::uint32_t>(m.dest.y);
-      scrolls.push_back(mr);
+      scrolls.push_back(MoveRectangle::from(m.window, m.source, m.dest));
     }
   }
 

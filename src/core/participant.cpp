@@ -420,12 +420,8 @@ void Participant::apply_region_update(const RegionUpdate& msg, const RtpPacket& 
 
 void Participant::apply_move_rectangle(const MoveRectangle& msg) {
   ++stats_.move_rectangles;
-  replica_.move_rect(
-      Rect{static_cast<std::int64_t>(msg.source_left),
-           static_cast<std::int64_t>(msg.source_top),
-           static_cast<std::int64_t>(msg.width), static_cast<std::int64_t>(msg.height)},
-      {static_cast<std::int64_t>(msg.dest_left),
-       static_cast<std::int64_t>(msg.dest_top)});
+  const Rect dest = msg.dest();
+  replica_.move_rect(msg.source(), {dest.left, dest.top});
 }
 
 void Participant::apply_pointer(const MousePointerInfo& msg) {

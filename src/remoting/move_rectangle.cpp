@@ -2,6 +2,17 @@
 
 namespace ads {
 
+MoveRectangle MoveRectangle::from(std::uint16_t window_id, const Rect& source,
+                                  Point dest) {
+  return {window_id,
+          static_cast<std::uint32_t>(source.left),
+          static_cast<std::uint32_t>(source.top),
+          static_cast<std::uint32_t>(source.width),
+          static_cast<std::uint32_t>(source.height),
+          static_cast<std::uint32_t>(dest.x),
+          static_cast<std::uint32_t>(dest.y)};
+}
+
 Bytes MoveRectangle::serialize() const {
   ByteWriter out(CommonHeader::kSize + 24);
   CommonHeader header;

@@ -4,6 +4,7 @@
 // and destination may overlap.
 #pragma once
 
+#include "image/geometry.hpp"
 #include "remoting/header.hpp"
 #include "util/bytes.hpp"
 
@@ -17,6 +18,14 @@ struct MoveRectangle {
   std::uint32_t height = 0;
   std::uint32_t dest_left = 0;
   std::uint32_t dest_top = 0;
+
+  /// The move of `window_id`'s `source` rectangle to top-left corner `dest`,
+  /// narrowed to the wire's unsigned 32-bit fields.
+  static MoveRectangle from(std::uint16_t window_id, const Rect& source, Point dest);
+  /// The rectangle the move copies from.
+  Rect source() const { return {source_left, source_top, width, height}; }
+  /// The rectangle the move copies to: source()'s extent at the destination.
+  Rect dest() const { return {dest_left, dest_top, width, height}; }
 
   /// Serialise including the common remoting/HIP header.
   Bytes serialize() const;

@@ -187,12 +187,8 @@ bool SessionReplayer::apply(const RawRecord& rec) {
     case RecordType::kMoveRect: {
       auto mr = MoveRectangle::parse(rec.payload);
       if (!mr.ok()) return false;
-      frame_.move_rect(Rect{static_cast<std::int64_t>(mr->source_left),
-                            static_cast<std::int64_t>(mr->source_top),
-                            static_cast<std::int64_t>(mr->width),
-                            static_cast<std::int64_t>(mr->height)},
-                       Point{static_cast<std::int64_t>(mr->dest_left),
-                             static_cast<std::int64_t>(mr->dest_top)});
+      const Rect dest = mr->dest();
+      frame_.move_rect(mr->source(), {dest.left, dest.top});
       ++stats_.move_rects_applied;
       return true;
     }

@@ -33,6 +33,14 @@ TEST(MoveRectangle, RoundTrip) {
   auto parsed = MoveRectangle::parse(sample().serialize());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, sample());
+  // The geometry a receiver replays: the source rect and the same-size
+  // destination rect.
+  EXPECT_EQ(parsed->source(), (Rect{100, 200, 50, 60}));
+  EXPECT_EQ(parsed->dest(), (Rect{100, 150, 50, 60}));
+  // The factory builds the same message from that geometry.
+  EXPECT_EQ(MoveRectangle::from(3, parsed->source(), Point{100, 150}), sample());
+  EXPECT_EQ(MoveRectangle::from(3, Rect{1, 2, 3, 4}, Point{5, 6}),
+            (MoveRectangle{3, 1, 2, 3, 4, 5, 6}));
 }
 
 TEST(MoveRectangle, OverlappingMoveIsLegal) {
