@@ -1,7 +1,6 @@
 #include "core/app_host.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -11,20 +10,6 @@
 
 namespace ads {
 namespace {
-
-/// Shared-encode cohort identity — the effective operating point.
-/// Participants agreeing on all five fields can share encoded band
-/// payloads byte-for-byte. The geometry fields (scale rung + resolved
-/// host-space source rect) split device classes into their own cohorts:
-/// a quarter-res tablet and a full-res desktop can never share bytes.
-struct CohortKey {
-  std::uint8_t content_pt = 0;
-  std::uint8_t quality = 0;  ///< ads::rate quality rung (cache-key value)
-  std::size_t mtu_payload = 0;
-  std::uint8_t scale_shift = 0;  ///< output geometry downscale rung
-  std::array<std::int64_t, 4> src{};  ///< resolved source rect {l,t,w,h}
-  friend auto operator<=>(const CohortKey&, const CohortKey&) = default;
-};
 
 /// S1 MoveRectangle geometry gate: a scroll is only replayable on a scaled
 /// view when both its source and destination rects land on whole output
@@ -725,7 +710,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
     bool send_mrs = false;
     ContentPt pt = ContentPt::kRaw;
     EncodeParams params;
-    CohortKey key;
+    snapshot::OperatingPointKey key;  ///< cohort and refresh-bundle key
     transcode::OutputGeometry geom;   ///< resolved output geometry
     std::vector<MoveRectangle> mrs;   ///< alignment-gated, output-space
     std::vector<Rect> bands;          ///< this participant's send queue
@@ -754,16 +739,13 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
     const bool adaptive_dct =
         opts_.link.adaptation.enabled && sp.pt == ContentPt::kDct;
     if (adaptive_dct) sp.params.dct_quality = op.dct_quality;
-    // The cohort key extends the operating point with the output geometry:
-    // scale rung plus the resolved host-space source rect (pre_send just
-    // refreshed p.geometry_src = source_rect(geom, fb)). Identity viewers
-    // all resolve to {0, fb}, so they keep sharing one cohort as before.
-    sp.key = CohortKey{static_cast<std::uint8_t>(sp.pt),
-                       op.quality_key(adaptive_dct),
-                       opts_.mtu_payload,
-                       geom.scale_shift,
-                       {p.geometry_src.left, p.geometry_src.top,
-                        p.geometry_src.width, p.geometry_src.height}};
+    // The operating point includes the output geometry: scale rung plus the
+    // resolved host-space source rect (pre_send just refreshed
+    // p.geometry_src = source_rect(geom, fb)). Identity viewers all resolve
+    // to {0, fb}, so they share one cohort and one refresh bundle.
+    sp.key = snapshot::OperatingPointKey{
+        static_cast<std::uint8_t>(sp.pt), op.quality_key(adaptive_dct),
+        opts_.mtu_payload, geom.scale_shift, p.geometry_src};
     if (p.needs_full_refresh) {
       // "image of the whole shared region" (§4.3). With the snapshot
       // service on, the whole join cohort is served from one pre-encoded
@@ -775,7 +757,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
       p.pending.clear();
       ++stats_.join_admissions;
       if (snapshot_.enabled()) {
-        sp.bundle = snapshot_admit(sp.pt, sp.key.quality, sp.params, geom);
+        sp.bundle = snapshot_admit(sp.key, sp.params, geom);
       }
       if (sp.bundle != nullptr) {
         ++stats_.join_shared_refreshes;
@@ -811,7 +793,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
   // of (pixels, codec, quality), so cohort-mates receive identical bytes.
   struct Cohort {
     std::vector<Rect> bands;  ///< distinct bands, first-seen order
-    std::map<std::array<std::int64_t, 4>, std::uint32_t> slot;
+    std::map<Rect, std::uint32_t> slot;
     std::vector<Bytes> payloads;
     /// Per-band fragment streams, serialised lazily on first member use
     /// (band_streams_built); every cohort member's packets are views into
@@ -823,7 +805,7 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
                                      ///< for every member by construction)
     std::uint64_t requested = 0;  ///< band sends across the cohort
   };
-  std::map<CohortKey, Cohort> cohorts;
+  std::map<snapshot::OperatingPointKey, Cohort> cohorts;
   for (SendPlan& sp : plan) {
     if (sp.bands.empty()) continue;
     Cohort& c = cohorts[sp.key];
@@ -832,9 +814,8 @@ void AppHost::distribute_shared(const std::vector<MoveRectangle>& scrolls,
     c.geom = sp.geom;
     sp.slots.reserve(sp.bands.size());
     for (const Rect& b : sp.bands) {
-      auto [it, inserted] = c.slot.try_emplace(
-          std::array<std::int64_t, 4>{b.left, b.top, b.width, b.height},
-          static_cast<std::uint32_t>(c.bands.size()));
+      auto [it, inserted] =
+          c.slot.try_emplace(b, static_cast<std::uint32_t>(c.bands.size()));
       if (inserted) c.bands.push_back(b);
       sp.slots.push_back(it->second);
     }
@@ -982,24 +963,17 @@ void AppHost::snapshot_stage(const std::vector<MoveRectangle>& scrolls,
 }
 
 snapshot::RefreshBundle* AppHost::snapshot_admit(
-    ContentPt pt, std::uint8_t quality, const EncodeParams& params,
+    const snapshot::OperatingPointKey& key, const EncodeParams& params,
     const transcode::OutputGeometry& geom) {
   const Image& frame = capturer_.last_frame();
-  const Rect fb = frame.bounds();
-  const Rect src = transcode::source_rect(geom, fb);
-  const bool native = geom.scale_shift == 0 && src == fb;
-  const snapshot::BundleKey key{
-      static_cast<std::uint8_t>(pt), quality, opts_.mtu_payload,
-      geom.scale_shift,
-      native ? std::array<std::int64_t, 4>{}
-             : std::array<std::int64_t, 4>{src.left, src.top, src.width,
-                                           src.height}};
+  const auto pt = static_cast<ContentPt>(key.content_pt);
   return snapshot_.admit(key, loop_.now(), [&](snapshot::RefreshBundle& b) {
     // Record the host-space source rect so the delta-fraction eviction
     // compares host-space delta against host-space area (bands below live
-    // in output space for scaled geometries).
-    b.source = native ? Rect{} : src;
-    b.bands = geometry_bands(geom, {fb});
+    // in output space for scaled geometries; a native bundle's bands cover
+    // exactly this rect).
+    b.source = key.source;
+    b.bands = geometry_bands(geom, {frame.bounds()});
     if (b.bands.empty()) return false;
     // The one checkpoint encode of this operating point's join cohort: the
     // bands run through the shared encoder (cache first, then the worker

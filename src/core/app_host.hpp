@@ -399,10 +399,10 @@ class AppHost {
   void snapshot_stage(const std::vector<MoveRectangle>& scrolls,
                       const std::vector<Rect>& damage);
   /// Fetch (building on first demand in the window) the refresh bundle for
-  /// one operating point. nullptr = serve this joiner through the
-  /// per-joiner §4.4 path instead (service disabled, bundle budget
-  /// exhausted, or build failure).
-  snapshot::RefreshBundle* snapshot_admit(ContentPt pt, std::uint8_t quality,
+  /// the operating point `key`, encoded with `params` in `geom`'s output
+  /// space. nullptr = serve this joiner through the per-joiner §4.4 path
+  /// instead (service disabled, bundle budget exhausted, or build failure).
+  snapshot::RefreshBundle* snapshot_admit(const snapshot::OperatingPointKey& key,
                                           const EncodeParams& params,
                                           const transcode::OutputGeometry& geom);
   /// Split rectangles into ≤ region_band_rows-row bands (the encode/cohort

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,6 +52,8 @@ struct Rect {
   }
 
   friend bool operator==(const Rect&, const Rect&) = default;
+  /// Lexicographic on (left, top, width, height), so rects can key maps.
+  friend auto operator<=>(const Rect&, const Rect&) = default;
 };
 
 /// Intersection; empty Rect when disjoint.

@@ -73,8 +73,8 @@ bool SnapshotService::note_demand(SimTime now) {
   return false;
 }
 
-RefreshBundle* SnapshotService::admit(const BundleKey& key, SimTime now,
-                                      const BuildFn& build) {
+RefreshBundle* SnapshotService::admit(const OperatingPointKey& key,
+                                      SimTime now, const BuildFn& build) {
   if (!opts_.enabled) return nullptr;
   if (!window_open_) {
     // Demand that reaches admission without a recorded PLI (e.g. a TCP

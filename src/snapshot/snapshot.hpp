@@ -34,7 +34,6 @@
 // tests drive it with synthetic builders.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -72,19 +71,20 @@ struct SnapshotOptions {
   std::string record_path;
 };
 
-/// Identity of one refresh bundle — the operating point whose members can
-/// share encoded refresh bytes. Mirrors the fan-out CohortKey, including the
-/// output geometry introduced by ROADMAP item 4: bundles for different
-/// device classes (scale rungs or viewport source rects) never mix.
-struct BundleKey {
+/// One operating point: participants that agree on every field can share
+/// encoded band bytes byte for byte. The AH's fan-out groups participants
+/// into encode cohorts by it and this service keys refresh bundles by it.
+/// The geometry fields split device classes: a quarter-res tablet and a
+/// full-res desktop (or two viewports) never share a cohort or a bundle.
+struct OperatingPointKey {
   std::uint8_t content_pt = 0;   ///< RegionUpdate codec payload type
   std::uint8_t quality = 0;      ///< ads::rate quality rung (cache-key value)
   std::size_t mtu_payload = 0;   ///< fragmentation threshold
   std::uint8_t scale_shift = 0;  ///< output geometry downscale rung (2^shift)
-  /// Resolved host-space source rect {left, top, width, height} streamed by
-  /// the geometry; all-zero = the whole frame (identity / plain rungs).
-  std::array<std::int64_t, 4> source{};
-  friend auto operator<=>(const BundleKey&, const BundleKey&) = default;
+  /// Resolved host-space source rect streamed by the geometry; always set
+  /// (the whole frame for identity views and plain rungs).
+  Rect source{};
+  friend auto operator<=>(const OperatingPointKey&, const OperatingPointKey&) = default;
 };
 
 /// One band of a bundle: the serialised RegionUpdate fragment stream in a
@@ -99,7 +99,7 @@ struct BundleBand {
 /// One pre-encoded, cohort-keyed refresh checkpoint. Built at most once per
 /// operating point per refresh window; served to every joiner of the wave.
 struct RefreshBundle {
-  BundleKey key;
+  OperatingPointKey key;
   SimTime built_at_us = 0;       ///< finalisation instant (window anchor)
   std::uint64_t checkpoint = 0;  ///< monotone id across the session
   std::vector<Rect> bands;       ///< band-split shared region (output space)
@@ -107,7 +107,7 @@ struct RefreshBundle {
   /// Host-space source rect the bundle's bands were scaled from. Bands live
   /// in output space while the delta accumulates host-space damage, so the
   /// delta-fraction eviction compares against this rect's area; empty =
-  /// native geometry (fall back to the band union).
+  /// none recorded (fall back to the band union).
   Rect source;
   Region delta;                  ///< damage accumulated since built_at_us
   std::uint64_t serves = 0;      ///< joiners served from this bundle
@@ -152,7 +152,8 @@ class SnapshotService {
   /// demand arriving in the same tick the bundle is finalised shares it.
   /// Returns nullptr when the service is disabled, the bundle budget is
   /// exhausted, or `build` fails (callers fall back to §4.4).
-  RefreshBundle* admit(const BundleKey& key, SimTime now, const BuildFn& build);
+  RefreshBundle* admit(const OperatingPointKey& key, SimTime now,
+                       const BuildFn& build);
 
   /// Accumulate one damage (or scroll-destination) rect into every live
   /// bundle's delta. Call once per tick per rect, before any admission.
@@ -192,7 +193,7 @@ class SnapshotService {
   void drop_bundles();
 
   SnapshotOptions opts_;
-  std::map<BundleKey, RefreshBundle> bundles_;
+  std::map<OperatingPointKey, RefreshBundle> bundles_;
   bool window_open_ = false;
   SimTime window_anchor_us_ = 0;  ///< open instant, re-anchored per build
   std::uint64_t next_checkpoint_ = 1;

@@ -50,8 +50,9 @@ inline constexpr std::uint8_t kMaxScaleShift = 6;
 
 /// One cohort's output geometry: a power-of-two downscale rung plus an
 /// optional host-space viewport. Default-constructed = identity (full frame,
-/// native resolution). Part of the fan-out cohort key and the snapshot
-/// BundleKey, so it is ordered and cheap to compare.
+/// native resolution). The operating-point key (snapshot::OperatingPointKey)
+/// that groups fan-out cohorts and refresh bundles holds its scale rung and
+/// its resolved source rect, which is always set.
 struct OutputGeometry {
   /// Downscale exponent: each axis shrinks by 2^scale_shift (0 = native).
   std::uint8_t scale_shift = 0;

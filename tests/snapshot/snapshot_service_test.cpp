@@ -37,8 +37,8 @@ SnapshotService::BuildFn make_builder(buf::BufPool& pool, int* builds = nullptr)
   };
 }
 
-constexpr BundleKey kKeyA{98, 0, 1200};
-constexpr BundleKey kKeyB{102, 3, 1200};
+constexpr OperatingPointKey kKeyA{98, 0, 1200};
+constexpr OperatingPointKey kKeyB{102, 3, 1200};
 
 TEST(SnapshotOptionsTest, ValidatedClampsNonsenseAndThrowsOnImpossible) {
   SnapshotOptions o;
