@@ -290,13 +290,17 @@ bool AppHost::participant_stale(ParticipantId id) const {
   return it != participants_.end() && it->second.stale;
 }
 
+AppHost::ParticipantState* AppHost::stream_state(ParticipantId id) {
+  auto alias = member_alias_.find(id);
+  auto it = participants_.find(alias == member_alias_.end() ? id : alias->second);
+  return it == participants_.end() ? nullptr : &it->second;
+}
+
 void AppHost::touch_liveness(ParticipantId from) {
-  auto alias = member_alias_.find(from);
-  const ParticipantId id = alias == member_alias_.end() ? from : alias->second;
-  auto it = participants_.find(id);
-  if (it == participants_.end()) return;
-  it->second.last_uplink_us = loop_.now();
-  it->second.stale = false;
+  ParticipantState* p = stream_state(from);
+  if (p == nullptr) return;
+  p->last_uplink_us = loop_.now();
+  p->stale = false;
 }
 
 void AppHost::sweep_liveness() {
@@ -348,11 +352,9 @@ ParticipantId AppHost::add_member_alias(ParticipantId group) {
 }
 
 const ReportBlock* AppHost::last_receiver_report(ParticipantId id) const {
-  auto alias = member_alias_.find(id);
-  const ParticipantId key = alias == member_alias_.end() ? id : alias->second;
-  auto it = participants_.find(key);
-  if (it == participants_.end() || !it->second.link.last_report()) return nullptr;
-  return &*it->second.link.last_report();
+  const ParticipantState* p = const_cast<AppHost*>(this)->stream_state(id);
+  if (p == nullptr || !p->link.last_report()) return nullptr;
+  return &*p->link.last_report();
 }
 
 const rate::OperatingPoint* AppHost::participant_operating_point(
@@ -1118,18 +1120,15 @@ void AppHost::on_uplink_packet(ParticipantId from, BytesView packet) {
 }
 
 void AppHost::handle_rtcp(ParticipantId from, BytesView packet) {
-  // Multicast members alias to their group's stream state.
-  auto alias = member_alias_.find(from);
-  const ParticipantId stream_id = alias == member_alias_.end() ? from : alias->second;
-  auto it = participants_.find(stream_id);
-  if (it == participants_.end()) return;
+  ParticipantState* p = stream_state(from);
+  if (p == nullptr) return;
 
   // A relay leg ships its aggregated feedback as one RFC 3550 compound
   // datagram (RR + pending NACK); a lone PLI/RR/NACK parses as a compound
   // of one, so both arrivals share this loop.
   auto msgs = parse_rtcp_compound(packet);
   if (!msgs.ok()) return;
-  for (const RtcpMessage& msg : *msgs) handle_rtcp_message(it->second, msg);
+  for (const RtcpMessage& msg : *msgs) handle_rtcp_message(*p, msg);
 }
 
 void AppHost::handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg) {
@@ -1185,16 +1184,10 @@ void AppHost::handle_hip(ParticipantId from, BytesView payload) {
   // so the §4.1 legitimacy check and the input sink both operate on real
   // desktop pixels (a quarter-res click on output (x, y) lands on the
   // centre of the 2^s × 2^s host block it covers).
-  {
-    auto alias = member_alias_.find(from);
-    const ParticipantId pid =
-        alias == member_alias_.end() ? from : alias->second;
-    auto pit = participants_.find(pid);
-    if (pit != participants_.end()) {
-      const transcode::OutputGeometry geom = resolve_geometry(pit->second);
-      if (hip::map_to_host(*msg, geom, capturer_.last_frame().bounds())) {
-        ++stats_.hip_events_mapped;
-      }
+  if (const ParticipantState* p = stream_state(from)) {
+    if (hip::map_to_host(*msg, resolve_geometry(*p),
+                         capturer_.last_frame().bounds())) {
+      ++stats_.hip_events_mapped;
     }
   }
 
@@ -1234,13 +1227,10 @@ void AppHost::handle_bfcp(ParticipantId from, BytesView packet) {
   for (const BfcpMessage& response : responses) {
     // Multicast members receive BFCP responses via their group stream and
     // filter by the user_id field.
-    auto alias = member_alias_.find(response.user_id);
-    const ParticipantId target =
-        alias == member_alias_.end() ? response.user_id : alias->second;
-    auto it = participants_.find(target);
-    if (it == participants_.end()) continue;
+    ParticipantState* p = stream_state(response.user_id);
+    if (p == nullptr) continue;
     stats_.payload_bytes_copied +=
-        it->second.link.egress().send_control(response.serialize());
+        p->link.egress().send_control(response.serialize());
   }
 }
 

@@ -437,6 +437,9 @@ class AppHost {
                          const std::vector<Rect>& damage);
   void send_move_rectangle(ParticipantState& p, const MoveRectangle& mr);
   void send_pointer(ParticipantState& p, bool include_icon);
+  /// The stream state serving `id`: its own, or its multicast group's when
+  /// `id` is a member alias. Null when there is none.
+  ParticipantState* stream_state(ParticipantId id);
   void handle_rtcp(ParticipantId from, BytesView packet);
   /// Apply one sub-packet of a (possibly compound) RTCP datagram to `p`.
   void handle_rtcp_message(ParticipantState& p, const RtcpMessage& msg);
