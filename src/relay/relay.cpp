@@ -338,12 +338,7 @@ void RelayNode::queue_gap_nacks() {
 void RelayNode::arm_nack_flush() {
   if (nack_flush_armed_) return;
   nack_flush_armed_ = true;
-  loop_.after(opts_.nack_flush_us,
-              [this, alive = std::weak_ptr<int>(alive_)] {
-                if (alive.expired()) return;
-                nack_flush_armed_ = false;
-                flush_nacks();
-              });
+  after(opts_.nack_flush_us, &RelayNode::flush_nacks);
 }
 
 void RelayNode::collect_pending_nack(std::vector<RtcpMessage>& msgs) {
@@ -362,6 +357,7 @@ void RelayNode::collect_pending_nack(std::vector<RtcpMessage>& msgs) {
 }
 
 void RelayNode::flush_nacks() {
+  nack_flush_armed_ = false;
   // Quiesced: no repairs cross an epoch.
   if (frozen() || stopped_ || !send_upstream_) return;
   std::vector<RtcpMessage> msgs;
@@ -392,10 +388,7 @@ void RelayNode::handle_leg_pli() {
       return;
     }
     pli_batch_armed_ = true;
-    loop_.after(opts_.pli_batch_us, [this, alive = std::weak_ptr<int>(alive_)] {
-      if (alive.expired()) return;
-      flush_pli_batch();
-    });
+    after(opts_.pli_batch_us, &RelayNode::flush_pli_batch);
     return;
   }
   send_pli_upstream(now);
@@ -425,29 +418,26 @@ void RelayNode::send_pli_upstream(SimTime now) {
 
 // ----- periodic aggregation -------------------------------------------
 
+void RelayNode::after(SimTime delay, void (RelayNode::*fn)()) {
+  loop_.after(delay, [this, fn, alive = std::weak_ptr<int>(alive_)] {
+    if (!alive.expired()) (this->*fn)();
+  });
+}
+
 void RelayNode::start() {
   if (started_) return;
   started_ = true;
   stopped_ = false;
-  loop_.after(opts_.report_interval_us,
-              [this, alive = std::weak_ptr<int>(alive_)] {
-                if (alive.expired()) return;
-                report_tick();
-              });
+  after(opts_.report_interval_us, &RelayNode::report_tick);
 }
 
 void RelayNode::stop() {
   started_ = false;
   if (stopped_) return;  // already quiesced; don't double-count the drop
   stopped_ = true;
-  // Quiesce every deferred repair: pending NACK batches, their holdoff
-  // windows and the PLI coalesce window die here, and dropping the cache
-  // guarantees a stopped node can never answer a NACK with a stale repair.
-  repairs_.clear();
-  pli_sent_ever_ = false;
-  last_pli_up_us_ = 0;
-  pli_batch_armed_ = false;  // an in-flight batch timer no-ops on expiry
-  drop_cache();
+  // Dropping the cache guarantees a stopped node can never answer a NACK
+  // with a stale repair.
+  reset_repair();
   // The liveness watchdog disarms with the node (any in-flight timer
   // no-ops via the stopped_ check); per-leg gauges withdraw at the next
   // snapshot via the same flag.
@@ -459,11 +449,7 @@ void RelayNode::report_tick() {
   if (stalled_) {
     // Wedged: no adaptation, no reports; keep the interval alive so the
     // node resumes cleanly when the stall clears.
-    loop_.after(opts_.report_interval_us,
-                [this, alive = std::weak_ptr<int>(alive_)] {
-                  if (alive.expired()) return;
-                  report_tick();
-                });
+    after(opts_.report_interval_us, &RelayNode::report_tick);
     return;
   }
   const SimTime now = loop_.now();
@@ -491,13 +477,7 @@ void RelayNode::report_tick() {
     send_upstream_(serialize_rtcp_compound(msgs));
   }
 
-  if (started_) {
-    loop_.after(opts_.report_interval_us,
-                [this, alive = std::weak_ptr<int>(alive_)] {
-                  if (alive.expired()) return;
-                  report_tick();
-                });
-  }
+  if (started_) after(opts_.report_interval_us, &RelayNode::report_tick);
 }
 
 bool RelayNode::upstream_report(std::vector<RtcpMessage>& msgs) {
@@ -538,14 +518,18 @@ void RelayNode::drop_cache() {
   cache_ = RetransmissionCache(opts_.retransmission_cache);
 }
 
-void RelayNode::begin_upstream_epoch() {
-  ++epoch_;
-  drop_cache();
-  receiver_ = RtpReceiver{};
+void RelayNode::reset_repair() {
   repairs_.clear();
   pli_sent_ever_ = false;
   last_pli_up_us_ = 0;
-  pli_batch_armed_ = false;  // a cross-epoch wave must not demand a refresh
+  pli_batch_armed_ = false;  // an in-flight batch timer no-ops on expiry
+  drop_cache();
+}
+
+void RelayNode::begin_upstream_epoch() {
+  ++epoch_;
+  reset_repair();  // a cross-epoch wave must not demand a refresh
+  receiver_ = RtpReceiver{};
   have_upstream_ssrc_ = false;
   upstream_ssrc_ = 0;
 }
@@ -559,14 +543,11 @@ void RelayNode::on_upstream_activity() {
 void RelayNode::arm_watchdog(SimTime delay) {
   if (watchdog_armed_ || stopped_ || opts_.upstream_timeout_us == 0) return;
   watchdog_armed_ = true;
-  loop_.after(delay, [this, alive = std::weak_ptr<int>(alive_)] {
-    if (alive.expired()) return;
-    watchdog_armed_ = false;
-    watchdog_tick();
-  });
+  after(delay, &RelayNode::watchdog_tick);
 }
 
 void RelayNode::watchdog_tick() {
+  watchdog_armed_ = false;
   if (stopped_ || orphaned_ || opts_.upstream_timeout_us == 0) return;
   if (stalled_) {
     // The freeze is local (chaos kRelayStall), not the parent's fault —

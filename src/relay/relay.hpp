@@ -373,10 +373,15 @@ class RelayNode {
   /// (rate-limited) gauges, the gauges as 0 when `withdrawn` (stopped node,
   /// departed leg).
   void publish_leg(LegId id, const LegState& leg, bool withdrawn);
-  /// Reset every per-epoch upstream structure: receiver/probation and SR
-  /// state, the retransmission cache, pending NACK/PLI holdoff windows and
-  /// the learned SSRC. Shared by SSRC-change detection, failover
-  /// adoption and stop().
+  /// Run member `fn` after `delay` unless the node is destroyed first.
+  void after(SimTime delay, void (RelayNode::*fn)());
+  /// Quiesce every deferred repair: the repair map (queued and requested
+  /// NACKs), the PLI coalesce window and batch, and the retransmission
+  /// cache. Shared by stop() and begin_upstream_epoch().
+  void reset_repair();
+  /// Reset every per-epoch upstream structure: reset_repair() plus the
+  /// receiver/probation and SR state and the learned SSRC. Shared by
+  /// SSRC-change detection and failover adoption.
   void begin_upstream_epoch();
   /// Drop the cache, counting the discarded entries.
   void drop_cache();
