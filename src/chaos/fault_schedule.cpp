@@ -48,6 +48,22 @@ std::size_t FaultSchedule::add_episode(FaultClass kind, SimTime start,
   return episodes_.size() - 1;
 }
 
+void FaultSchedule::episode(FaultClass kind, SimTime start, SimTime duration,
+                            std::function<void()> on, std::function<void()> off) {
+  // Without `off` the fault never clears: end == start marks the episode
+  // permanent (all_clear_at() skips it).
+  add_episode(kind, start, off ? start + duration : start);
+  loop_.at(start, [this, kind, on = std::move(on)] {
+    begin_episode(kind);
+    on();
+  });
+  if (!off) return;
+  loop_.at(start + duration, [this, off = std::move(off)] {
+    off();
+    end_episode();
+  });
+}
+
 void FaultSchedule::begin_episode(FaultClass kind) {
   ++started_;
   ++active_;
@@ -85,30 +101,20 @@ SimTime FaultSchedule::all_clear_at() const {
 
 void FaultSchedule::blackout(UdpChannel& link, SimTime start, SimTime duration,
                              double restore_loss) {
-  add_episode(FaultClass::kBlackout, start, start + duration);
-  loop_.at(start, [this, &link] {
-    begin_episode(FaultClass::kBlackout);
-    link.set_loss(1.0);
-  });
-  loop_.at(start + duration, [this, &link, restore_loss] {
-    link.set_loss(restore_loss);
-    end_episode();
-  });
+  episode(FaultClass::kBlackout, start, duration, [&link] { link.set_loss(1.0); },
+          [&link, restore_loss] { link.set_loss(restore_loss); });
 }
 
 void FaultSchedule::burst_loss(UdpChannel& link, SimTime start, SimTime duration,
                                GilbertElliott ge, double restore_loss) {
-  const std::size_t idx = add_episode(FaultClass::kBurstLoss, start, start + duration);
   const SimTime end = start + duration;
-  auto chain_rng = std::make_shared<Prng>(episode_seed(seed_, idx));
-  loop_.at(start, [this, &link, chain_rng, end, ge] {
-    begin_episode(FaultClass::kBurstLoss);
-    burst_step(link, chain_rng, end, ge, /*bad=*/true);
-  });
-  loop_.at(end, [this, &link, restore_loss] {
-    link.set_loss(restore_loss);
-    end_episode();
-  });
+  // Seeded by the index episode() records this episode under.
+  auto chain_rng = std::make_shared<Prng>(episode_seed(seed_, episodes_.size()));
+  episode(FaultClass::kBurstLoss, start, duration,
+          [this, &link, chain_rng, end, ge] {
+            burst_step(link, chain_rng, end, ge, /*bad=*/true);
+          },
+          [&link, restore_loss] { link.set_loss(restore_loss); });
 }
 
 void FaultSchedule::burst_step(UdpChannel& link, std::shared_ptr<Prng> rng,
@@ -128,83 +134,43 @@ void FaultSchedule::bandwidth_collapse(UdpChannel& link, SimTime start,
                                        SimTime duration,
                                        std::uint64_t collapsed_bps,
                                        std::uint64_t restore_bps) {
-  add_episode(FaultClass::kBandwidthCollapse, start, start + duration);
-  loop_.at(start, [this, &link, collapsed_bps] {
-    begin_episode(FaultClass::kBandwidthCollapse);
-    link.set_bandwidth(collapsed_bps);
-  });
-  loop_.at(start + duration, [this, &link, restore_bps] {
-    link.set_bandwidth(restore_bps);
-    end_episode();
-  });
+  episode(FaultClass::kBandwidthCollapse, start, duration,
+          [&link, collapsed_bps] { link.set_bandwidth(collapsed_bps); },
+          [&link, restore_bps] { link.set_bandwidth(restore_bps); });
 }
 
 void FaultSchedule::bandwidth_collapse(TcpChannel& link, SimTime start,
                                        SimTime duration,
                                        std::uint64_t collapsed_bps,
                                        std::uint64_t restore_bps) {
-  add_episode(FaultClass::kBandwidthCollapse, start, start + duration);
-  loop_.at(start, [this, &link, collapsed_bps] {
-    begin_episode(FaultClass::kBandwidthCollapse);
-    link.set_bandwidth(collapsed_bps);
-  });
-  loop_.at(start + duration, [this, &link, restore_bps] {
-    link.set_bandwidth(restore_bps);
-    end_episode();
-  });
+  episode(FaultClass::kBandwidthCollapse, start, duration,
+          [&link, collapsed_bps] { link.set_bandwidth(collapsed_bps); },
+          [&link, restore_bps] { link.set_bandwidth(restore_bps); });
 }
 
 void FaultSchedule::stall(TcpChannel& link, SimTime start, SimTime duration) {
-  add_episode(FaultClass::kStall, start, start + duration);
-  loop_.at(start, [this, &link] {
-    begin_episode(FaultClass::kStall);
-    link.set_stalled(true);
-  });
-  loop_.at(start + duration, [this, &link] {
-    link.set_stalled(false);
-    end_episode();
-  });
+  episode(FaultClass::kStall, start, duration, [&link] { link.set_stalled(true); },
+          [&link] { link.set_stalled(false); });
 }
 
 void FaultSchedule::drop(TcpChannel& link, SimTime at) {
-  add_episode(FaultClass::kDrop, at, at);
-  loop_.at(at, [this, &link] {
-    begin_episode(FaultClass::kDrop);
-    link.drop();
-  });
+  episode(FaultClass::kDrop, at, 0, [&link] { link.drop(); }, nullptr);
 }
 
 void FaultSchedule::relay_crash(SimTime at, SimTime down_for,
                                 std::function<void()> kill,
                                 std::function<void()> restart) {
-  // Without a restart the node never comes back: end == start marks the
-  // episode permanent (all_clear_at() skips it, like kDrop).
-  const bool permanent = restart == nullptr;
-  add_episode(FaultClass::kRelayCrash, at, permanent ? at : at + down_for);
-  loop_.at(at, [this, kill = std::move(kill)] {
-    begin_episode(FaultClass::kRelayCrash);
-    kill();
-  });
-  if (!permanent) {
-    loop_.at(at + down_for, [this, restart = std::move(restart)] {
-      restart();
-      end_episode();
-    });
-  }
+  // Without a restart the node never comes back and the episode is
+  // permanent, like kDrop.
+  episode(FaultClass::kRelayCrash, at, down_for, std::move(kill),
+          std::move(restart));
 }
 
 void FaultSchedule::relay_stall(SimTime start, SimTime duration,
                                 std::function<void(bool)> set_stalled) {
-  add_episode(FaultClass::kRelayStall, start, start + duration);
-  auto shared = std::make_shared<std::function<void(bool)>>(std::move(set_stalled));
-  loop_.at(start, [this, shared] {
-    begin_episode(FaultClass::kRelayStall);
-    (*shared)(true);
-  });
-  loop_.at(start + duration, [this, shared] {
-    (*shared)(false);
-    end_episode();
-  });
+  episode(FaultClass::kRelayStall, start, duration,
+          [set_stalled] { set_stalled(true); },
+          [set_stalled] { set_stalled(false); });
 }
 
 void FaultSchedule::join_flood(SimTime start, SimTime window, std::size_t count,
@@ -232,9 +198,9 @@ void FaultSchedule::join_flood(SimTime start, SimTime window, std::size_t count,
   loop_.at(start + window, [this] { end_episode(); });
 }
 
-void FaultSchedule::script_random(UdpChannel& link,
-                                  const RandomScheduleOptions& opts) {
-  const std::uint64_t base_bps = link.bandwidth_bps();
+void FaultSchedule::script_windows(
+    const RandomScheduleOptions& opts,
+    const std::function<void(SimTime, SimTime)>& place) {
   SimTime cursor = opts.start_us;
   for (int i = 0; i < opts.max_episodes; ++i) {
     const SimTime gap = opts.min_gap_us +
@@ -244,46 +210,38 @@ void FaultSchedule::script_random(UdpChannel& link,
         rng_.below(opts.max_duration_us - opts.min_duration_us + 1);
     if (cursor + gap + duration > opts.horizon_us) break;
     cursor += gap;
-    switch (rng_.below(3)) {
-      case 0:
-        blackout(link, cursor, duration);
-        break;
-      case 1:
-        burst_loss(link, cursor, duration);
-        break;
-      default:
-        // A collapse on an unlimited link would be a no-op contract change;
-        // fall back to a blackout there.
-        if (base_bps > 0) {
-          bandwidth_collapse(link, cursor, duration, opts.collapsed_bps, base_bps);
-        } else {
-          blackout(link, cursor, duration);
-        }
-        break;
-    }
+    place(cursor, duration);
     cursor += duration;
   }
+}
+
+void FaultSchedule::script_random(UdpChannel& link,
+                                  const RandomScheduleOptions& opts) {
+  const std::uint64_t base_bps = link.bandwidth_bps();
+  script_windows(opts, [&](SimTime start, SimTime duration) {
+    const std::uint64_t kind = rng_.below(3);
+    if (kind == 1) {
+      burst_loss(link, start, duration);
+    } else if (kind == 2 && base_bps > 0) {
+      bandwidth_collapse(link, start, duration, opts.collapsed_bps, base_bps);
+    } else {
+      // A collapse on an unlimited link would be a no-op contract change;
+      // it falls back to a blackout there.
+      blackout(link, start, duration);
+    }
+  });
 }
 
 void FaultSchedule::script_random(TcpChannel& link,
                                   const RandomScheduleOptions& opts) {
   const std::uint64_t base_bps = link.bandwidth_bps();
-  SimTime cursor = opts.start_us;
-  for (int i = 0; i < opts.max_episodes; ++i) {
-    const SimTime gap = opts.min_gap_us +
-                        rng_.below(opts.max_gap_us - opts.min_gap_us + 1);
-    const SimTime duration =
-        opts.min_duration_us +
-        rng_.below(opts.max_duration_us - opts.min_duration_us + 1);
-    if (cursor + gap + duration > opts.horizon_us) break;
-    cursor += gap;
+  script_windows(opts, [&](SimTime start, SimTime duration) {
     if (rng_.below(2) == 0) {
-      stall(link, cursor, duration);
+      stall(link, start, duration);
     } else {
-      bandwidth_collapse(link, cursor, duration, opts.collapsed_bps, base_bps);
+      bandwidth_collapse(link, start, duration, opts.collapsed_bps, base_bps);
     }
-    cursor += duration;
-  }
+  });
 }
 
 }  // namespace ads::chaos

@@ -34,6 +34,7 @@ struct GilbertElliott {
   SimTime mean_bad_us = 60'000;    ///< mean sojourn in the bad state
 };
 
+/// What one fault episode does, and to which kind of link or node.
 enum class FaultClass : std::uint8_t {
   kBlackout,           ///< 100% loss window (UDP)
   kBurstLoss,          ///< Gilbert–Elliott episode (UDP)
@@ -45,6 +46,8 @@ enum class FaultClass : std::uint8_t {
   kJoinFlood,          ///< flash crowd: a wave of late joiners in one window
 };
 
+/// Short name of a fault class, as used in the chaos.<name>_episodes
+/// counters.
 const char* fault_class_name(FaultClass c);
 
 /// One scheduled episode, for introspection and convergence deadlines.
@@ -70,6 +73,9 @@ struct RandomScheduleOptions {
   std::uint64_t collapsed_bps = 400'000;  ///< rate during a collapse
 };
 
+/// Scripts fault episodes onto links and relay nodes at virtual-clock
+/// instants, from explicit calls or from a seeded random layout, and counts
+/// them as they start and clear.
 class FaultSchedule {
  public:
   /// `seed` drives every stochastic choice the schedule makes. When `tel`
@@ -94,6 +100,7 @@ class FaultSchedule {
   /// channels; a dead link is blackout() (UDP) or stall() (TCP).
   void bandwidth_collapse(UdpChannel& link, SimTime start, SimTime duration,
                           std::uint64_t collapsed_bps, std::uint64_t restore_bps);
+  /// As above, on a TCP link.
   void bandwidth_collapse(TcpChannel& link, SimTime start, SimTime duration,
                           std::uint64_t collapsed_bps, std::uint64_t restore_bps);
 
@@ -138,18 +145,36 @@ class FaultSchedule {
   void script_random(TcpChannel& link, const RandomScheduleOptions& opts = {});
 
   // ---- introspection ----
+  /// Every episode scripted so far, in scripting order.
   const std::vector<FaultEpisode>& episodes() const { return episodes_; }
   /// Instant by which every self-clearing episode has cleared (0 when
   /// nothing is scheduled). Drops never clear and are excluded.
   SimTime all_clear_at() const;
+  /// Episodes whose start instant has passed.
   std::size_t episodes_started() const { return started_; }
+  /// Episodes whose fault has cleared.
   std::size_t episodes_cleared() const { return cleared_; }
+  /// Episodes started and not yet cleared (permanent ones stay active).
   std::size_t active_episodes() const { return active_; }
 
  private:
+  /// Record one episode; returns its index in episodes().
   std::size_t add_episode(FaultClass kind, SimTime start, SimTime end);
+  /// Record and schedule one episode: at `start` begin it and run `on`, at
+  /// start + duration run `off` and end it. Without `off` the fault is
+  /// permanent: recorded with end == start and never cleared.
+  void episode(FaultClass kind, SimTime start, SimTime duration,
+               std::function<void()> on, std::function<void()> off);
+  /// Count an episode as started (and in telemetry).
   void begin_episode(FaultClass kind);
+  /// Count an episode as cleared (and in telemetry).
   void end_episode();
+  /// Lay out the random schedule: draw each episode's healthy gap and then
+  /// its duration from rng_, and hand its window to `place(start,
+  /// duration)`, until max_episodes or an episode would end past the
+  /// horizon.
+  void script_windows(const RandomScheduleOptions& opts,
+                      const std::function<void(SimTime, SimTime)>& place);
   /// One Gilbert–Elliott state flip; reschedules itself until `end`.
   void burst_step(UdpChannel& link, std::shared_ptr<Prng> rng, SimTime end,
                   GilbertElliott ge, bool bad);
