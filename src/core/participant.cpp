@@ -49,19 +49,17 @@ void Participant::set_user_id(std::uint16_t id) {
 }
 
 void Participant::request_floor() {
-  BfcpMessage msg;
-  msg.primitive = BfcpPrimitive::kFloorRequest;
-  msg.conference_id = 1;
-  msg.transaction_id = next_transaction_++;
-  msg.user_id = opts_.user_id;
-  msg.floor_id = 0;
   floor_pending_ = true;
-  send_packet(msg.serialize());
+  send_floor_message(BfcpPrimitive::kFloorRequest);
 }
 
 void Participant::release_floor() {
+  send_floor_message(BfcpPrimitive::kFloorRelease);
+}
+
+void Participant::send_floor_message(BfcpPrimitive primitive) {
   BfcpMessage msg;
-  msg.primitive = BfcpPrimitive::kFloorRelease;
+  msg.primitive = primitive;
   msg.conference_id = 1;
   msg.transaction_id = next_transaction_++;
   msg.user_id = opts_.user_id;
@@ -230,9 +228,9 @@ void Participant::schedule_loss_recovery() {
 }
 
 void Participant::recover_from_loss() {
-  // Fragments behind the gap are unrecoverable: flush what is buffered,
-  // jump the delivery cursor past everything seen so far, drop partial
-  // reassembly state, and ask for a full refresh (§5.3.1).
+  // Fragments behind the gap are unrecoverable: drop partial reassembly
+  // state, flush what is buffered, jump the delivery cursor past everything
+  // seen so far, and ask for a full refresh (§5.3.1).
   auto flushed = reorder_.flush_all();
   stats_.gaps_skipped += 1;
   demux_.reset();
@@ -241,7 +239,6 @@ void Participant::recover_from_loss() {
   receiver_.reset_losses();
   nack_rounds_ = 0;
   nack_attempts_.clear();
-  demux_.reset();
   request_refresh();
 }
 

@@ -196,6 +196,7 @@ class Participant {
  private:
   void send_packet(BytesView packet);
   void send_hip(const HipMessage& msg);
+  void send_floor_message(BfcpPrimitive primitive);
   void handle_packet(BytesView packet);
   void handle_rtp(RtpPacket pkt);
   void deliver(const RtpPacket& pkt);
