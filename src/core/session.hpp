@@ -93,7 +93,8 @@ class SharingSession {
 
   /// Successful reconnect_tcp() calls so far.
   std::uint64_t reconnects() const { return reconnects_; }
-  /// Links severed by drop_tcp() or eviction so far.
+  /// TCP links severed by drop_tcp() so far. Liveness evictions count in
+  /// evicted_connections() instead.
   std::uint64_t dropped_links() const { return dropped_links_; }
   /// Connections torn down by the AH liveness sweep so far.
   std::uint64_t evicted_connections() const { return evicted_connections_; }

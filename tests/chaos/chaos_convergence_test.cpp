@@ -352,6 +352,7 @@ TEST(ChaosConvergence, SilentParticipantIsEvictedAndStateReclaimed) {
     EXPECT_EQ(snap.gauge("liveness.stale"), 0);     // the stale peer is gone
     EXPECT_EQ(snap.gauge("ah.participants"), 1);    // state reclaimed
     EXPECT_EQ(snap.counter("recovery.evicted_connections"), 1u);
+    EXPECT_EQ(snap.counter("recovery.dropped_links"), 0u);  // not a drop_tcp()
   }
   EXPECT_EQ(session.host().participant_count(), 1u);
   // The doomed connection's channels were torn down by the session hook.
