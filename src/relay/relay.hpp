@@ -347,7 +347,8 @@ class RelayNode {
   void queue_gap_nacks();
   /// Arm the nack_flush_us timer if pending requests exist and it is idle.
   void arm_nack_flush();
-  /// Send one deduplicated upstream NACK for everything pending.
+  /// nack_flush_us expiry: disarm, then send one deduplicated upstream
+  /// NACK for everything pending.
   void flush_nacks();
   /// Append the pending NACK (if any) to `msgs`, moving queued entries to
   /// requested; used by both the flush timer and the report tick.
@@ -389,7 +390,8 @@ class RelayNode {
   void on_upstream_activity();
   /// Arm the liveness timer unless already armed or detection is off.
   void arm_watchdog(SimTime delay);
-  /// One watchdog expiry: sleep out residual activity, probe, or declare.
+  /// One watchdog expiry: disarm, then sleep out residual activity, probe,
+  /// or declare.
   void watchdog_tick();
   /// Escalation end: mark the node orphaned and fire the lost callback.
   void declare_upstream_dead();
