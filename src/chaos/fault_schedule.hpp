@@ -46,7 +46,7 @@ enum class FaultClass : std::uint8_t {
   kJoinFlood,          ///< flash crowd: a wave of late joiners in one window
 };
 
-/// Short name of a fault class, as used in the chaos.<name>_episodes
+/// Short name of a fault class, as used in the `chaos.<name>_episodes`
 /// counters.
 const char* fault_class_name(FaultClass c);
 
