@@ -228,17 +228,21 @@ void Participant::schedule_loss_recovery() {
 }
 
 void Participant::recover_from_loss() {
-  // Fragments behind the gap are unrecoverable: drop partial reassembly
-  // state, flush what is buffered, jump the delivery cursor past everything
-  // seen so far, and ask for a full refresh (§5.3.1).
+  // Fragments behind the gap are unrecoverable: flush what is buffered,
+  // jump the delivery cursor past everything seen so far, drop partial
+  // reassembly state, and ask for a full refresh (§5.3.1).
   auto flushed = reorder_.flush_all();
   stats_.gaps_skipped += 1;
+  // Nothing from before the head gap may be stitched to the flushed run.
   demux_.reset();
   for (RtpPacket& p : flushed) deliver(p);
   reorder_.reset_to(static_cast<std::uint16_t>(receiver_.highest_sequence() + 1));
   receiver_.reset_losses();
   nack_rounds_ = 0;
   nack_attempts_.clear();
+  // The flush skips gaps inside the held run too: a message it opened may
+  // be missing a chunk, so nothing after recovery may complete it.
+  demux_.reset();
   request_refresh();
 }
 

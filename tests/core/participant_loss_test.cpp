@@ -2,7 +2,8 @@
 // RegionUpdate is abandoned, the demultiplexer is reset and the buffered
 // continuation fragments behind the gap are flushed through it; they are
 // counted as orphan_fragments, and decode_errors stays reserved for
-// malformed payloads.
+// malformed payloads. A message opened by the flushed fragments is dropped
+// after the flush, since the flush skips any gaps inside the held run.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -47,6 +48,14 @@ RegionUpdate noisy_region() {
   return msg;
 }
 
+RegionUpdate tiny_region() {
+  RegionUpdate msg;
+  msg.window_id = 1;
+  msg.content_pt = static_cast<std::uint8_t>(ContentPt::kPng);
+  msg.content = png_encode(Image(2, 2));
+  return msg;
+}
+
 TEST(ParticipantLoss, SkippedGapInsideARegionUpdateCountsOrphansNotDecodeErrors) {
   EventLoop loop;
   ParticipantOptions opts;
@@ -76,6 +85,38 @@ TEST(ParticipantLoss, SkippedGapInsideARegionUpdateCountsOrphansNotDecodeErrors)
   for (const Bytes& pkt : packets_for(msg, next_seq, 9900)) p.on_datagram(pkt);
   EXPECT_EQ(p.stats().region_updates, 1u);
   EXPECT_EQ(p.stats().decode_errors, 0u);
+}
+
+TEST(ParticipantLoss, MessageOpenedByFlushedFragmentsIsDroppedAcrossAnInnerGap) {
+  EventLoop loop;
+  ParticipantOptions opts;
+  opts.screen_width = 64;
+  opts.screen_height = 64;
+  opts.send_nacks = false;
+  Participant p(loop, opts);
+
+  // Seq 98 opens the stream and 99 is lost, so every fragment of M (from
+  // 100) is held behind that head gap. M's second fragment (101) is lost
+  // as well, and its marker fragment arrives only after recovery.
+  const std::vector<Bytes> lead = packets_for(tiny_region(), 98, 8000);
+  ASSERT_EQ(lead.size(), 1u);
+  p.on_datagram(lead[0]);
+  ASSERT_EQ(p.stats().region_updates, 1u);
+  const std::vector<Bytes> m = packets_for(noisy_region(), 100, 9000);
+  ASSERT_GE(m.size(), 5u);
+  for (std::size_t i = 0; i + 1 < m.size(); ++i) {
+    if (i != 1) p.on_datagram(m[i]);
+  }
+  loop.run_until(loop.now() + opts.loss_recovery_delay_us + sim_ms(10));
+  ASSERT_EQ(p.stats().gaps_skipped, 1u);
+
+  // The flush opened M and appended its held fragments across the hole at
+  // 101; recovery must drop that, so the late marker is an orphan rather
+  // than the end of a message with a chunk missing.
+  p.on_datagram(m.back());
+  EXPECT_EQ(p.stats().decode_errors, 0u);
+  EXPECT_EQ(p.stats().region_updates, 1u);
+  EXPECT_EQ(p.stats().orphan_fragments, 1u);
 }
 
 }  // namespace
