@@ -168,9 +168,11 @@ void FaultSchedule::relay_crash(SimTime at, SimTime down_for,
 
 void FaultSchedule::relay_stall(SimTime start, SimTime duration,
                                 std::function<void(bool)> set_stalled) {
-  episode(FaultClass::kRelayStall, start, duration,
-          [set_stalled] { set_stalled(true); },
-          [set_stalled] { set_stalled(false); });
+  // One shared callable, so both edges reach the same (possibly stateful)
+  // object.
+  auto shared = std::make_shared<std::function<void(bool)>>(std::move(set_stalled));
+  episode(FaultClass::kRelayStall, start, duration, [shared] { (*shared)(true); },
+          [shared] { (*shared)(false); });
 }
 
 void FaultSchedule::join_flood(SimTime start, SimTime window, std::size_t count,
