@@ -290,9 +290,13 @@ bool AppHost::participant_stale(ParticipantId id) const {
   return it != participants_.end() && it->second.stale;
 }
 
-AppHost::ParticipantState* AppHost::stream_state(ParticipantId id) {
+ParticipantId AppHost::stream_id(ParticipantId id) const {
   auto alias = member_alias_.find(id);
-  auto it = participants_.find(alias == member_alias_.end() ? id : alias->second);
+  return alias == member_alias_.end() ? id : alias->second;
+}
+
+AppHost::ParticipantState* AppHost::stream_state(ParticipantId id) {
+  auto it = participants_.find(stream_id(id));
   return it == participants_.end() ? nullptr : &it->second;
 }
 
@@ -352,9 +356,9 @@ ParticipantId AppHost::add_member_alias(ParticipantId group) {
 }
 
 const ReportBlock* AppHost::last_receiver_report(ParticipantId id) const {
-  const ParticipantState* p = const_cast<AppHost*>(this)->stream_state(id);
-  if (p == nullptr || !p->link.last_report()) return nullptr;
-  return &*p->link.last_report();
+  auto it = participants_.find(stream_id(id));
+  if (it == participants_.end() || !it->second.link.last_report()) return nullptr;
+  return &*it->second.link.last_report();
 }
 
 const rate::OperatingPoint* AppHost::participant_operating_point(
@@ -970,11 +974,6 @@ snapshot::RefreshBundle* AppHost::snapshot_admit(
   const Image& frame = capturer_.last_frame();
   const auto pt = static_cast<ContentPt>(key.content_pt);
   return snapshot_.admit(key, loop_.now(), [&](snapshot::RefreshBundle& b) {
-    // Record the host-space source rect so the delta-fraction eviction
-    // compares host-space delta against host-space area (bands below live
-    // in output space for scaled geometries; a native bundle's bands cover
-    // exactly this rect).
-    b.source = key.source;
     b.bands = geometry_bands(geom, {frame.bounds()});
     if (b.bands.empty()) return false;
     // The one checkpoint encode of this operating point's join cohort: the

@@ -437,8 +437,11 @@ class AppHost {
                          const std::vector<Rect>& damage);
   void send_move_rectangle(ParticipantState& p, const MoveRectangle& mr);
   void send_pointer(ParticipantState& p, bool include_icon);
-  /// The stream state serving `id`: its own, or its multicast group's when
-  /// `id` is a member alias. Null when there is none.
+  /// The id whose stream serves `id`: its multicast group's when `id` is a
+  /// member alias, else `id` itself.
+  ParticipantId stream_id(ParticipantId id) const;
+  /// The stream state serving `id` (see stream_id()). Null when there is
+  /// none.
   ParticipantState* stream_state(ParticipantId id);
   void handle_rtcp(ParticipantId from, BytesView packet);
   /// Apply one sub-packet of a (possibly compound) RTCP datagram to `p`.
