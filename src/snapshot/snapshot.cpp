@@ -38,10 +38,10 @@ void SnapshotService::begin_tick(SimTime now) {
   // refresh: serving it costs checkpoint + delta. Evict it; the next
   // admission of that operating point rebuilds from the live frame.
   for (auto it = bundles_.begin(); it != bundles_.end();) {
-    // Scaled bundles band-split in output space but accumulate host-space
-    // delta, so the budget base is the host-space source rect when the
-    // builder recorded one; native bundles keep the band-union base.
-    const Rect b = !it->second.source.empty() ? it->second.source
+    // Bands live in output space but the delta accumulates host-space
+    // damage, so the budget base is the key's host-space source rect; a
+    // key without one falls back to the band union.
+    const Rect b = !it->second.key.source.empty() ? it->second.key.source
                    : it->second.bands.empty() ? Rect{}
                                               : [&] {
                                                   Rect all = it->second.bands.front();

@@ -82,7 +82,8 @@ struct OperatingPointKey {
   std::size_t mtu_payload = 0;   ///< fragmentation threshold
   std::uint8_t scale_shift = 0;  ///< output geometry downscale rung (2^shift)
   /// Resolved host-space source rect streamed by the geometry; always set
-  /// (the whole frame for identity views and plain rungs).
+  /// (the whole frame for identity views and plain rungs). A bundle's
+  /// delta-fraction eviction measures host-space delta against its area.
   Rect source{};
   friend auto operator<=>(const OperatingPointKey&, const OperatingPointKey&) = default;
 };
@@ -104,11 +105,6 @@ struct RefreshBundle {
   std::uint64_t checkpoint = 0;  ///< monotone id across the session
   std::vector<Rect> bands;       ///< band-split shared region (output space)
   std::vector<BundleBand> streams;  ///< parallel to bands
-  /// Host-space source rect the bundle's bands were scaled from. Bands live
-  /// in output space while the delta accumulates host-space damage, so the
-  /// delta-fraction eviction compares against this rect's area; empty =
-  /// none recorded (fall back to the band union).
-  Rect source;
   Region delta;                  ///< damage accumulated since built_at_us
   std::uint64_t serves = 0;      ///< joiners served from this bundle
 };
