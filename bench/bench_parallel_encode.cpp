@@ -2,15 +2,20 @@
 //
 // Claims under test:
 //  * splitting a frame's damage into 128-row bands and encoding them on a
-//    worker pool scales encode throughput with core count while producing
-//    byte-identical wire output (the golden test asserts the identity; this
-//    bench measures the speedup, honestly reporting whatever the machine's
-//    core count allows);
+//    worker pool plus the calling thread scales encode throughput with core
+//    count while producing byte-identical wire output (the golden test
+//    asserts the identity; this bench measures the speedup, honestly
+//    reporting whatever the machine's core count allows);
+//  * on the perfbench photo shape (a 512x416 `video` damage rect cut into
+//    128, 128, 128 and 32 rows) the calling thread's share shortens the
+//    encode from two full bands per thread to one full band plus the
+//    32-row band at threads:2;
 //  * the encoded-region cache turns a PLI full refresh of unchanged content
 //    into memory copies instead of codec runs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <initializer_list>
 #include <string>
 
 #include "bench_common.hpp"
@@ -21,15 +26,23 @@ namespace {
 using namespace ads;
 using namespace ads::bench;
 
-constexpr std::int64_t kW = 1280;
-constexpr std::int64_t kH = 1024;
 constexpr std::int64_t kBandRows = 128;
 
-const Image& frame_for(const std::string& workload) {
+/// One damaged frame: the painter that fills it and its size.
+struct Shape {
+  std::string name;  ///< E13 row name
+  std::string workload;
+  std::int64_t width;
+  std::int64_t height;
+};
+
+const Image& frame_for(const Shape& shape) {
   static std::map<std::string, Image> cache;
-  auto it = cache.find(workload);
+  auto it = cache.find(shape.name);
   if (it == cache.end()) {
-    it = cache.emplace(workload, workload_frame(workload, kW, kH)).first;
+    it = cache.emplace(shape.name, workload_frame(shape.workload, shape.width,
+                                                  shape.height))
+             .first;
   }
   return it->second;
 }
@@ -57,24 +70,24 @@ double measure_encode_ns(ParallelEncoder& enc, const Image& frame,
 }
 
 /// Serial (threads=0, cache off) cost of one full-frame encode, measured
-/// once per workload — the baseline every thread count is compared against.
-double serial_ns(const std::string& workload) {
+/// once per shape — the baseline every thread count is compared against.
+double serial_ns(const Shape& shape) {
   static std::map<std::string, double> cache;
-  auto it = cache.find(workload);
+  auto it = cache.find(shape.name);
   if (it == cache.end()) {
-    const Image& frame = frame_for(workload);
+    const Image& frame = frame_for(shape);
     const auto bands = bands_for(frame);
     const auto registry = CodecRegistry::with_defaults();
     ParallelEncoder enc(registry, {.threads = 0, .cache_bytes = 0});
     measure_encode_ns(enc, frame, bands, 1);  // warm the scratch arenas
-    it = cache.emplace(workload, measure_encode_ns(enc, frame, bands, 3)).first;
+    it = cache.emplace(shape.name, measure_encode_ns(enc, frame, bands, 3)).first;
   }
   return it->second;
 }
 
 void run_threads(benchmark::State& state, const std::string& name,
-                 const std::string& workload, std::size_t threads) {
-  const Image& frame = frame_for(workload);
+                 const Shape& shape, std::size_t threads) {
+  const Image& frame = frame_for(shape);
   const auto bands = bands_for(frame);
   const auto registry = CodecRegistry::with_defaults();
   ParallelEncoder enc(registry, {.threads = threads, .cache_bytes = 0});
@@ -95,7 +108,7 @@ void run_threads(benchmark::State& state, const std::string& name,
   state.counters["bands"] = static_cast<double>(bands.size());
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["ns_per_band"] = ns_per_frame / static_cast<double>(bands.size());
-  state.counters["speedup_vs_serial"] = serial_ns(workload) / ns_per_frame;
+  state.counters["speedup_vs_serial"] = serial_ns(shape) / ns_per_frame;
   state.counters["hw_threads"] =
       static_cast<double>(std::thread::hardware_concurrency());
   json_report("parallel_encode")
@@ -111,7 +124,7 @@ void run_threads(benchmark::State& state, const std::string& name,
 // the cache every band is a lookup; without it every band re-runs PNG.
 void run_cache(benchmark::State& state, const std::string& name,
                std::size_t cache_bytes) {
-  const Image& frame = frame_for("slideshow");
+  const Image& frame = frame_for({"slideshow", "slideshow", 1280, 1024});
   const auto bands = bands_for(frame);
   const auto registry = CodecRegistry::with_defaults();
   ParallelEncoder enc(registry, {.threads = 0, .cache_bytes = cache_bytes});
@@ -134,20 +147,23 @@ void run_cache(benchmark::State& state, const std::string& name,
 }
 
 void register_all() {
-  static const char* workloads[] = {"terminal", "slideshow", "video"};
-  static const std::size_t thread_counts[] = {0, 1, 2, 4, 8};
-  for (const char* workload : workloads) {
+  const std::vector<Shape> full_screen = {{"terminal", "terminal", 1280, 1024},
+                                          {"slideshow", "slideshow", 1280, 1024},
+                                          {"video", "video", 1280, 1024}};
+  const auto register_sweep = [](const Shape& shape,
+                                 std::initializer_list<std::size_t> thread_counts) {
     for (const std::size_t threads : thread_counts) {
-      const std::string name = std::string("E13/") + workload + "/threads:" +
-                               std::to_string(threads);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [name, workload = std::string(workload), threads](benchmark::State& s) {
-            run_threads(s, name, workload, threads);
-          })
+      const std::string name =
+          "E13/" + shape.name + "/threads:" + std::to_string(threads);
+      benchmark::RegisterBenchmark(name.c_str(),
+                                   [name, shape, threads](benchmark::State& s) {
+                                     run_threads(s, name, shape, threads);
+                                   })
           ->Unit(benchmark::kMillisecond);
     }
-  }
+  };
+  for (const Shape& shape : full_screen) register_sweep(shape, {0, 1, 2, 4, 8});
+  register_sweep({"photo_bands", "video", 512, 416}, {0, 1, 2, 3});
   for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{16} << 20}) {
     const std::string name = std::string("E13b/pli_refresh/cache:") +
                              (cache_bytes ? "on" : "off");

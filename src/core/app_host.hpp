@@ -79,9 +79,10 @@ struct AppHostOptions {
   /// many rows before encoding, bounding the size of a single RegionUpdate
   /// so rate control and interface queues see smooth bursts. 0 disables.
   std::int64_t region_band_rows = 128;
-  /// Worker threads for the parallel band-encode stage. 0 = encode serially
-  /// on the tick thread; the default sizes the pool to the machine. Wire
-  /// bytes are identical at every setting (bands are sequence-ordered).
+  /// Worker threads for the parallel band-encode stage; the tick thread
+  /// encodes bands next to them. 0 = encode serially on the tick thread;
+  /// the default sizes the pool to the machine. Wire bytes are identical at
+  /// every setting (bands are sequence-ordered).
   std::size_t encode_threads = std::thread::hardware_concurrency();
   /// Byte budget for the encoded-region cache consulted before compressing
   /// a band (serves PLI full refreshes, late joiners, and repeating content

@@ -1,6 +1,7 @@
 #include "core/parallel_encoder.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "image/damage.hpp"
 
@@ -10,8 +11,8 @@ ParallelEncoder::ParallelEncoder(const CodecRegistry& registry,
                                  ParallelEncoderOptions opts)
     : registry_(registry), cache_(opts.cache_bytes) {
   if (opts.threads > 0) pool_ = std::make_unique<ThreadPool>(opts.threads);
-  // One scratch per worker plus one for the submitting thread (serial mode
-  // and cache-miss bookkeeping both run there).
+  // One scratch per worker plus one for the submitting thread (serial mode,
+  // a lone miss and its share of a parallel encode all run there).
   scratch_.resize((pool_ ? pool_->size() : 0) + 1);
   crop_.resize(scratch_.size());
 }
@@ -52,22 +53,32 @@ std::vector<Bytes> ParallelEncoder::encode_regions(const Image& frame,
     pending.push_back(i);
   }
 
-  // Pass 2: encode the misses — fanned out when a pool exists, inline
-  // otherwise. Workers only touch their own scratch and their own result
-  // slots; wait_idle() publishes the writes back to this thread.
-  if (pool_ && pending.size() > 1) {
-    for (const std::size_t i : pending) {
-      pool_->submit([this, &frame, &rects, &results, pt, params, i](std::size_t worker) {
-        frame.crop_into(rects[i], crop_[worker]);
-        registry_.encode_into(pt, crop_[worker], results[i], scratch_[worker], params);
-      });
+  // Pass 2: encode the misses. Up to pending - 1 workers and this thread
+  // take bands from one shared cursor, so the tick thread encodes while
+  // the pool does; with no pool or a single miss it encodes them all
+  // inline. Each encoder touches only its own scratch slot (this thread's
+  // is the last) and the result slots it claimed.
+  std::atomic<std::size_t> cursor{0};
+  const auto encode_claimed = [&](std::size_t slot) {
+    for (std::size_t k = cursor++; k < pending.size(); k = cursor++) {
+      const std::size_t i = pending[k];
+      frame.crop_into(rects[i], crop_[slot]);
+      registry_.encode_into(pt, crop_[slot], results[i], scratch_[slot], params);
     }
-    pool_->wait_idle();
-  } else {
-    for (const std::size_t i : pending) {
-      frame.crop_into(rects[i], crop_.back());
-      registry_.encode_into(pt, crop_.back(), results[i], scratch_.back(), params);
-    }
+  };
+  {
+    // The workers read this call's locals, so every way out of this block,
+    // a throw included, waits for them; wait_idle() also publishes their
+    // writes back to this thread.
+    struct Join {
+      ThreadPool* pool;
+      ~Join() {
+        if (pool != nullptr) pool->wait_idle();
+      }
+    } join{pool_ && pending.size() > 1 ? pool_.get() : nullptr};
+    const std::size_t helpers = join.pool ? std::min(pool_->size(), pending.size() - 1) : 0;
+    for (std::size_t h = 0; h < helpers; ++h) pool_->submit(encode_claimed);
+    encode_claimed(scratch_.size() - 1);
   }
   stats_.bands_encoded += pending.size();
   stats_.peak_queue_depth = std::max<std::uint64_t>(stats_.peak_queue_depth,

@@ -1,13 +1,15 @@
 // Parallel band-encoding stage of the AH frame pipeline.
 //
 // The AH splits each frame's damage into horizontal bands; this component
-// encodes those bands concurrently on a fixed worker pool while preserving
-// the serial path's exact wire bytes:
-//   * every band is submitted with its sequence index and the results are
-//     drained in index order, so downstream framing sees the same payloads
-//     in the same order regardless of thread count;
-//   * each worker owns a private EncodeScratch arena, so steady-state
-//     encoding performs no per-band heap allocations and no locking;
+// encodes those bands concurrently on a fixed worker pool and the calling
+// (tick) thread while preserving the serial path's exact wire bytes:
+//   * the pool's workers and the caller claim bands from one shared cursor,
+//     each band's payload lands in the slot of its sequence index, and the
+//     results are returned in index order, so downstream framing sees the
+//     same payloads in the same order regardless of thread count;
+//   * each worker and the caller own a private EncodeScratch arena, so
+//     steady-state encoding performs no per-band heap allocations and no
+//     locking;
 //   * an EncodedRegionCache is consulted (keyed by pixel hash + geometry +
 //     codec) before any band is compressed, and populated afterwards — the
 //     cache lookup happens on the submitting thread, deterministically.
@@ -31,7 +33,9 @@ namespace ads {
 
 /// Sizing for the band-encode stage: pool width and cache budget.
 struct ParallelEncoderOptions {
-  /// Worker threads for band encoding; 0 = encode inline on the caller.
+  /// Pool worker threads for band encoding. The caller encodes bands
+  /// next to them, so up to threads + 1 bands encode at once; 0 = encode
+  /// inline on the caller.
   std::size_t threads = 0;
   /// Byte budget for the encoded-region cache; 0 disables it.
   std::size_t cache_bytes = 0;
@@ -67,6 +71,7 @@ class ParallelEncoder {
     std::uint64_t cache_hit_bytes = 0;  ///< payload bytes served from cache
     std::uint64_t encode_calls = 0;     ///< encode_regions invocations
     std::uint64_t peak_queue_depth = 0; ///< most bands queued in one call
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   /// Stage totals (see Stats).
   const Stats& stats() const { return stats_; }

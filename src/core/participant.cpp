@@ -209,7 +209,7 @@ void Participant::handle_rtp(RtpPacket pkt) {
     demux_.reset();
     request_refresh();
   }
-  for (RtpPacket& p : ready) deliver(p);
+  deliver_run(ready);
 
   if (!receiver_.missing(1).empty()) {
     if (opts_.send_nacks) schedule_nack();
@@ -235,13 +235,14 @@ void Participant::recover_from_loss() {
   stats_.gaps_skipped += 1;
   // Nothing from before the head gap may be stitched to the flushed run.
   demux_.reset();
-  for (RtpPacket& p : flushed) deliver(p);
+  deliver_run(flushed);
   reorder_.reset_to(static_cast<std::uint16_t>(receiver_.highest_sequence() + 1));
   receiver_.reset_losses();
   nack_rounds_ = 0;
   nack_attempts_.clear();
-  // The flush skips gaps inside the held run too: a message it opened may
-  // be missing a chunk, so nothing after recovery may complete it.
+  // deliver_run() dropped any message cut by a hole inside the held run.
+  // Recovery also drops one the run left open: nothing after recovery
+  // completes it, and the refresh requested below repaints it anyway.
   demux_.reset();
   request_refresh();
 }
@@ -352,6 +353,19 @@ void Participant::schedule_nack() {
     // Re-arm: if the retransmissions do not arrive, ask again.
     schedule_nack();
   });
+}
+
+void Participant::deliver_run(const std::vector<RtpPacket>& run) {
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    // A skipped gap can leave holes inside the run, and the reassembler
+    // checks no sequence numbers: a message cut by a lost fragment would
+    // complete with that chunk missing, so drop it at the hole.
+    if (i > 0 &&
+        run[i].sequence != static_cast<std::uint16_t>(run[i - 1].sequence + 1)) {
+      demux_.reset();
+    }
+    deliver(run[i]);
+  }
 }
 
 void Participant::deliver(const RtpPacket& pkt) {

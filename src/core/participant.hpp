@@ -199,6 +199,8 @@ class Participant {
   void send_floor_message(BfcpPrimitive primitive);
   void handle_packet(BytesView packet);
   void handle_rtp(RtpPacket pkt);
+  /// Delivers packets in order, resetting the demux at any sequence hole.
+  void deliver_run(const std::vector<RtpPacket>& run);
   void deliver(const RtpPacket& pkt);
   void apply(RemotingMessage msg, const RtpPacket& pkt);
   void apply_wmi(const WindowManagerInfo& msg);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "util/simd.hpp"
 
@@ -81,7 +82,12 @@ std::optional<OutputGeometry> parse_token(std::string_view token) {
         }
         if (!parse_i64(p, end, v[i]) || v[i] < 0) return std::nullopt;
       }
-      if (v[2] <= 0 || v[3] <= 0) return std::nullopt;
+      // Every later use takes the far edges (left + width, top + height),
+      // so both must fit in int64.
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+      if (v[2] <= 0 || v[3] <= 0 || v[0] > kMax - v[2] || v[1] > kMax - v[3]) {
+        return std::nullopt;
+      }
       g.viewport = Rect{v[0], v[1], v[2], v[3]};
     } else if (*p == 'f') {
       ++p;

@@ -89,7 +89,8 @@ std::string_view device_class_name(DeviceClass c);
 /// e.g. "s0" (identity), "s2" (quarter rung), "s1;v8,8,64,48", "s0;f".
 std::string to_token(const OutputGeometry& g);
 
-/// Parse the `to_token` format; nullopt on malformed input.
+/// Parse the `to_token` format; nullopt on malformed input, including a
+/// viewport whose right or bottom edge would overflow int64.
 std::optional<OutputGeometry> parse_token(std::string_view token);
 
 /// The host-space rect actually streamed: viewport ∩ frame bounds, or the

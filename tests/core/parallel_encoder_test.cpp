@@ -48,6 +48,97 @@ TEST(ParallelEncoder, ParallelOutputMatchesSerialPerBand) {
   EXPECT_EQ(serial.threads(), 0u);
 }
 
+// The workers and the calling thread claim bands from one shared cursor;
+// which thread encodes a band must never show in the payloads or Stats.
+
+/// Every payload of a sequence of encode_regions calls, plus the Stats after.
+struct CallsResult {
+  std::vector<std::vector<Bytes>> payloads;
+  ParallelEncoder::Stats stats;
+};
+
+CallsResult encode_calls(const CodecRegistry& registry, const Image& frame,
+                         const std::vector<std::vector<Rect>>& calls,
+                         std::size_t threads, std::size_t cache_bytes) {
+  ParallelEncoder enc(registry, {.threads = threads, .cache_bytes = cache_bytes});
+  CallsResult out;
+  for (const auto& bands : calls) {
+    out.payloads.push_back(enc.encode_regions(frame, bands, ContentPt::kPng));
+  }
+  out.stats = enc.stats();
+  return out;
+}
+
+/// Runs `calls` serially, then three times each at 1, 2 and 3 workers, and
+/// expects identical payloads and Stats every time; returns the serial run.
+CallsResult expect_every_thread_count_matches_serial(
+    const Image& frame, const std::vector<std::vector<Rect>>& calls,
+    std::size_t cache_bytes) {
+  const CodecRegistry registry = CodecRegistry::with_defaults();
+  CallsResult serial = encode_calls(registry, frame, calls, 0, cache_bytes);
+  for (const std::size_t threads : {1, 2, 3}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const CallsResult run = encode_calls(registry, frame, calls, threads, cache_bytes);
+      EXPECT_TRUE(run.payloads == serial.payloads) << "threads " << threads << " rep " << rep;
+      EXPECT_TRUE(run.stats == serial.stats) << "threads " << threads << " rep " << rep;
+    }
+  }
+  return serial;
+}
+
+TEST(ParallelEncoder, PhotoBandsMatchSerialAtEveryThreadCount) {
+  // Photo's damage: a 512x416 rect cut into bands of 128, 128, 128 and 32
+  // rows.
+  const Image frame = workload_frame("video", 512, 416);
+  const auto bands = band_split(frame.bounds(), 128);
+  ASSERT_EQ(bands.size(), 4u);
+  ASSERT_EQ(bands.back().height, 32);
+  const CallsResult serial = expect_every_thread_count_matches_serial(frame, {bands}, 0);
+  EXPECT_EQ(serial.stats.bands_encoded, 4u);
+  for (const Bytes& payload : serial.payloads[0]) EXPECT_FALSE(payload.empty());
+}
+
+TEST(ParallelEncoder, SixBandRefreshMatchesSerialAtEveryThreadCount) {
+  const Image frame = workload_frame("slideshow", 320, 384);
+  const auto bands = band_split(frame.bounds(), 64);
+  ASSERT_EQ(bands.size(), 6u);
+  const CallsResult serial = expect_every_thread_count_matches_serial(frame, {bands}, 0);
+  EXPECT_EQ(serial.stats.peak_queue_depth, 6u);
+}
+
+TEST(ParallelEncoder, AlternatingHitsAndMissesMatchSerialAtEveryThreadCount) {
+  // Warm the cache with the even bands, so the full call's misses (the
+  // pending indices the encoders claim) are the odd bands only. Video
+  // bands are all distinct, so no band hits another's entry.
+  const Image frame = workload_frame("video", 128, 256);
+  const auto bands = band_split(frame.bounds(), 32);
+  ASSERT_EQ(bands.size(), 8u);
+  std::vector<Rect> even;
+  for (std::size_t i = 0; i < bands.size(); i += 2) even.push_back(bands[i]);
+  const CallsResult serial =
+      expect_every_thread_count_matches_serial(frame, {even, bands}, 1 << 20);
+  EXPECT_EQ(serial.stats.cache_hits, 4u);
+  EXPECT_EQ(serial.stats.cache_misses, 8u);
+  EXPECT_EQ(serial.stats.bands_encoded, 8u);
+  for (std::size_t i = 0; i < even.size(); ++i) {
+    EXPECT_EQ(serial.payloads[1][2 * i], serial.payloads[0][i]);
+  }
+}
+
+TEST(ParallelEncoder, SingleMissEncodesInlineAndMatchesSerial) {
+  // One pending band takes the inline path even with a pool: a lone rect,
+  // and a call where every band but one is a cache hit.
+  const Image frame = workload_frame("video", 128, 256);
+  const auto bands = band_split(frame.bounds(), 32);
+  std::vector<Rect> all_but_one = bands;
+  all_but_one.erase(all_but_one.begin() + 3);
+  const CallsResult serial = expect_every_thread_count_matches_serial(
+      frame, {{bands[5]}, all_but_one, bands}, 1 << 20);
+  EXPECT_EQ(serial.stats.cache_hits, 1u + 7u);
+  EXPECT_EQ(serial.stats.bands_encoded, 1u + 6u + 1u);
+  EXPECT_EQ(serial.stats.peak_queue_depth, 6u);
+}
+
 TEST(ParallelEncoder, RepeatedCallsReuseScratchAndStayIdentical) {
   const Image frame = workload_frame("slideshow", 256, 192);
   const auto bands = band_split(frame.bounds(), 64);

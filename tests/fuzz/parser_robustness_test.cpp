@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <new>
 #include <string>
 
@@ -21,10 +22,12 @@
 #include "codec/zlib.hpp"
 #include "hip/messages.hpp"
 #include "remoting/message.hpp"
+#include "rtp/framing.hpp"
 #include "rtp/rtcp.hpp"
 #include "rtp/rtp_packet.hpp"
 #include "sdp/sdp.hpp"
 #include "snapshot/record.hpp"
+#include "transcode/transcode.hpp"
 #include "util/prng.hpp"
 
 // The largest single operator new request since the last reset.
@@ -344,6 +347,142 @@ TEST(ParserRobustness, SdpMutatedOffer) {
     Bytes data(base.begin(), base.end());
     data = mutate(rng, std::move(data));
     (void)SessionDescription::parse(std::string(data.begin(), data.end()));
+  }
+}
+
+// RFC 4571 deframing of a TCP byte stream whose length prefixes are hostile:
+// empty frames, 65535-byte frames and random lengths, cut into random
+// chunks, truncated and reset mid-frame. Every complete frame pops out
+// intact and in order, and what stays buffered is at most one partial
+// frame (2 + 65535 - 1 bytes) however long the stream runs.
+TEST(ParserRobustness, StreamDeframerHostileLengthPrefixes) {
+  constexpr std::size_t kMaxPending = 2 + 0xFFFF - 1;
+  Prng rng(11);
+  std::vector<Bytes> frames;
+  Bytes stream;
+  for (int i = 0; i < 96; ++i) {
+    const std::size_t len = rng.below(4) == 0   ? 0
+                            : rng.below(3) == 0 ? 0xFFFF
+                                                : rng.below(3000);
+    Bytes payload(len);
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u32());
+    const auto framed = frame_packet(payload);
+    ASSERT_TRUE(framed.ok());
+    stream.insert(stream.end(), framed->begin(), framed->end());
+    frames.push_back(std::move(payload));
+  }
+
+  // Feeds stream[from, to) in random chunks, draining after each one.
+  const auto feed_chunked = [&](StreamDeframer& d, std::size_t from, std::size_t to,
+                                std::vector<Bytes>& popped) {
+    while (from < to) {
+      const std::size_t n = std::min<std::size_t>(
+          to - from, rng.below(2) == 0 ? rng.below(4) : rng.below(8192));
+      d.feed(BytesView(stream.data() + from, n));
+      from += n;
+      while (auto pkt = d.next()) popped.push_back(std::move(*pkt));
+      ASSERT_LE(d.pending_bytes(), kMaxPending);
+    }
+  };
+
+  // The whole stream, chunked: every frame, in order, and nothing left.
+  // The buffer is compacted as it goes, so no allocation comes near the
+  // stream's size.
+  g_largest_allocation = 0;
+  {
+    StreamDeframer d;
+    std::vector<Bytes> popped;
+    feed_chunked(d, 0, stream.size(), popped);
+    EXPECT_TRUE(popped == frames);
+    EXPECT_EQ(d.pending_bytes(), 0u);
+  }
+  EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 19);
+  ASSERT_GT(stream.size(), std::size_t{1} << 20);
+
+  for (int i = 0; i < 40; ++i) {
+    // A truncated tail: a prefix of the frames pops, the rest stays
+    // pending; reset() there drops it, and the full stream then decodes
+    // from the start with no stale bytes in front.
+    const std::size_t cut = rng.below(stream.size());
+    StreamDeframer d;
+    std::vector<Bytes> popped;
+    feed_chunked(d, 0, cut, popped);
+    ASSERT_LE(popped.size(), frames.size());
+    EXPECT_TRUE(std::equal(popped.begin(), popped.end(), frames.begin()));
+    std::size_t framed_bytes = 0;
+    for (const Bytes& f : popped) framed_bytes += 2 + f.size();
+    EXPECT_EQ(d.pending_bytes(), cut - framed_bytes);
+    d.reset();
+    EXPECT_EQ(d.pending_bytes(), 0u);
+    popped.clear();
+    feed_chunked(d, 0, stream.size(), popped);
+    EXPECT_TRUE(popped == frames) << "after reset at byte " << cut;
+  }
+
+  // Random bytes read as length prefixes.
+  StreamDeframer d;
+  for (int i = 0; i < kMutationIterations; ++i) {
+    d.feed(random_bytes(rng, 4096));
+    while (d.next()) {
+    }
+    ASSERT_LE(d.pending_bytes(), kMaxPending);
+  }
+}
+
+// The a=geometry answer token (transcode::parse_token) on random text and
+// mutated valid tokens. Whatever parses stays inside the parser's bounds,
+// serialises back to a token that parses to the same geometry, and
+// resolves against a frame without overflowing a viewport edge; valid
+// tokens round-trip exactly.
+TEST(ParserRobustness, GeometryTokenRandomAndMutated) {
+  Prng rng(12);
+  const Rect frame{0, 0, 1280, 1024};
+  const auto check = [&](const std::string& token) {
+    const auto g = transcode::parse_token(token);
+    if (!g) return;
+    EXPECT_LE(g->scale_shift, transcode::kMaxScaleShift) << token;
+    EXPECT_EQ(transcode::parse_token(transcode::to_token(*g)), g) << token;
+    if (!g->viewport.empty()) {
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+      EXPECT_LE(g->viewport.left, kMax - g->viewport.width) << token;
+      EXPECT_LE(g->viewport.top, kMax - g->viewport.height) << token;
+    }
+    EXPECT_TRUE(frame.contains(transcode::source_rect(*g, frame))) << token;
+  };
+
+  static constexpr std::string_view kAlphabet = "s0123456789;vf,-+ ";
+  for (int i = 0; i < kRandomIterations; ++i) {
+    std::string token;
+    const std::size_t len = rng.below(32);
+    for (std::size_t k = 0; k < len; ++k) {
+      token += rng.below(8) == 0 ? static_cast<char>(rng.next_u32())
+                                 : kAlphabet[rng.below(kAlphabet.size())];
+    }
+    check(token);
+  }
+
+  for (int i = 0; i < kMutationIterations; ++i) {
+    transcode::OutputGeometry g;
+    g.scale_shift = static_cast<std::uint8_t>(rng.below(transcode::kMaxScaleShift + 1));
+    if (rng.below(2) == 0) {
+      g.viewport = Rect{static_cast<std::int64_t>(rng.below(4096)),
+                        static_cast<std::int64_t>(rng.below(4096)),
+                        1 + static_cast<std::int64_t>(rng.below(4096)),
+                        1 + static_cast<std::int64_t>(rng.below(4096))};
+    }
+    g.follow = rng.below(2) == 0;
+    const std::string token = transcode::to_token(g);
+    ASSERT_EQ(transcode::parse_token(token), g) << token;
+    const Bytes mutant = mutate(rng, Bytes(token.begin(), token.end()));
+    check(std::string(mutant.begin(), mutant.end()));
+  }
+
+  for (const std::string token :
+       {"", "s", "s7", "s-1", "s99999999999999999999", "s0;", "s0;;f", "s0;x",
+        "s0;v1,1,0,5", "s0;v-1,0,5,5", "s0;v0,0,5", "s0;v0,0,5,5,", "s0;v0,0,5,5;f",
+        "s0;v9223372036854775807,0,1,1", "s0;v0,9223372036854775800,1,100",
+        "s0;v0,0,9223372036854775807,9223372036854775807"}) {
+    check(token);
   }
 }
 
