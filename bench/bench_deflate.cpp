@@ -6,8 +6,9 @@
 //   * DEFLATE level sweep (LZ77 search depth / lazy matching)
 //   * forced block type: stored vs fixed vs dynamic Huffman
 //   * PNG adaptive filtering on vs off
-//   * level-6 PNG encode of one 128-row AH band per content class, and
-//     the participant's decode of that same band
+//   * level-6 PNG encode of one 128-row AH band per content class, the
+//     participant's decode of that same band, and its application to a
+//     1280×1024 replica: decode + blit against decode_into
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -17,6 +18,7 @@
 #include "codec/deflate.hpp"
 #include "codec/inflate.hpp"
 #include "codec/png.hpp"
+#include "util/checksum.hpp"
 
 namespace {
 
@@ -141,6 +143,44 @@ void png_band_decode(benchmark::State& state, const char* workload, std::int64_t
   record_counters("deflate", std::string("E9/png/decode/") + workload, state.counters);
 }
 
+/// How the participant applies a PNG RegionUpdate to its replica.
+enum class Apply { kBlit, kInto };
+
+/// png_band_decode's band applied to a 1280×1024 replica at the screen
+/// position it has in its perfbench workload (the window's origin plus the
+/// band's 128 rows): png_decode into a fresh Image and blit it, or
+/// PngCodec::decode_into with one reused scratch. `replica_crc` is the
+/// CRC-32 of the replica after the run, equal for both arms.
+void png_band_apply(benchmark::State& state, const char* workload, std::int64_t width,
+                    Point window, Apply how) {
+  const Image band = workload_frame(workload, width, 384).crop({0, 128, width, 128});
+  const Bytes encoded = png_encode(band, {.deflate = {.level = 6}});
+  const Point at{window.x, window.y + 128};
+  Image replica(1280, 1024);
+  const PngCodec codec;
+  DecodeScratch scratch;
+  for (auto _ : state) {
+    if (how == Apply::kBlit) {
+      auto decoded = png_decode(encoded);
+      replica.blit(*decoded, decoded->bounds(), at);
+    } else {
+      auto rect = codec.decode_into(encoded, replica, at, scratch);
+      benchmark::DoNotOptimize(rect);
+    }
+    benchmark::DoNotOptimize(replica.pixels().data());
+    benchmark::ClobberMemory();
+  }
+  Crc32 crc;
+  crc.update(BytesView(reinterpret_cast<const std::uint8_t*>(replica.pixels().data()),
+                       replica.pixels().size() * sizeof(Pixel)));
+  state.counters["replica_crc"] = crc.value();
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * width * 128 * 4);
+  record_counters("deflate",
+                  std::string("E9/png/apply/") + (how == Apply::kBlit ? "blit/" : "into/") +
+                      workload,
+                  state.counters);
+}
+
 BENCHMARK(deflate_levels)
     ->Name("E9/deflate/level")
     ->DenseRange(0, 9)
@@ -181,6 +221,32 @@ BENCHMARK_CAPTURE(png_band_decode, document, "document", 800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(png_band_decode, webpage, "webpage", 1024)
     ->Name("E9/png/decode/webpage")
+    ->Unit(benchmark::kMillisecond);
+// Window origins: photo's video, text_relay's document and join_churn's
+// webpage; no workload shows a terminal, so it sits at the screen's origin.
+BENCHMARK_CAPTURE(png_band_apply, blit_video, "video", 512, Point{80, 60}, Apply::kBlit)
+    ->Name("E9/png/apply/blit/video")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, blit_terminal, "terminal", 512, Point{0, 0}, Apply::kBlit)
+    ->Name("E9/png/apply/blit/terminal")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, blit_document, "document", 800, Point{240, 112}, Apply::kBlit)
+    ->Name("E9/png/apply/blit/document")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, blit_webpage, "webpage", 1024, Point{128, 128}, Apply::kBlit)
+    ->Name("E9/png/apply/blit/webpage")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, into_video, "video", 512, Point{80, 60}, Apply::kInto)
+    ->Name("E9/png/apply/into/video")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, into_terminal, "terminal", 512, Point{0, 0}, Apply::kInto)
+    ->Name("E9/png/apply/into/terminal")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, into_document, "document", 800, Point{240, 112}, Apply::kInto)
+    ->Name("E9/png/apply/into/document")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(png_band_apply, into_webpage, "webpage", 1024, Point{128, 128}, Apply::kInto)
+    ->Name("E9/png/apply/into/webpage")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -105,20 +105,25 @@ void copy_match(std::uint8_t* dst, std::size_t distance, std::size_t length) {
 }
 
 /// One DEFLATE stream's decoder state. Output is written through `base_`
-/// into `out_`, whose size is the current capacity. Capacity never exceeds
-/// the limit, nor the larger of kFirstStep and four times what has been
+/// into `out_`, whose first `cap_` bytes are the capacity: what `out_`
+/// already holds, up to the limit. Growing never takes capacity past the
+/// limit, nor past the larger of kFirstStep and four times what has been
 /// produced (or what has been produced plus the match or stored block
 /// being written), so a hostile `max_output` costs nothing until the
-/// stream delivers the bytes.
+/// stream delivers the bytes. `out_` never shrinks.
 class Inflater {
  public:
-  Inflater(BytesView input, const InflateLimits& limits)
+  Inflater(BytesView input, const InflateLimits& limits, Bytes& out)
       : input_(input),
         in_(input),
         limit_(limits.max_output == 0 ? std::numeric_limits<std::size_t>::max()
-                                      : limits.max_output) {}
+                                      : limits.max_output),
+        out_(out),
+        base_(out.data()),
+        cap_(std::min(out.size(), limit_)) {}
 
-  Result<Bytes> run();
+  /// Decode the whole stream; returns the number of bytes produced.
+  Result<std::size_t> run();
 
  private:
   /// Make room for `n` more bytes. kOverflow past the limit.
@@ -130,8 +135,10 @@ class Inflater {
 
   void grow(std::size_t need) {
     cap_ = std::min(limit_, std::max({need, 4 * pos_, kFirstStep}));
-    out_.resize(cap_);
-    base_ = out_.data();
+    if (out_.size() < cap_) {
+      out_.resize(cap_);
+      base_ = out_.data();
+    }
   }
 
   ParseStatus stored_block();
@@ -143,10 +150,10 @@ class Inflater {
   BytesView input_;
   BitReader in_;
   std::size_t limit_;
-  Bytes out_;
-  std::uint8_t* base_ = nullptr;
+  Bytes& out_;
+  std::uint8_t* base_;
   std::size_t pos_ = 0;  ///< bytes produced
-  std::size_t cap_ = 0;  ///< == out_.size()
+  std::size_t cap_;      ///< usable bytes of out_, <= out_.size() and the limit
 };
 
 ParseStatus Inflater::stored_block() {
@@ -376,7 +383,7 @@ const BlockTables& fixed_tables() {
   return fixed;
 }
 
-Result<Bytes> Inflater::run() {
+Result<std::size_t> Inflater::run() {
   for (;;) {
     auto bfinal = in_.bit();
     if (!bfinal) return bfinal.error();
@@ -397,14 +404,21 @@ Result<Bytes> Inflater::run() {
 
     if (*bfinal) break;
   }
-  out_.resize(pos_);
-  return std::move(out_);
+  return pos_;
 }
 
 }  // namespace
 
+Result<std::size_t> inflate_into(BytesView input, const InflateLimits& limits, Bytes& out) {
+  return Inflater(input, limits, out).run();
+}
+
 Result<Bytes> inflate(BytesView input, const InflateLimits& limits) {
-  return Inflater(input, limits).run();
+  Bytes out;
+  auto n = inflate_into(input, limits, out);
+  if (!n) return n.error();
+  out.resize(*n);
+  return out;
 }
 
 }  // namespace ads

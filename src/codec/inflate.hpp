@@ -15,7 +15,14 @@ struct InflateLimits {
   std::size_t max_output = 0;
 };
 
-/// Decompress a raw DEFLATE stream.
+/// Decompress a raw DEFLATE stream into the front of `out` and return the
+/// number of bytes produced. `out` is a grow-only working buffer: its size
+/// is capacity that later calls reuse, it is never shrunk, and it grows
+/// only as the stream delivers bytes (never straight to `max_output`). On
+/// error its contents are unspecified.
+Result<std::size_t> inflate_into(BytesView input, const InflateLimits& limits, Bytes& out);
+
+/// Decompress a raw DEFLATE stream (inflate_into with a fresh buffer).
 Result<Bytes> inflate(BytesView input, const InflateLimits& limits = {});
 
 }  // namespace ads

@@ -111,7 +111,21 @@ void png_encode_into(const Image& img, const PngOptions& opts, Bytes& dest,
   dest = out.take();
 }
 
-Result<Image> png_decode(BytesView data) {
+namespace {
+
+/// A PNG stream that passed every check (chunk CRCs, IHDR, Adler-32,
+/// inflated size and filter bytes): its filtered scanlines, one filter
+/// byte then `stride` bytes per row, in the decode scratch.
+struct PngRaster {
+  std::int64_t width = 0;
+  std::int64_t height = 0;
+  std::size_t bpp = 0;
+  std::size_t stride = 0;
+  std::uint8_t* lines = nullptr;
+};
+
+/// Parse and inflate `data` and check all of it, writing no pixel.
+Result<PngRaster> png_read(BytesView data, DecodeScratch& scratch) {
   ByteReader in(data);
   auto sig = in.bytes(kSignature.size());
   if (!sig) return sig.error();
@@ -121,7 +135,8 @@ Result<Image> png_decode(BytesView data) {
   std::uint32_t width = 0;
   std::uint32_t height = 0;
   int colour_type = -1;
-  Bytes idat;
+  BytesView idat;  // the zlib stream: one IDAT where it lies, or all joined
+  std::size_t idat_chunks = 0;
   bool seen_iend = false;
 
   while (!in.at_end() && !seen_iend) {
@@ -161,7 +176,13 @@ Result<Image> png_decode(BytesView data) {
           static_cast<std::uint64_t>(width) * height * (*ct == 6 ? 4 : 3);
       if (raster_bytes > (1ull << 30)) return ParseError::kOverflow;
     } else if (type == "IDAT") {
-      idat.insert(idat.end(), payload->begin(), payload->end());
+      if (++idat_chunks == 1) {
+        idat = *payload;
+      } else {
+        if (idat_chunks == 2) scratch.idat.assign(idat.begin(), idat.end());
+        scratch.idat.insert(scratch.idat.end(), payload->begin(), payload->end());
+        idat = scratch.idat;
+      }
     } else if (type == "IEND") {
       seen_iend = true;
     }
@@ -169,32 +190,85 @@ Result<Image> png_decode(BytesView data) {
   }
   if (colour_type < 0 || !seen_iend) return ParseError::kTruncated;
 
-  const std::size_t bpp = colour_type == 6 ? 4 : 3;
-  const std::size_t stride = static_cast<std::size_t>(width) * bpp;
-  const std::size_t expected = (stride + 1) * height;
-  auto raw = zlib_decompress(idat, {.max_output = expected});
-  if (!raw) return raw.error();
-  if (raw->size() != expected) return ParseError::kBadValue;
-
-  // RGBA scanlines unfilter straight into the pixel rows; RGB ones in
-  // place, then widen.
-  Image img(width, height);
-  std::uint8_t* const pixels = reinterpret_cast<std::uint8_t*>(img.pixels().data());
-  const Bytes zeros(stride, 0);
-  const std::uint8_t* prior = zeros.data();
+  PngRaster r;
+  r.width = width;
+  r.height = height;
+  r.bpp = colour_type == 6 ? 4 : 3;
+  r.stride = static_cast<std::size_t>(width) * r.bpp;
+  const std::size_t expected = (r.stride + 1) * height;
+  // A zero-row image's stream must inflate to nothing; a limit of 0 would
+  // mean no limit at all.
+  auto n = zlib_decompress_into(idat, {.max_output = std::max<std::size_t>(expected, 1)},
+                                scratch.inflated);
+  if (!n) return n.error();
+  if (*n != expected) return ParseError::kBadValue;
+  r.lines = scratch.inflated.data();
   for (std::size_t y = 0; y < height; ++y) {
-    std::uint8_t* line = raw->data() + y * (stride + 1);
-    const int ftype = line[0];
-    if (ftype > 4) return ParseError::kBadValue;
-    std::uint8_t* row = bpp == 4 ? pixels + y * stride : line + 1;
-    simd::png_unfilter_row(ftype, line + 1, prior, row, stride, bpp);
-    if (bpp == 3) {
-      Pixel* out = img.pixels().data() + y * width;
-      for (std::size_t x = 0; x < width; ++x) out[x] = {row[3 * x], row[3 * x + 1], row[3 * x + 2], 255};
-    }
-    prior = row;
+    if (r.lines[y * (r.stride + 1)] > 4) return ParseError::kBadValue;
   }
+  return r;
+}
+
+/// Unfilter `r` into `dst` at `at`, clipped as Image::blit clips. An RGBA
+/// band that lies wholly inside `dst` unfilters each row straight into its
+/// destination row, which is then the next row's predictor. Any other band
+/// unfilters each row in place in the scratch and copies (RGBA) or widens
+/// (RGB) its visible span; rows above `dst` are unfiltered too, because the
+/// rows below predict from them, and rows below `dst` are skipped.
+void png_unfilter_into(const PngRaster& r, Image& dst, Point at, DecodeScratch& scratch) {
+  const Rect band{at.x, at.y, r.width, r.height};
+  const Rect visible = intersect(band, dst.bounds());
+  if (visible.empty()) return;
+  const auto dst_row = [&](std::int64_t y, std::int64_t x) {
+    return dst.pixels().data() + y * dst.width() + x;
+  };
+  if (scratch.zero_row.size() < r.stride) scratch.zero_row.resize(r.stride);
+  const std::uint8_t* prior = scratch.zero_row.data();
+  if (r.bpp == 4 && visible == band) {
+    for (std::int64_t y = 0; y < r.height; ++y) {
+      const std::uint8_t* line = r.lines + static_cast<std::size_t>(y) * (r.stride + 1);
+      auto* row = reinterpret_cast<std::uint8_t*>(dst_row(at.y + y, at.x));
+      simd::png_unfilter_row(line[0], line + 1, prior, row, r.stride, 4);
+      prior = row;
+    }
+    return;
+  }
+  const std::size_t skip = static_cast<std::size_t>(visible.left - at.x) * r.bpp;
+  const std::size_t span = static_cast<std::size_t>(visible.width);
+  for (std::int64_t y = 0; y < visible.bottom() - at.y; ++y) {
+    std::uint8_t* line = r.lines + static_cast<std::size_t>(y) * (r.stride + 1);
+    simd::png_unfilter_row(line[0], line + 1, prior, line + 1, r.stride, r.bpp);
+    prior = line + 1;
+    if (at.y + y < visible.top) continue;
+    Pixel* out = dst_row(at.y + y, visible.left);
+    const std::uint8_t* in = line + 1 + skip;
+    if (r.bpp == 4) {
+      std::memcpy(out, in, span * sizeof(Pixel));
+    } else {
+      for (std::size_t x = 0; x < span; ++x) {
+        out[x] = {in[3 * x], in[3 * x + 1], in[3 * x + 2], 255};
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Result<Image> png_decode(BytesView data) {
+  DecodeScratch scratch;
+  auto r = png_read(data, scratch);
+  if (!r) return r.error();
+  Image img(r->width, r->height);
+  png_unfilter_into(*r, img, {0, 0}, scratch);
   return img;
+}
+
+Result<Rect> PngCodec::decode_into(BytesView data, Image& dst, Point at,
+                                   DecodeScratch& scratch) const {
+  auto r = png_read(data, scratch);
+  if (!r) return r.error();
+  png_unfilter_into(*r, dst, at, scratch);
+  return Rect{at.x, at.y, r->width, r->height};
 }
 
 }  // namespace ads

@@ -1,7 +1,7 @@
 // PNG encoder/decoder (subset of RFC 2083 sufficient for screen remoting):
 // 8-bit RGB and RGBA, filters 0-4 with per-row minimum-sum-of-absolute-
-// differences selection, single IDAT, no interlacing. Built on our own
-// zlib/DEFLATE implementation.
+// differences selection, single IDAT, no interlacing (the decoder also
+// joins split IDATs). Built on our own zlib/DEFLATE implementation.
 #pragma once
 
 #include "codec/deflate.hpp"
@@ -23,6 +23,8 @@ Bytes png_encode(const Image& img, const PngOptions& opts = {});
 /// bytes are identical to png_encode.
 void png_encode_into(const Image& img, const PngOptions& opts, Bytes& out,
                      EncodeScratch& scratch);
+/// Decode a PNG stream into a new image sized from its IHDR. The same
+/// decoder as PngCodec::decode_into, at (0, 0) of that image.
 Result<Image> png_decode(BytesView data);
 
 class PngCodec final : public ImageCodec {
@@ -33,6 +35,11 @@ class PngCodec final : public ImageCodec {
   std::string_view name() const override { return "png"; }
   bool lossless() const override { return true; }
   Result<Image> decode(BytesView data) const override { return png_decode(data); }
+  /// Checks the whole stream (chunk CRCs, Adler-32, size, filter bytes)
+  /// before it writes a pixel, then unfilters each row straight into
+  /// `dst` where the band fits inside it.
+  Result<Rect> decode_into(BytesView data, Image& dst, Point at,
+                           DecodeScratch& scratch) const override;
 
  private:
   void encode_with(const Image& img, Bytes& out, EncodeScratch& scratch,

@@ -35,6 +35,16 @@ struct EncodeScratch {
   std::vector<double> planes[3];  ///< DCT channel planes
 };
 
+/// Reusable working buffers for the decode path: one per decoding thread
+/// (participants share their thread's; a replayer owns one), never shared
+/// concurrently. Each buffer only grows, so after the largest band has
+/// been seen decoding allocates nothing.
+struct DecodeScratch {
+  Bytes idat;      ///< PNG IDAT payloads joined, when a stream splits them
+  Bytes inflated;  ///< PNG filtered scanlines (inflate_into's buffer)
+  Bytes zero_row;  ///< all zeros: the PNG predictor's row above the first
+};
+
 /// Dynamic RTP payload type numbers assigned to content codecs in this
 /// implementation's SDP (range 96-127).
 enum class ContentPt : std::uint8_t {
@@ -88,6 +98,19 @@ class ImageCodec {
   /// Parse a payload previously produced by encode() (or, for PNG, any
   /// conformant 8-bit RGB/RGBA PNG stream).
   virtual Result<Image> decode(BytesView data) const = 0;
+
+  /// Decode a payload and paint it into `dst` with its top-left corner at
+  /// `at`, clipped to `dst` exactly as Image::blit clips. Returns the
+  /// decoded image's unclipped rect at `at`; on error `dst` is unchanged.
+  /// `scratch` carries working buffers from call to call. This default
+  /// decodes into a fresh Image and blits it.
+  virtual Result<Rect> decode_into(BytesView data, Image& dst, Point at,
+                                   DecodeScratch& /*scratch*/) const {
+    auto img = decode(data);
+    if (!img) return img.error();
+    dst.blit(*img, img->bounds(), at);
+    return Rect{at.x, at.y, img->width(), img->height()};
+  }
 
  private:
   /// The one encode each codec implements; encode() and encode_into() both

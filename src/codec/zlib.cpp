@@ -28,7 +28,8 @@ void zlib_compress_into(BytesView input, const DeflateOptions& opts, Bytes& out,
   out = w.take();
 }
 
-Result<Bytes> zlib_decompress(BytesView input, const InflateLimits& limits) {
+Result<std::size_t> zlib_decompress_into(BytesView input, const InflateLimits& limits,
+                                         Bytes& out) {
   ByteReader in(input);
   auto cmf = in.u8();
   auto flg = in.u8();
@@ -39,13 +40,21 @@ Result<Bytes> zlib_decompress(BytesView input, const InflateLimits& limits) {
   if (in.remaining() < 4) return ParseError::kTruncated;
 
   const BytesView body = input.subspan(2, input.size() - 6);
-  auto out = inflate(body, limits);
-  if (!out) return out.error();
+  auto n = inflate_into(body, limits, out);
+  if (!n) return n.error();
 
   ByteReader tail(input.subspan(input.size() - 4));
   auto expected = tail.u32();
   if (!expected) return expected.error();
-  if (adler32(*out) != *expected) return ParseError::kBadChecksum;
+  if (adler32(BytesView(out).first(*n)) != *expected) return ParseError::kBadChecksum;
+  return n;
+}
+
+Result<Bytes> zlib_decompress(BytesView input, const InflateLimits& limits) {
+  Bytes out;
+  auto n = zlib_decompress_into(input, limits, out);
+  if (!n) return n.error();
+  out.resize(*n);
   return out;
 }
 

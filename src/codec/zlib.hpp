@@ -17,6 +17,12 @@ Bytes zlib_compress(BytesView input, const DeflateOptions& opts = {});
 void zlib_compress_into(BytesView input, const DeflateOptions& opts, Bytes& out,
                         DeflateScratch& scratch);
 
+/// Decompress a zlib stream into the front of the grow-only buffer `out`
+/// (see inflate_into), verifying header and Adler-32; returns the number
+/// of bytes produced.
+Result<std::size_t> zlib_decompress_into(BytesView input, const InflateLimits& limits,
+                                         Bytes& out);
+
 /// Decompress a zlib stream, verifying header and Adler-32.
 Result<Bytes> zlib_decompress(BytesView input, const InflateLimits& limits = {});
 

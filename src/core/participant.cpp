@@ -418,19 +418,26 @@ void Participant::apply_region_update(const RegionUpdate& msg, const RtpPacket& 
     ++stats_.decode_errors;
     return;
   }
-  auto img = codec->decode(msg.content);
-  if (!img.ok()) {
+  // One scratch per delivering thread, shared by the participants it runs:
+  // a session that hosts many viewers in one process would otherwise keep
+  // each viewer's largest band resident and decode into cache-cold memory.
+  thread_local DecodeScratch scratch;
+  // §5.2.2: paint the band at (left, top); a failed decode paints nothing.
+  auto band = codec->decode_into(msg.content, replica_,
+                                 {static_cast<std::int64_t>(msg.left),
+                                  static_cast<std::int64_t>(msg.top)},
+                                 scratch);
+  if (!band.ok()) {
     ++stats_.decode_errors;
     return;
   }
-  replica_.blit(*img, img->bounds(),
-                {static_cast<std::int64_t>(msg.left),
-                 static_cast<std::int64_t>(msg.top)});
   ++stats_.region_updates;
-  deliveries_.push_back(DeliveryRecord{
-      loop_.now(), pkt.timestamp, msg.content.size(),
-      Rect{static_cast<std::int64_t>(msg.left), static_cast<std::int64_t>(msg.top),
-           img->width(), img->height()}});
+  if (deliveries_.size() == kMaxDeliveries) {
+    deliveries_.pop_front();
+    ++stats_.deliveries_dropped;
+  }
+  deliveries_.push_back(
+      DeliveryRecord{loop_.now(), pkt.timestamp, msg.content.size(), *band});
 }
 
 void Participant::apply_move_rectangle(const MoveRectangle& msg) {
@@ -487,8 +494,8 @@ void Participant::handle_bfcp(BytesView packet) {
 }
 
 std::vector<Participant::DeliveryRecord> Participant::drain_deliveries() {
-  std::vector<DeliveryRecord> out;
-  out.swap(deliveries_);
+  std::vector<DeliveryRecord> out(deliveries_.begin(), deliveries_.end());
+  deliveries_.clear();
   return out;
 }
 

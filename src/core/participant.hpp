@@ -8,6 +8,7 @@
 // originates HIP events and BFCP floor requests.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -86,6 +87,9 @@ class Participant {
   /// Uniform random jitter added to each starvation back-off, as a
   /// fraction of the delay.
   static constexpr double kStarvationJitter = 0.25;
+  /// Delivery records kept between drains; past it the oldest is dropped
+  /// (Stats::deliveries_dropped), so an undrained viewer stays bounded.
+  static constexpr std::size_t kMaxDeliveries = 4096;
 
   Participant(EventLoop& loop, ParticipantOptions opts = {});
 
@@ -185,12 +189,13 @@ class Participant {
     std::uint64_t starvation_plis = 0;    ///< watchdog-triggered refreshes
     std::uint64_t reorder_expired = 0;    ///< packets flushed by the age bound
     std::uint64_t transport_resets = 0;   ///< reconnects survived
+    std::uint64_t deliveries_dropped = 0; ///< records over kMaxDeliveries
   };
   /// Lifetime counters (see Stats).
   const Stats& stats() const { return stats_; }
 
-  /// Completed RegionUpdate deliveries since the last drain (for latency
-  /// benchmarks).
+  /// Completed RegionUpdate deliveries since the last drain, oldest first
+  /// (for latency benchmarks): the newest kMaxDeliveries of them.
   std::vector<DeliveryRecord> drain_deliveries();
 
  private:
@@ -258,7 +263,7 @@ class Participant {
   std::uint16_t next_transaction_ = 1;
 
   Stats stats_;
-  std::vector<DeliveryRecord> deliveries_;
+  std::deque<DeliveryRecord> deliveries_;
 };
 
 }  // namespace ads

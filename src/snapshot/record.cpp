@@ -173,14 +173,11 @@ bool SessionReplayer::apply(const RawRecord& rec) {
         ++stats_.decode_errors;
         return false;
       }
-      auto img = codec->decode(r.rest());
-      if (!img.ok()) {
+      const Point at{static_cast<std::int64_t>(*left), static_cast<std::int64_t>(*top)};
+      if (!codec->decode_into(r.rest(), frame_, at, decode_scratch_).ok()) {
         ++stats_.decode_errors;
         return false;
       }
-      frame_.blit(*img, img->bounds(),
-                  Point{static_cast<std::int64_t>(*left),
-                        static_cast<std::int64_t>(*top)});
       ++stats_.region_updates_applied;
       return true;
     }

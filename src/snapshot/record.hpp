@@ -148,6 +148,7 @@ class SessionReplayer {
   bool have_checkpoint_ = false;
   bool ok_ = false;
   CodecRegistry codecs_ = CodecRegistry::with_defaults();
+  DecodeScratch decode_scratch_;
   Image frame_;
   WindowManagerInfo wmi_;
   Point pointer_{0, 0};

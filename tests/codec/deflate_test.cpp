@@ -212,6 +212,38 @@ TEST(Inflate, OutputGrowsWithTheBytesProducedNotTheLimit) {
   EXPECT_LT(out->capacity(), std::size_t{1} << 20);
 }
 
+TEST(InflateInto, WarmBufferIsReusedAndKeepsEveryLimit) {
+  // A buffer warmed by a large stream is reused, never shrunk, and still
+  // refuses a smaller stream's bytes past that stream's own limit, in the
+  // fast loop and in stored blocks alike.
+  const Bytes big = repetitive(300000);
+  Bytes out;
+  auto n = inflate_into(deflate_compress(big), {}, out);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, big.size());
+  EXPECT_TRUE(std::equal(big.begin(), big.end(), out.begin()));
+  const std::size_t warm = out.size();
+  const std::uint8_t* const storage = out.data();
+
+  const Bytes small = random_bytes(5000, 9);
+  for (const int level : {0, 6}) {
+    const Bytes stream = deflate_compress(small, {.level = level});
+    auto over = inflate_into(stream, {.max_output = small.size() - 1}, out);
+    ASSERT_FALSE(over.ok()) << "level " << level;
+    EXPECT_EQ(over.error(), ParseError::kOverflow) << "level " << level;
+    auto fits = inflate_into(stream, {.max_output = small.size()}, out);
+    ASSERT_TRUE(fits.ok()) << "level " << level;
+    ASSERT_EQ(*fits, small.size());
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), out.begin())) << "level " << level;
+    EXPECT_EQ(out.size(), warm);
+    EXPECT_EQ(out.data(), storage);
+  }
+  const Bytes zeros(200000, 0);
+  auto bomb = inflate_into(deflate_compress(zeros), {.max_output = 1024}, out);
+  ASSERT_FALSE(bomb.ok());
+  EXPECT_EQ(bomb.error(), ParseError::kOverflow);
+}
+
 /// Hand-built fixed-Huffman (BTYPE=01) streams of literals and matches.
 class FixedBlockWriter {
  public:

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/prng.hpp"
 
 namespace ads {
@@ -24,6 +26,28 @@ TEST(Zlib, EmptyRoundTrip) {
   auto out = zlib_decompress(zlib_compress({}));
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
+}
+
+TEST(Zlib, DecompressIntoChecksOnlyTheBytesItProduced) {
+  // After a long stream, the reused buffer holds stale bytes past a short
+  // stream's end; the Adler-32 must cover the short stream alone.
+  Bytes out;
+  const Bytes long_input(100000, 'a');
+  auto n = zlib_decompress_into(zlib_compress(long_input), {}, out);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, long_input.size());
+  const Bytes short_input = ascii("a short stream after a long one");
+  n = zlib_decompress_into(zlib_compress(short_input), {}, out);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, short_input.size());
+  EXPECT_TRUE(std::equal(short_input.begin(), short_input.end(), out.begin()));
+  EXPECT_GE(out.size(), long_input.size());
+
+  Bytes bad = zlib_compress(short_input);
+  bad.back() ^= 0x01;
+  n = zlib_decompress_into(bad, {}, out);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.error(), ParseError::kBadChecksum);
 }
 
 TEST(Zlib, HeaderIsRfc1950Conformant) {

@@ -29,6 +29,7 @@
 #include "snapshot/record.hpp"
 #include "transcode/transcode.hpp"
 #include "util/prng.hpp"
+#include "../codec/png_stream.hpp"
 
 // The largest single operator new request since the last reset.
 namespace {
@@ -153,19 +154,68 @@ TEST(ParserRobustness, BfcpRandomAndMutated) {
   }
 }
 
+/// Decode `data` with `codec` both ways: decode(), and decode_into a 64x64
+/// replica at a random offset, where the band may cross any edge. On error
+/// the replica must be unchanged and the error decode()'s; on success the
+/// replica must equal decode() + blit. Returns the largest allocation
+/// decode_into made.
+std::size_t check_decode_into(const ImageCodec& codec, BytesView data, Prng& where,
+                              DecodeScratch& scratch) {
+  static const Image base = [] {
+    Image img(64, 64);
+    for (std::int64_t y = 0; y < 64; ++y) {
+      for (std::int64_t x = 0; x < 64; ++x) {
+        img.set(x, y, Pixel{static_cast<std::uint8_t>(4 * x), static_cast<std::uint8_t>(4 * y),
+                            static_cast<std::uint8_t>(x ^ y), 255});
+      }
+    }
+    return img;
+  }();
+  const Point at{where.range(-40, 70), where.range(-40, 70)};
+  Image replica = base;
+  g_largest_allocation = 0;
+  auto rect = codec.decode_into(data, replica, at, scratch);
+  const std::size_t largest = g_largest_allocation.load();
+  auto decoded = codec.decode(data);
+  EXPECT_EQ(rect.ok(), decoded.ok());
+  if (!rect.ok() || !decoded.ok()) {
+    if (!rect.ok() && !decoded.ok()) {
+      EXPECT_EQ(rect.error(), decoded.error());
+    }
+    EXPECT_TRUE(replica == base) << codec.name() << " painted a failed decode";
+    return largest;
+  }
+  EXPECT_EQ(*rect, (Rect{at.x, at.y, decoded->width(), decoded->height()}));
+  Image want = base;
+  want.blit(*decoded, decoded->bounds(), at);
+  EXPECT_TRUE(replica == want) << codec.name() << " at (" << at.x << ", " << at.y << ")";
+  return largest;
+}
+
 TEST(ParserRobustness, CodecsRandomBytes) {
   Prng rng(7);
+  Prng where(17);
+  const PngCodec png;
+  const RleCodec rle;
+  const RawCodec raw;
+  const DctCodec dct;
+  DecodeScratch scratch;
   for (int i = 0; i < 500; ++i) {
-    (void)png_decode(random_bytes(rng, 300));
-    (void)rle_decode(random_bytes(rng, 300));
-    (void)raw_decode(random_bytes(rng, 300));
-    (void)dct_decode(random_bytes(rng, 300));
+    const Bytes png_bytes = random_bytes(rng, 300);
+    check_decode_into(png, png_bytes, where, scratch);
+    const Bytes rle_bytes = random_bytes(rng, 300);
+    check_decode_into(rle, rle_bytes, where, scratch);
+    const Bytes raw_bytes = random_bytes(rng, 300);
+    check_decode_into(raw, raw_bytes, where, scratch);
+    const Bytes dct_bytes = random_bytes(rng, 300);
+    check_decode_into(dct, dct_bytes, where, scratch);
     (void)zlib_decompress(random_bytes(rng, 300), {.max_output = 1 << 20});
   }
 }
 
 TEST(ParserRobustness, CodecsMutatedStreams) {
   Prng rng(8);
+  Prng where(18);
   Image img(24, 18);
   for (auto& p : img.pixels()) {
     p = Pixel{static_cast<std::uint8_t>(rng.next_u32()),
@@ -175,10 +225,61 @@ TEST(ParserRobustness, CodecsMutatedStreams) {
   const Bytes png = png_encode(img);
   const Bytes rle = rle_encode(img);
   const Bytes dct = dct_encode(img);
+  const PngCodec png_codec;
+  const RleCodec rle_codec;
+  const DctCodec dct_codec;
+  DecodeScratch scratch;
+  // The inflate buffer starts at 64 KiB and then grows to at most four
+  // times what the stream has produced, and DEFLATE expands at most 1032:1,
+  // so no PNG decode may allocate more than this for `n` input bytes.
+  const auto png_bound = [](std::size_t n) { return (std::size_t{64} << 10) + 4 * 1032 * n; };
+  const Bytes idat = png_stream::idat_of(png);
+  ASSERT_EQ(png_stream::build(24, 18, true, idat), png);
+  const Bytes lines = zlib_decompress(idat).value();
+  int decoded_lines = 0;
   for (int i = 0; i < kMutationIterations; ++i) {
-    (void)png_decode(mutate(rng, png));
-    (void)rle_decode(mutate(rng, rle));
-    (void)dct_decode(mutate(rng, dct));
+    const Bytes png_mutant = mutate(rng, png);
+    ASSERT_LE(check_decode_into(png_codec, png_mutant, where, scratch),
+              png_bound(png_mutant.size()))
+        << "mutant " << i;
+    const Bytes rle_mutant = mutate(rng, rle);
+    check_decode_into(rle_codec, rle_mutant, where, scratch);
+    const Bytes dct_mutant = mutate(rng, dct);
+    check_decode_into(dct_codec, dct_mutant, where, scratch);
+    // The same stream under a random IHDR size, from 1 x 1 to past the
+    // 1 GiB raster guard: only the 1,746 bytes the stream holds may be
+    // inflated, whatever the header claims.
+    const auto width = static_cast<std::uint32_t>(1 + where.below(1u << where.range(1, 16)));
+    const auto height = static_cast<std::uint32_t>(1 + where.below(1u << where.range(1, 16)));
+    const Bytes resized = png_stream::build(width, height, true, idat);
+    ASSERT_LE(check_decode_into(png_codec, resized, where, scratch), png_bound(resized.size()))
+        << "resized " << i;
+    // Mutants that keep every chunk CRC: a mutated zlib stream reaches
+    // inflate and the Adler-32; mutated scanlines, recompressed, reach the
+    // size and filter-byte checks and otherwise decode, at any offset.
+    const Bytes zlib_mutant = png_stream::build(24, 18, true, mutate(where, idat));
+    ASSERT_LE(check_decode_into(png_codec, zlib_mutant, where, scratch),
+              png_bound(zlib_mutant.size()))
+        << "zlib mutant " << i;
+    const Bytes lines_mutant =
+        png_stream::build(24, 18, true, zlib_compress(mutate(where, lines)));
+    check_decode_into(png_codec, lines_mutant, where, scratch);
+    decoded_lines += png_decode(lines_mutant).ok();
+  }
+  EXPECT_GT(decoded_lines, kMutationIterations / 4);
+  // Hostile sizes with a tiny IDAT: 30000 x 30000 fails the raster guard,
+  // the others pass it (up to 1 GiB); none may grow a buffer past the
+  // 64 KiB first step, because the stream delivers 68 bytes.
+  const Bytes tiny = png_stream::idat_of(png_encode(Image(4, 4, kWhite)));
+  for (const auto& [w, h] : {std::pair<std::uint32_t, std::uint32_t>{30000, 30000},
+                             {16384, 16383}, {1, 268435455}, {268435455, 1}}) {
+    const Bytes hostile = png_stream::build(w, h, true, tiny);
+    g_largest_allocation = 0;
+    auto decoded = png_decode(hostile);
+    ASSERT_FALSE(decoded.ok()) << w << "x" << h;
+    EXPECT_EQ(decoded.error(), w == 30000 ? ParseError::kOverflow : ParseError::kBadValue);
+    EXPECT_LE(g_largest_allocation.load(), std::size_t{64} << 10) << w << "x" << h;
+    EXPECT_LE(check_decode_into(png_codec, hostile, where, scratch), std::size_t{64} << 10);
   }
 }
 
