@@ -102,7 +102,6 @@ void SharingSession::publish_net_metrics() {
     part.srs_received += s.srs_received;
     part.nack_escalations += s.nack_escalations;
     part.starvation_plis += s.starvation_plis;
-    part.reorder_expired += s.reorder_expired;
     part.transport_resets += s.transport_resets;
   };
 
@@ -160,7 +159,6 @@ void SharingSession::publish_net_metrics() {
   met.counter("participant.srs_received").set(part.srs_received);
   met.counter("participant.nack_escalations").set(part.nack_escalations);
   met.counter("participant.starvation_plis").set(part.starvation_plis);
-  met.counter("participant.reorder_expired").set(part.reorder_expired);
   met.counter("participant.transport_resets").set(part.transport_resets);
   met.counter("recovery.dropped_links").set(dropped_links_);
   met.counter("recovery.reconnects").set(reconnects_);

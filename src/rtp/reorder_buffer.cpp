@@ -2,7 +2,7 @@
 
 namespace ads {
 
-std::vector<RtpPacket> ReorderBuffer::push(RtpPacket pkt, std::uint64_t now_us) {
+std::vector<RtpPacket> ReorderBuffer::push(RtpPacket pkt) {
   if (!started_) {
     started_ = true;
     next_seq_ = pkt.sequence;
@@ -14,70 +14,36 @@ std::vector<RtpPacket> ReorderBuffer::push(RtpPacket pkt, std::uint64_t now_us) 
     ++dropped_late_;
     return {};
   }
-  if (!held_.emplace(offset, Held{std::move(pkt), now_us}).second) {
+  if (!held_.emplace(offset, std::move(pkt)).second) {
     ++dropped_late_;  // duplicate of a held packet
     return {};
   }
 
-  auto out = drain();
-  // Head-of-line blocking bound: give up on the gap when the buffer holds
-  // too much newer data.
-  if (held_.size() > max_hold_) {
-    auto flushed = skip_gap();
-    out.insert(out.end(), std::make_move_iterator(flushed.begin()),
-               std::make_move_iterator(flushed.end()));
-  }
-  return out;
-}
-
-std::vector<RtpPacket> ReorderBuffer::drain() {
   // Deliver the contiguous prefix (offsets 0,1,2,...), then rekey the
   // remaining packets once.
   std::vector<RtpPacket> out;
   std::uint16_t expect = 0;
   while (!held_.empty() && held_.begin()->first == expect) {
-    out.push_back(std::move(held_.begin()->second.pkt));
+    out.push_back(std::move(held_.begin()->second));
     held_.erase(held_.begin());
     ++expect;
   }
   if (expect == 0) return out;
   next_seq_ = static_cast<std::uint16_t>(next_seq_ + expect);
-  std::map<std::uint16_t, Held> rekeyed;
-  for (auto& [off, h] : held_) {
-    rekeyed.emplace(static_cast<std::uint16_t>(off - expect), std::move(h));
+  std::map<std::uint16_t, RtpPacket> rekeyed;
+  for (auto& [off, p] : held_) {
+    rekeyed.emplace(static_cast<std::uint16_t>(off - expect), std::move(p));
   }
   held_ = std::move(rekeyed);
-  return out;
-}
-
-std::optional<std::uint64_t> ReorderBuffer::oldest_held_us() const {
-  std::optional<std::uint64_t> oldest;
-  for (const auto& [off, h] : held_) {
-    if (!oldest || h.arrived_us < *oldest) oldest = h.arrived_us;
-  }
-  return oldest;
-}
-
-std::vector<RtpPacket> ReorderBuffer::expire_older_than(std::uint64_t cutoff_us) {
-  std::vector<RtpPacket> out;
-  // Each skip_gap() unblocks at least one held packet, so this terminates.
-  while (!held_.empty()) {
-    const auto oldest = oldest_held_us();
-    if (!oldest || *oldest >= cutoff_us) break;
-    auto flushed = skip_gap();
-    out.insert(out.end(), std::make_move_iterator(flushed.begin()),
-               std::make_move_iterator(flushed.end()));
-  }
   return out;
 }
 
 std::vector<RtpPacket> ReorderBuffer::flush_all() {
   std::vector<RtpPacket> out;
   if (held_.empty()) return out;
-  ++gaps_skipped_;
   const std::uint16_t last_offset = held_.rbegin()->first;
   next_seq_ = static_cast<std::uint16_t>(next_seq_ + last_offset + 1);
-  for (auto& [off, h] : held_) out.push_back(std::move(h.pkt));
+  for (auto& [off, p] : held_) out.push_back(std::move(p));
   held_.clear();
   return out;
 }
@@ -86,20 +52,6 @@ void ReorderBuffer::reset_to(std::uint16_t next) {
   if (!held_.empty()) return;  // refuse to drop data silently
   next_seq_ = next;
   started_ = true;
-}
-
-std::vector<RtpPacket> ReorderBuffer::skip_gap() {
-  if (held_.empty()) return {};
-  ++gaps_skipped_;
-  // Jump the cursor to the first held packet.
-  const std::uint16_t jump = held_.begin()->first;
-  next_seq_ = static_cast<std::uint16_t>(next_seq_ + jump);
-  std::map<std::uint16_t, Held> rekeyed;
-  for (auto& [off, h] : held_) {
-    rekeyed.emplace(static_cast<std::uint16_t>(off - jump), std::move(h));
-  }
-  held_ = std::move(rekeyed);
-  return drain();
 }
 
 }  // namespace ads

@@ -1,13 +1,8 @@
 // In-order delivery of out-of-order RTP packets. The draft relies on RTP
 // to let participants "re-order the packets, recognize missing packets"
-// (§4.2); this buffer performs the reordering and exposes a bounded-wait
-// policy: if a gap persists while more than `max_hold` newer packets are
-// queued, the gap is abandoned and delivery resumes (the remoting layer
-// recovers via NACK retransmission or PLI refresh). An age bound
-// complements the count bound: expire_older_than() abandons a head gap
-// once held packets have waited too long, so a permanently lost packet
-// cannot stall delivery even across a sequence-number wrap where newer
-// arrivals alone would never exceed the count bound.
+// (§4.2); this buffer performs the reordering and holds packets behind a
+// gap until the gap fills or its owner gives the gap up (flush_all()), so
+// how long a gap may hold delivery is the owner's policy, not the buffer's.
 #pragma once
 
 #include <cstdint>
@@ -21,22 +16,10 @@ namespace ads {
 
 class ReorderBuffer {
  public:
-  explicit ReorderBuffer(std::size_t max_hold = 256) : max_hold_(max_hold) {}
-
   /// Insert an arriving packet; returns every packet now deliverable in
   /// order (possibly none). Duplicates and packets older than the delivery
-  /// cursor are dropped. `now_us` (any monotonic microsecond clock) stamps
-  /// the packet for the expire_older_than() age bound.
-  std::vector<RtpPacket> push(RtpPacket pkt, std::uint64_t now_us = 0);
-
-  /// Age bound: while the oldest held packet arrived before `cutoff_us`,
-  /// abandon the head gap blocking it (counted in gaps_skipped) and deliver
-  /// from the next packet actually present. Returns the flushed packets.
-  std::vector<RtpPacket> expire_older_than(std::uint64_t cutoff_us);
-
-  /// Abandon the current head gap: deliver buffered packets from the next
-  /// one actually present. Returns the flushed packets.
-  std::vector<RtpPacket> skip_gap();
+  /// cursor are dropped.
+  std::vector<RtpPacket> push(RtpPacket pkt);
 
   /// Deliver everything held (in order, regardless of gaps) and return it.
   std::vector<RtpPacket> flush_all();
@@ -48,10 +31,6 @@ class ReorderBuffer {
 
   std::size_t buffered() const { return held_.size(); }
   std::uint64_t dropped_late() const { return dropped_late_; }
-  std::uint64_t gaps_skipped() const { return gaps_skipped_; }
-
-  /// Arrival time of the oldest held packet (nullopt when empty).
-  std::optional<std::uint64_t> oldest_held_us() const;
 
   /// Sequence number the buffer is waiting to deliver next.
   std::optional<std::uint16_t> expected_sequence() const {
@@ -59,21 +38,12 @@ class ReorderBuffer {
   }
 
  private:
-  struct Held {
-    RtpPacket pkt;
-    std::uint64_t arrived_us = 0;
-  };
-
-  std::vector<RtpPacket> drain();
-
   // Key is the modular distance from next_seq_ so iteration order matches
   // delivery order even across the 16-bit wrap.
-  std::map<std::uint16_t, Held> held_;
-  std::size_t max_hold_;
+  std::map<std::uint16_t, RtpPacket> held_;
   bool started_ = false;
   std::uint16_t next_seq_ = 0;
   std::uint64_t dropped_late_ = 0;
-  std::uint64_t gaps_skipped_ = 0;
 };
 
 }  // namespace ads

@@ -142,7 +142,6 @@ TEST(MulticastSession, NackJitterDesynchronisesMembers) {
   for (int i = 0; i < 6; ++i) {
     ParticipantOptions popts;
     popts.seed = 100 + static_cast<std::uint64_t>(i);
-    popts.nack_delay_us = 10'000;
     // nack_jitter_us defaults to 30 ms for multicast members (session).
     members.push_back(
         &session.add_multicast_member(mc, popts, member_link(60 + i, 0.10)));

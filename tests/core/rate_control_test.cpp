@@ -126,8 +126,6 @@ TEST(RtcpReports, RrReflectsLinkLoss) {
   ParticipantOptions popts;
   popts.send_nacks = false;
   popts.rr_interval_us = sim_ms(500);
-  // Keep recovery quiet so the loss numbers accumulate for the test.
-  popts.loss_recovery_delay_us = 60'000'000;
   auto& conn = session.add_udp_participant(popts, link);
   conn.participant->join();
   host.start();

@@ -109,7 +109,6 @@ TEST(SessionUdp, WithoutNacksPliRecoversEventually) {
   lossy.down.seed = 99;
   ParticipantOptions popts;
   popts.send_nacks = false;
-  popts.loss_recovery_delay_us = 150'000;
   auto& conn = session.add_udp_participant(popts, lossy);
   conn.participant->join();
   session.host().start();

@@ -58,24 +58,11 @@ TEST(ReorderBuffer, SkipGapAbandonsMissing) {
   buf.push(pkt(1));
   buf.push(pkt(3));
   buf.push(pkt(4));
-  auto flushed = buf.skip_gap();
+  auto flushed = buf.flush_all();
   EXPECT_EQ(seqs(flushed), (std::vector<std::uint16_t>{3, 4}));
-  EXPECT_EQ(buf.gaps_skipped(), 1u);
+  EXPECT_EQ(buf.buffered(), 0u);
   // Cursor advanced past the gap.
   EXPECT_EQ(seqs(buf.push(pkt(5))), (std::vector<std::uint16_t>{5}));
-}
-
-TEST(ReorderBuffer, AutoSkipAtMaxHold) {
-  ReorderBuffer buf(4);
-  buf.push(pkt(0));
-  // Packet 1 missing; pile up 2..6 (5 held > max_hold 4 triggers skip).
-  buf.push(pkt(2));
-  buf.push(pkt(3));
-  buf.push(pkt(4));
-  buf.push(pkt(5));
-  auto out = buf.push(pkt(6));
-  EXPECT_EQ(seqs(out), (std::vector<std::uint16_t>{2, 3, 4, 5, 6}));
-  EXPECT_EQ(buf.gaps_skipped(), 1u);
 }
 
 TEST(ReorderBuffer, ExpectedSequenceTracksCursor) {
@@ -93,62 +80,10 @@ TEST(ReorderBuffer, WrapAroundDelivery) {
   EXPECT_EQ(seqs(out), (std::vector<std::uint16_t>{65535, 0}));
 }
 
-TEST(ReorderBuffer, ExpireOlderThanFlushesAgedHeadGap) {
-  ReorderBuffer buf;
-  buf.push(pkt(10), /*now_us=*/1000);
-  // 11 lost; 12 and 13 wait behind the gap.
-  EXPECT_TRUE(buf.push(pkt(12), 2000).empty());
-  EXPECT_TRUE(buf.push(pkt(13), 2500).empty());
-
-  // Cutoff before the oldest held arrival: nothing expires.
-  EXPECT_TRUE(buf.expire_older_than(1500).empty());
-  EXPECT_EQ(buf.buffered(), 2u);
-
-  // Oldest (arrived at 2000) is now past the cutoff: the gap is abandoned
-  // and both held packets flush in order.
-  auto out = buf.expire_older_than(3000);
-  EXPECT_EQ(seqs(out), (std::vector<std::uint16_t>{12, 13}));
-  EXPECT_EQ(buf.gaps_skipped(), 1u);
-  EXPECT_EQ(buf.expected_sequence(), 14);
-}
-
-TEST(ReorderBuffer, ExpireCrossesMultipleGaps) {
-  ReorderBuffer buf;
-  buf.push(pkt(1), 100);
-  buf.push(pkt(3), 200);   // 2 missing
-  buf.push(pkt(6), 300);   // 4,5 missing
-  auto out = buf.expire_older_than(1000);
-  EXPECT_EQ(seqs(out), (std::vector<std::uint16_t>{3, 6}));
-  EXPECT_EQ(buf.gaps_skipped(), 2u);
-  EXPECT_TRUE(buf.expire_older_than(1000).empty());  // idempotent when empty
-}
-
-TEST(ReorderBuffer, OldestHeldTracksArrivals) {
-  ReorderBuffer buf;
-  EXPECT_FALSE(buf.oldest_held_us().has_value());
-  buf.push(pkt(5), 100);           // delivered immediately, not held
-  EXPECT_FALSE(buf.oldest_held_us().has_value());
-  buf.push(pkt(8), 900);           // held (6,7 missing)
-  buf.push(pkt(7), 400);           // held, older arrival
-  EXPECT_EQ(buf.oldest_held_us(), 400u);
-}
-
-TEST(ReorderBuffer, AgeBoundCoversSequenceWrapStall) {
-  // A gap right before the 16-bit wrap with only a handful of newer
-  // packets: the count bound never trips, but the age bound must.
-  ReorderBuffer buf(/*max_hold=*/256);
-  buf.push(pkt(65533), 100);
-  EXPECT_TRUE(buf.push(pkt(65535), 200).empty());  // 65534 lost
-  EXPECT_TRUE(buf.push(pkt(0), 300).empty());
-  auto out = buf.expire_older_than(500'000);
-  EXPECT_EQ(seqs(out), (std::vector<std::uint16_t>{65535, 0}));
-  EXPECT_EQ(buf.expected_sequence(), 1);
-}
-
 TEST(ReorderBuffer, RandomPermutationDeliversInOrder) {
   Prng rng(77);
   for (int trial = 0; trial < 10; ++trial) {
-    ReorderBuffer buf(512);
+    ReorderBuffer buf;
     // A shuffled window of 300 packets starting near wrap.
     std::vector<std::uint16_t> order;
     const std::uint16_t base = 65400;
@@ -164,7 +99,9 @@ TEST(ReorderBuffer, RandomPermutationDeliversInOrder) {
     for (std::size_t i = 1; i < delivered.size(); ++i) {
       EXPECT_EQ(static_cast<std::uint16_t>(delivered[i] - delivered[i - 1]), 1u);
     }
-    EXPECT_EQ(buf.gaps_skipped(), 0u);
+    // No gap is given up: whatever is not behind the first cursor arrives.
+    EXPECT_EQ(delivered.size() + buf.dropped_late(), order.size());
+    EXPECT_EQ(buf.buffered(), 0u);
   }
 }
 
