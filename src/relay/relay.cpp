@@ -167,11 +167,12 @@ void RelayNode::ingest_media(const PacketView& v) {
 
   // A repair we requested upstream goes only to the legs that asked for it;
   // relay-detected gaps (all_legs) were never forwarded, so everyone gets
-  // those. A sequence still queued is not a repair yet.
+  // those. A sequence still queued was never asked for: it arrived late,
+  // and its entry goes so the next flush does not request it.
   auto wait = repairs_.find(v.sequence());
-  if (wait != repairs_.end() && !wait->second.queued) {
-    ++stats_.repairs_forwarded;
-    if (!wait->second.all_legs) {
+  if (wait != repairs_.end()) {
+    if (!wait->second.queued) ++stats_.repairs_forwarded;
+    if (!wait->second.queued && !wait->second.all_legs) {
       for (LegId id : wait->second.waiters) {
         auto leg = legs_.find(id);
         if (leg != legs_.end()) forward_to_leg(leg->second, v);

@@ -240,6 +240,24 @@ TEST(RelayNode, RelayDetectedGapIsNackedUpstreamAndRepairFansToAll) {
   EXPECT_EQ(a.media[0], media_datagram(2));
 }
 
+TEST(RelayNode, GapFilledBeforeTheFlushIsNotRequestedUpstream) {
+  Fixture f;
+  UdpLegProbe a;
+  f.node.add_leg(a.endpoint());
+  f.feed_media(1);
+  f.feed_media(2);
+  f.feed_media(4);  // 3 looks lost and is queued for the next NACK flush
+  f.loop.run_until(f.loop.now() + sim_ms(1));
+  f.feed_media(3);  // ...but it was only late
+  f.loop.run_until(f.loop.now() + sim_ms(50));
+
+  EXPECT_EQ(f.node.stats().gap_nacks, 1u);
+  EXPECT_EQ(f.node.stats().nack_seqs_upstream, 0u);
+  EXPECT_TRUE(f.upstream_nack_seqs().empty());
+  EXPECT_EQ(f.node.stats().upstream_duplicates, 0u);
+  EXPECT_EQ(a.media.size(), 4u);
+}
+
 TEST(RelayNode, CoalescesSubtreePlisIntoOneUpstreamRefresh) {
   Fixture f;
   UdpLegProbe a, b;
