@@ -213,7 +213,9 @@ Result<Image> dct_decode(BytesView data) {
   const std::size_t expected =
       static_cast<std::size_t>(bw * bh) * 3 * 64 * 2;  // i16 per coefficient
 
-  auto coeffs = zlib_decompress(in.rest(), {.max_output = expected});
+  // max_output 0 would mean no limit: a zero-sized header expects nothing.
+  auto coeffs =
+      zlib_decompress(in.rest(), {.max_output = std::max<std::size_t>(expected, 1)});
   if (!coeffs) return coeffs.error();
   if (coeffs->size() != expected) return ParseError::kBadValue;
 

@@ -283,6 +283,30 @@ TEST(ParserRobustness, CodecsMutatedStreams) {
   }
 }
 
+TEST(ParserRobustness, DctZeroSizedHeaderInflatesNothing) {
+  // A DCT header with zero width or height expects no coefficients, so the
+  // zlib stream after it may inflate nothing: a 4 MiB run of zeros, which
+  // compresses to a few KiB, must fail without growing a buffer for it.
+  const Bytes zeros(std::size_t{4} << 20, 0);
+  const Bytes coeffs = zlib_compress(zeros);
+  const DctCodec dct;
+  DecodeScratch scratch;
+  Prng where(19);
+  for (const auto& [w, h] : {std::pair<std::uint32_t, std::uint32_t>{0, 16}, {16, 0}, {0, 0}}) {
+    ByteWriter out;
+    out.u32(w);
+    out.u32(h);
+    out.u8(50);
+    out.bytes(coeffs);
+    const Bytes hostile = out.take();
+    g_largest_allocation = 0;
+    auto decoded = dct_decode(hostile);
+    EXPECT_FALSE(decoded.ok()) << w << "x" << h;
+    EXPECT_LE(g_largest_allocation.load(), std::size_t{64} << 10) << w << "x" << h;
+    EXPECT_LE(check_decode_into(dct, hostile, where, scratch), std::size_t{64} << 10);
+  }
+}
+
 TEST(ParserRobustness, RtcpCompoundRandomAndMutated) {
   Prng rng(11);
   g_largest_allocation = 0;
