@@ -118,7 +118,7 @@ bool RtpReceiver::on_sequence(std::uint16_t sequence) {
     if (sequence < highest_seq_) ++cycles_;  // 16-bit wrap
     highest_seq_ = sequence;
     bad_seq_valid_ = false;
-  } else if (udelta <= 0x8000) {
+  } else if (udelta != 0 && udelta <= 0x8000) {
     // Suspect zone: either a genuine restart after a very large burst, or
     // an ancient straggler from more than half a window back. Advancing on
     // the straggler would inflate the extended sequence by a whole cycle
@@ -136,8 +136,9 @@ bool RtpReceiver::on_sequence(std::uint16_t sequence) {
       bad_seq_valid_ = true;
     }
   } else {
-    // Behind by at most half a window: a late packet fills (or re-fills) a
-    // gap. Never a wrap.
+    // Behind by at most half a window, or the highest itself when a Sender
+    // Report marked it missing: a late packet fills (or re-fills) a gap.
+    // Never a wrap.
     missing_.erase(sequence);
   }
 
@@ -152,6 +153,28 @@ bool RtpReceiver::on_sequence(std::uint16_t sequence) {
   }
   ++received_;
   return true;
+}
+
+std::uint16_t RtpReceiver::on_sender_count(std::uint32_t ssrc,
+                                           std::uint32_t packet_count) {
+  const auto offset = static_cast<std::uint16_t>(packet_count - highest_seq_);
+  const auto tail = static_cast<std::uint16_t>(offset - count_offset_);
+  if (!have_count_offset_ || ssrc != count_ssrc_ || tail >= 0x8000) {
+    // First SR of this stream, or one showing less outstanding than the
+    // offset assumed: an earlier SR had a lost tail.
+    count_ssrc_ = ssrc;
+    count_offset_ = offset;
+    have_count_offset_ = true;
+    return 0;
+  }
+  if (tail == 0 || tail >= kMaxDropout) return 0;
+  for (std::uint16_t i = 1; i <= tail; ++i) {
+    missing_.insert(static_cast<std::uint16_t>(highest_seq_ + i));
+  }
+  const auto last = static_cast<std::uint16_t>(highest_seq_ + tail);
+  if (last < highest_seq_) ++cycles_;  // 16-bit wrap
+  highest_seq_ = last;
+  return tail;
 }
 
 std::vector<std::uint16_t> RtpReceiver::missing(std::size_t limit) const {

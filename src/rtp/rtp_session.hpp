@@ -100,6 +100,15 @@ class RtpReceiver {
     last_sr_arrival_us_ = arrival_us;
   }
 
+  /// RFC 3550 §6.4.1: hold a Sender Report's packet count against what
+  /// arrived. A receiver that joined mid-stream does not know the sender's
+  /// first sequence number, so the count-to-sequence offset is learned per
+  /// SSRC as the smallest count − highest seen: exact once any SR arrived
+  /// behind an intact tail. Returns how many packets the SR shows sent past
+  /// the highest received; they are marked missing, and the highest
+  /// sequence advances past them.
+  std::uint16_t on_sender_count(std::uint32_t ssrc, std::uint32_t packet_count);
+
   /// Sequence numbers currently believed lost (between the first packet
   /// seen and the highest seen). Cleared entries reappear only if still
   /// missing. Capped at `limit` entries.
@@ -162,6 +171,10 @@ class RtpReceiver {
   // Last Sender Report (0 arrival = none yet).
   std::uint32_t last_sr_mid_ntp_ = 0;
   SimTimeUs last_sr_arrival_us_ = 0;
+  // SR packet count − highest sequence, learned per SSRC.
+  std::uint32_t count_ssrc_ = 0;
+  std::uint16_t count_offset_ = 0;
+  bool have_count_offset_ = false;
 };
 
 }  // namespace ads

@@ -179,5 +179,35 @@ TEST(RtpReceiver, RestartAcrossWrapCountsOneCycle) {
   EXPECT_EQ(rx.extended_highest_sequence(), (1u << 16) | 0x2001);
 }
 
+TEST(RtpReceiver, SenderCountMarksALostTailMissingMidStream) {
+  // The sender started at 65530 and had sent 20 packets when this receiver
+  // joined at 65534 (its 5th). Its SR counts from the stream's start.
+  RtpReceiver rx;
+  for (std::uint16_t s = 65534; s != 3; ++s) rx.on_packet(RtpPacket{.sequence = s});
+  EXPECT_EQ(rx.on_sender_count(7, 9), 0u);  // learns the offset; idle
+  EXPECT_EQ(rx.on_sender_count(7, 9), 0u);  // still nothing outstanding
+  rx.on_packet(RtpPacket{.sequence = 3});
+  // Sequences 4 and 5 were sent (count 12) but never arrived.
+  EXPECT_EQ(rx.on_sender_count(7, 12), 2u);
+  EXPECT_EQ(rx.missing(), (std::vector<std::uint16_t>{4, 5}));
+  EXPECT_EQ(rx.highest_sequence(), 5);
+  EXPECT_EQ(rx.on_sender_count(7, 12), 0u);  // already marked
+  EXPECT_TRUE(rx.on_packet(RtpPacket{.sequence = 5}));  // the repair fills it
+  EXPECT_EQ(rx.missing(), (std::vector<std::uint16_t>{4}));
+  // A new SSRC is a new stream: its offset is learned afresh.
+  EXPECT_EQ(rx.on_sender_count(8, 1000), 0u);
+}
+
+TEST(RtpReceiver, SenderCountOffsetRelearnsDownAfterALostTail) {
+  // The first SR arrived behind a lost tail of two: the offset it taught
+  // was two too high. The next SR shows less outstanding and corrects it.
+  RtpReceiver rx;
+  for (std::uint16_t s = 100; s <= 110; ++s) rx.on_packet(RtpPacket{.sequence = s});
+  EXPECT_EQ(rx.on_sender_count(1, 13), 0u);  // 111 and 112 lost: masked
+  for (std::uint16_t s = 113; s <= 120; ++s) rx.on_packet(RtpPacket{.sequence = s});
+  EXPECT_EQ(rx.on_sender_count(1, 21), 0u);  // relearned
+  EXPECT_EQ(rx.on_sender_count(1, 22), 1u);  // 121 now shows as a tail
+}
+
 }  // namespace
 }  // namespace ads
