@@ -7,9 +7,17 @@
 // PLI full refresh. Counters: residual divergence while lossy, PLIs,
 // retransmissions, total AH bytes (repair overhead), and the AH store's
 // rtx.misses and rtx.evictions from the session snapshot.
+//
+// The loss probe (E4/probe/<rtt ms>/<loss per mille>/<jitter ms>): four
+// UDP viewers of a 480x360 video window on 100 Mbit/s links for 10 s, then
+// 20 frozen ticks with a pointer move each and 500 ms to settle. Downlink
+// loss and jitter stay on throughout; counts are summed over the viewers,
+// and converged_viewers counts those pixel-identical to the AH's frame
+// after the drain.
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/session.hpp"
@@ -106,6 +114,103 @@ void run_bench(benchmark::State& state, bool retransmissions) {
                          state.counters);
 }
 
+/// An application frozen on the content it was given.
+class FrozenApp final : public AppPainter {
+ public:
+  explicit FrozenApp(const Image& content)
+      : AppPainter(content.width(), content.height(), kBlack) {
+    content_ = content;
+  }
+  void tick(std::uint64_t) override {}
+  std::string_view name() const override { return "frozen"; }
+};
+
+struct ProbeStats {
+  std::uint64_t lost = 0;  ///< downlink datagrams the links dropped
+  std::uint64_t nacks = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t abandoned_gaps = 0;
+  std::uint64_t plis = 0;
+  std::uint64_t decode_errors = 0;
+  std::uint64_t ah_bytes = 0;
+  std::uint64_t converged_viewers = 0;
+};
+
+ProbeStats run_probe(SimTime rtt_us, double loss, SimTime jitter_us) {
+  constexpr int kViewers = 4;
+  AppHostOptions host_opts;
+  host_opts.screen_width = 640;
+  host_opts.screen_height = 480;
+  SharingSession session(host_opts);
+  AppHost& host = session.host();
+  const Rect window{80, 60, 480, 360};
+  const WindowId id = host.wm().create(window, 1);
+  host.capturer().attach(id, std::make_unique<VideoApp>(window.width, window.height, 5));
+
+  std::vector<SharingSession::Connection*> viewers;
+  for (int i = 0; i < kViewers; ++i) {
+    UdpLinkConfig link;
+    for (UdpChannelOptions* dir : {&link.down, &link.up}) {
+      dir->delay_us = rtt_us / 2;
+      dir->bandwidth_bps = 100'000'000;
+    }
+    link.down.seed = 1000 + 2 * static_cast<std::uint64_t>(i);
+    link.up.seed = 1001 + 2 * static_cast<std::uint64_t>(i);
+    link.down.loss = loss;
+    link.down.jitter_us = jitter_us;
+    ParticipantOptions popts;
+    popts.screen_width = host_opts.screen_width;
+    popts.screen_height = host_opts.screen_height;
+    viewers.push_back(&session.add_udp_participant(popts, link));
+    viewers.back()->participant->join();
+  }
+  host.start();
+  session.run_for(sim_sec(10));
+  host.capturer().attach(id, std::make_unique<FrozenApp>(host.capturer().app(id)->content()));
+  for (int i = 1; i <= 20; ++i) {
+    host.set_pointer({window.left + i, window.top + i});
+    session.run_for(host_opts.frame_interval_us);
+  }
+  session.run_for(sim_ms(500));
+
+  ProbeStats out;
+  const Image& truth = host.capturer().last_frame();
+  for (const SharingSession::Connection* c : viewers) {
+    const Participant::Stats& st = c->participant->stats();
+    out.lost += c->down_udp->stats().lost;
+    out.nacks += st.nacks_sent;
+    out.abandoned_gaps += st.gaps_skipped;
+    out.plis += st.plis_sent;
+    out.decode_errors += st.decode_errors;
+    out.converged_viewers += diff_pixel_count(truth, c->participant->screen()) == 0;
+  }
+  out.retransmissions = host.stats().retransmissions_sent;
+  out.ah_bytes = host.stats().bytes_sent;
+  host.stop();
+  return out;
+}
+
+void loss_probe(benchmark::State& state) {
+  const SimTime rtt_us = sim_ms(static_cast<std::uint64_t>(state.range(0)));
+  const double loss = static_cast<double>(state.range(1)) / 1000.0;
+  const SimTime jitter_us = sim_ms(static_cast<std::uint64_t>(state.range(2)));
+  ProbeStats stats;
+  for (auto _ : state) stats = run_probe(rtt_us, loss, jitter_us);
+  state.counters["lost"] = static_cast<double>(stats.lost);
+  state.counters["nacks"] = static_cast<double>(stats.nacks);
+  state.counters["retransmissions"] = static_cast<double>(stats.retransmissions);
+  state.counters["abandoned_gaps"] = static_cast<double>(stats.abandoned_gaps);
+  state.counters["plis"] = static_cast<double>(stats.plis);
+  state.counters["decode_errors"] = static_cast<double>(stats.decode_errors);
+  state.counters["ah_bytes"] = static_cast<double>(stats.ah_bytes);
+  state.counters["converged_viewers"] = static_cast<double>(stats.converged_viewers);
+  bench::record_counters("nack",
+                         "E4/probe/" + std::to_string(state.range(0)) + "/" +
+                             std::to_string(state.range(1)) + "/" +
+                             std::to_string(state.range(2)),
+                         state.counters);
+}
+
 void with_retransmissions(benchmark::State& state) { run_bench(state, true); }
 void without_retransmissions(benchmark::State& state) { run_bench(state, false); }
 
@@ -116,6 +221,19 @@ BENCHMARK(with_retransmissions)
     ->Arg(5)
     ->Arg(10)
     ->Arg(20)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1);
+// Args: RTT ms, downlink loss per mille, downlink jitter ms.
+BENCHMARK(loss_probe)
+    ->Name("E4/probe")
+    ->Args({40, 1, 0})
+    ->Args({40, 10, 0})
+    ->Args({80, 1, 0})
+    ->Args({80, 10, 0})
+    ->Args({160, 1, 0})
+    ->Args({160, 10, 0})
+    ->Args({40, 0, 2})
+    ->Args({40, 0, 5})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 BENCHMARK(without_retransmissions)
